@@ -136,15 +136,16 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 
 // BenchmarkPooledFlowDispatchHit measures the steady-state flow-dispatch hit
 // path — the per-frame work once a flow is pinned — and must stay at 0
-// allocs/op (the CI pooled-path gate greps it): the Assign closures may not
-// escape, and nothing on the path may touch the heap.
+// allocs/op (the CI pooled-path gate greps it): the Assign closures and
+// Dispatch's burst-of-one scratch may not escape, and nothing on the path may
+// touch the heap.
 func BenchmarkPooledFlowDispatchHit(b *testing.B) {
 	clock := &fakeClock{}
-	_, v := newFlowLVRM(b, clock, 4, 1, 1024)
+	l, v := newFlowLVRM(b, clock, 4, 1, 1024)
 	a := v.VRIs()[0]
 	f := flowFrame(b, 1)
-	if err := v.dispatch(f, 0); err != nil {
-		b.Fatal(err)
+	if !l.Dispatch(f) {
+		b.Fatal("pin frame rejected")
 	}
 	if _, ok := a.Data.In.Dequeue(); !ok {
 		b.Fatal("pin frame not queued")
@@ -152,8 +153,8 @@ func BenchmarkPooledFlowDispatchHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := v.dispatch(f, int64(i)); err != nil {
-			b.Fatal(err)
+		if !l.Dispatch(f) {
+			b.Fatal("frame rejected")
 		}
 		if _, ok := a.Data.In.Dequeue(); !ok {
 			b.Fatal("dispatched frame not queued")

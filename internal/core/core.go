@@ -172,11 +172,13 @@ type LVRM struct {
 	ctlRelayed   atomic.Int64
 	ctlDropped   atomic.Int64
 
-	// recvBuf and relayBuf are the monitor's batch scratch buffers. Only
-	// the monitor goroutine (or the single-threaded testbed) touches them,
-	// so they need no synchronisation — the same ownership rule as
-	// lastAlloc.
+	// recvBuf, burstBuf and relayBuf are the monitor's batch scratch
+	// buffers: the received burst, its per-frame parse results (RecvBatch
+	// entries each), and the relay burst. Only the monitor goroutine (or the
+	// single-threaded testbed) touches them, so they need no synchronisation
+	// — the same ownership rule as lastAlloc.
 	recvBuf  []*packet.Frame
+	burstBuf []parsed
 	relayBuf []*packet.Frame
 
 	// moves queues live-migration requests for the monitor loop to execute
@@ -264,6 +266,7 @@ func New(cfg Config) (*LVRM, error) {
 	}
 	l := &LVRM{cfg: cfg, allocator: allocator, lastAlloc: -int64(cfg.AllocPeriod)}
 	l.recvBuf = make([]*packet.Frame, cfg.RecvBatch)
+	l.burstBuf = make([]parsed, cfg.RecvBatch)
 	l.relayBuf = make([]*packet.Frame, cfg.RelayBatch)
 	l.moves = make(chan *moveRequest, 16)
 	l.initObs(cfg.Obs, cfg.Trace)
@@ -314,6 +317,8 @@ func (l *LVRM) AddVR(cfg VRConfig) (*VR, error) {
 	defer l.vrsMu.Unlock()
 	old := l.vrList()
 	v := &VR{ID: len(old), cfg: cfg, arrival: estimate.NewArrivalRate(0)}
+	v.srcMask = ^uint32(0) << (32 - uint(cfg.SrcBits))
+	v.srcNet = uint32(cfg.SrcPrefix) & v.srcMask
 	if l.cfg.FlowShards > 0 {
 		// Per-shard capacity divides the VR-wide budget; NewTable raises it
 		// to at least one probe window. Must exist before the initial VRIs

@@ -15,12 +15,27 @@ import (
 // Classify returns the VR that should process the frame, per the source-IP
 // rule of Chapter 2 (first matching VR wins).
 func (l *LVRM) Classify(f *packet.Frame) (*VR, bool) {
-	for _, v := range l.vrList() {
-		if v.match(f) {
-			return v, true
+	m := packet.ParseMeta(f)
+	v := classify(l.vrList(), &m, f)
+	return v, v != nil
+}
+
+// classify scans the VR list for the first VR that claims the frame, whose
+// headers are already parsed into m; nil means no VR does.
+func classify(vrs []*VR, m *packet.Meta, f *packet.Frame) *VR {
+	for _, v := range vrs {
+		if v.match(m, f) {
+			return v
 		}
 	}
-	return nil, false
+	return nil
+}
+
+// parsed is the per-frame scratch of one burst: the frame's headers, parsed
+// once, and the VR that claimed it (nil = unclassified).
+type parsed struct {
+	meta packet.Meta
+	vr   *VR
 }
 
 // RecvAndDispatch polls the socket adapter for one frame and dispatches it
@@ -33,48 +48,94 @@ func (l *LVRM) RecvAndDispatch() (received bool) {
 	if !ok {
 		return false
 	}
-	l.dispatchFrame(f)
-	return true
-}
-
-// dispatchFrame stamps, classifies and dispatches one captured frame, then
-// runs the paced allocation check — the per-frame half of RecvAndDispatch,
-// shared with the batched receive path so batch size 1 behaves identically.
-func (l *LVRM) dispatchFrame(f *packet.Frame) {
 	now := l.cfg.Clock()
-	f.Timestamp = now
-	l.received.Add(1)
-	if v, ok := l.Classify(f); ok {
-		_ = v.dispatch(f, now) // drops are counted by the VR, which releases f
-	} else {
-		l.unclassified.Add(1)
-		f.Release()
-	}
+	l.recvBuf[0] = f
+	l.dispatchBurst(l.recvBuf[:1], l.burstBuf[:1], now)
+	l.recvBuf[0] = nil
 	l.MaybeAllocate(now)
+	return true
 }
 
 // Dispatch stamps, classifies and dispatches one externally captured frame,
 // reporting whether a VR accepted it. Unlike RecvAndDispatch it performs no
 // allocation check — lastAlloc and the allocator stay monitor-owned — so with
 // flow dispatch enabled (Config.FlowShards > 0) any number of ingest
-// goroutines may call it concurrently alongside the monitor loop.
+// goroutines may call it concurrently alongside the monitor loop. It is a
+// burst of one on the caller's stack, for the same reason.
 func (l *LVRM) Dispatch(f *packet.Frame) bool {
-	now := l.cfg.Clock()
-	f.Timestamp = now
-	l.received.Add(1)
-	v, ok := l.Classify(f)
-	if !ok {
-		l.unclassified.Add(1)
-		f.Release()
-		return false
+	frames, scratch := [1]*packet.Frame{f}, [1]parsed{}
+	return l.dispatchBurst(frames[:], scratch[:], l.cfg.Clock()) == 1
+}
+
+// dispatchBurst is the one dispatch body: every ingest entry funnels a burst
+// of frames received at time now through it. Fixed costs are paid per burst
+// (the caller's clock read, the received/unclassified counters), per VR run
+// (lock hold, arrival estimate, target list) or per VRI run (the ring's
+// cursor publication); only the header parse, the classify compare and the
+// balancer pick stay per frame. scratch must have one entry per frame. It
+// returns how many frames a VRI queue accepted; the rest were released, each
+// under a named counter.
+func (l *LVRM) dispatchBurst(frames []*packet.Frame, scratch []parsed, now int64) (accepted int) {
+	vrs := l.vrList()
+	for i, f := range frames {
+		f.Timestamp = now
+		p := &scratch[i]
+		p.meta = packet.ParseMeta(f)
+		p.vr = classify(vrs, &p.meta, f)
 	}
-	return v.dispatch(f, now) == nil
+	l.received.Add(int64(len(frames)))
+	unclassified := 0
+	for i := 0; i < len(frames); {
+		v := scratch[i].vr
+		j := i + 1
+		for j < len(frames) && scratch[j].vr == v {
+			j++
+		}
+		if v == nil {
+			unclassified += j - i
+			releaseAll(frames[i:j])
+		} else {
+			accepted += v.dispatch(frames[i:j], scratch[i:j], now, burstArrivals(scratch, i))
+		}
+		i = j
+	}
+	if unclassified > 0 {
+		l.unclassified.Add(int64(unclassified))
+	}
+	return accepted
+}
+
+// burstArrivals counts the burst's frames that belong to the VR of the run
+// starting at scratch[i], or returns 0 when an earlier run of the burst
+// already reported them. A VR whose frames interleave with another's is cut
+// into several runs, all stamped with the burst's one timestamp; reporting
+// the whole burst's count once keeps its arrival estimate a per-frame rate
+// (see estimate.ArrivalRate.ObserveN).
+func burstArrivals(scratch []parsed, i int) int {
+	v, n := scratch[i].vr, 0
+	for k := range scratch {
+		if scratch[k].vr == v {
+			if k < i {
+				return 0
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// releaseAll returns every frame of a refused run to its pool.
+func releaseAll(frames []*packet.Frame) {
+	for _, f := range frames {
+		f.Release()
+	}
 }
 
 // RecvDispatchBatch drains up to budget frames (<= 0 = until the adapter is
-// empty) from the socket adapter in Config.RecvBatch-sized bursts (one
-// adapter poll per burst instead of one per frame) and dispatches each. It
-// returns how many frames it received.
+// empty) from the socket adapter in Config.RecvBatch-sized bursts — one
+// adapter poll, one clock read and one dispatchBurst per burst — and returns
+// how many frames it received. The paced allocation check runs after each
+// burst, so the VRI set never changes in the middle of one.
 func (l *LVRM) RecvDispatchBatch(budget int) int {
 	total := 0
 	for budget <= 0 || total < budget {
@@ -86,10 +147,11 @@ func (l *LVRM) RecvDispatchBatch(budget int) int {
 		}
 		buf := l.recvBuf[:want]
 		n := netio.RecvBatch(l.cfg.Adapter, buf)
-		for i := 0; i < n; i++ {
-			f := buf[i]
-			buf[i] = nil
-			l.dispatchFrame(f)
+		if n > 0 {
+			now := l.cfg.Clock()
+			l.dispatchBurst(buf[:n], l.burstBuf[:n], now)
+			clear(buf[:n])
+			l.MaybeAllocate(now)
 		}
 		total += n
 		if n < want {
@@ -122,9 +184,9 @@ func (l *LVRM) sendBatch(buf []*packet.Frame, n int) int {
 			f.Release() // Send consumes only on success; the loss is ours
 			continue
 		}
-		l.sent.Add(1)
 		ok++
 	}
+	l.sent.Add(int64(ok))
 	return ok
 }
 
@@ -150,6 +212,7 @@ func (l *LVRM) RelayOut(budget int) int {
 					break
 				}
 				sent += l.sendBatch(buf, n)
+				a.settled.Add(int64(n))
 				if n < want {
 					break // queue drained
 				}
@@ -170,6 +233,7 @@ func (l *LVRM) RelayFrom(a *VRIAdapter, max int) int {
 	n := ipc.DequeueBatch(a.Data.Out, buf)
 	if n > 0 {
 		l.sendBatch(buf, n)
+		a.settled.Add(int64(n))
 	}
 	return n
 }

@@ -16,11 +16,13 @@
 //
 // Three subsystems grown beyond the paper's text deserve a map:
 //
-// Dispatch (dispatch.go) has two shapes. The classic per-frame path asks
-// the VR's balancer for a VRI. The flow-aware path (FlowShards > 0) hashes
-// each frame's 5-tuple onto a sharded affinity table (internal/flow) so a
-// flow sticks to one VRI — per-flow ordering without a global lock — with
-// multi-producer MPSC queues carrying the sharded ingest into each VRI.
+// Dispatch (dispatch.go) works on the received burst: one clock read, one
+// header parse per frame, then one run per VR. A run has two shapes. The
+// classic path asks the VR's balancer for a VRI, once per frame. The
+// flow-aware path (FlowShards > 0) hashes each frame's 5-tuple onto a
+// sharded affinity table (internal/flow) so a flow sticks to one VRI —
+// per-flow ordering without a global lock — with multi-producer MPSC queues
+// carrying the sharded ingest into each VRI.
 //
 // Frame lifetime (internal/packet/pool) is pooled and refcounted: the
 // adapter leases buffers, Retain/Release move ownership through dispatch,

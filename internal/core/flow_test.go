@@ -338,7 +338,6 @@ func benchDispatch(b *testing.B, shards, workers, vris, maxReplicas int) {
 			b.Fatal(err)
 		}
 	}
-	_ = l
 
 	stop := make(chan struct{})
 	var consumers sync.WaitGroup
@@ -377,7 +376,7 @@ func benchDispatch(b *testing.B, shards, workers, vris, maxReplicas int) {
 			defer wg.Done()
 			fs := frames[w]
 			for i := 0; i < per; i++ {
-				_ = v.dispatch(fs[i%len(fs)], 0)
+				l.Dispatch(fs[i%len(fs)])
 			}
 		}(w)
 	}

@@ -182,11 +182,11 @@ func migrateFrame(survivors []*VRIAdapter, f *packet.Frame) (*VRIAdapter, bool) 
 	if len(survivors) == 0 {
 		return nil, false
 	}
-	if s := leastLoaded(survivors); s.Data.In.Enqueue(f) {
+	if s := leastLoaded(survivors); s.hand(f) {
 		return s, true
 	}
 	for _, s := range survivors {
-		if s.Data.In.Enqueue(f) {
+		if s.hand(f) {
 			return s, true
 		}
 	}

@@ -223,6 +223,7 @@ func (l *LVRM) migratePartition(v *VR, m migration) MigrationReport {
 		case MigrateSplit:
 			if pin, ok := v.flows.PinOf(flow.KeyOf(f)); ok && pin == m.dst.ID {
 				m.dst.stagePre(f)
+				m.dst.handed.Add(1)
 				m.dst.migIn.Add(1)
 				rep.Moved++
 			} else {
@@ -231,10 +232,13 @@ func (l *LVRM) migratePartition(v *VR, m migration) MigrationReport {
 			}
 		default: // fold, move
 			m.dst.stagePre(f)
+			m.dst.handed.Add(1)
 			m.dst.migIn.Add(1)
 			rep.Moved++
 		}
 	}
+	// Whatever left the source is no longer its to deliver.
+	m.src.settled.Add(rep.Moved + rep.Dropped)
 
 	// 3. A detached source never runs again: settle its outbound and
 	// control residue (a split's source stays live and keeps its own).

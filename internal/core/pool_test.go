@@ -13,8 +13,9 @@ import (
 // pooledPipeline builds the full live data path over the channel adapter:
 // pooled ingest -> RecvDispatchBatch -> VRI StepBatch -> RelayOut -> TX drain.
 // Everything runs on the calling goroutine so testing.AllocsPerRun sees every
-// allocation the steady state makes.
-func pooledPipeline(t testing.TB, p *pool.Pool) (l *LVRM, step func()) {
+// allocation the steady state makes. Each step pushes burst frames through, so
+// burst 16 fills one RecvBatch and exercises the multi-frame run.
+func pooledPipeline(t testing.TB, p *pool.Pool, burst int) (l *LVRM, step func()) {
 	t.Helper()
 	clock := &fakeClock{}
 	ca := netio.NewChanAdapter(64)
@@ -35,13 +36,15 @@ func pooledPipeline(t testing.TB, p *pool.Pool) (l *LVRM, step func()) {
 	}
 	proto := frameFrom(t, "10.1.0.1", "10.2.0.9")
 	step = func() {
-		var f *packet.Frame
-		if p != nil {
-			f = p.Copy(proto)
-		} else {
-			f = proto.Clone()
+		for i := 0; i < burst; i++ {
+			var f *packet.Frame
+			if p != nil {
+				f = p.Copy(proto)
+			} else {
+				f = proto.Clone()
+			}
+			ca.RX <- f
 		}
-		ca.RX <- f
 		clock.advance(time.Microsecond)
 		l.RecvDispatchBatch(16)
 		for _, v := range l.VRs() {
@@ -64,27 +67,31 @@ func pooledPipeline(t testing.TB, p *pool.Pool) (l *LVRM, step func()) {
 
 // TestPooledPipelineZeroAllocs is the tentpole's acceptance check: one frame
 // through UDP-equivalent ingest, dispatch, VRI processing, and relay costs
-// zero heap allocations at steady state when pooling is on.
+// zero heap allocations at steady state when pooling is on — as a burst of
+// one and as a full RecvBatch of 16.
 func TestPooledPipelineZeroAllocs(t *testing.T) {
-	p := pool.New()
-	l, step := pooledPipeline(t, p)
-	// Warm up: grow scratch buffers, run the one allocation pass, seed the
-	// pool's size classes.
-	for i := 0; i < 64; i++ {
-		step()
-	}
-	// GC off so a collection cannot evict the sync.Pool mid-measurement.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(1000, step)
-	if allocs != 0 {
-		t.Errorf("pooled ingest->dispatch->step->relay: %.2f allocs/frame, want 0", allocs)
-	}
-	st := l.Stats()
-	if st.Sent == 0 || st.Received != st.Sent {
-		t.Errorf("pipeline did not forward cleanly: %+v", st)
-	}
-	if ps := p.Stats(); ps.Outstanding != 0 {
-		t.Errorf("pool outstanding = %d after full drain, want 0", ps.Outstanding)
+	for _, burst := range []int{1, 16} {
+		p := pool.New()
+		l, step := pooledPipeline(t, p, burst)
+		// Warm up: grow scratch buffers, run the one allocation pass, seed the
+		// pool's size classes.
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		// GC off so a collection cannot evict the sync.Pool mid-measurement.
+		restore := debug.SetGCPercent(-1)
+		allocs := testing.AllocsPerRun(1000, step)
+		debug.SetGCPercent(restore)
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("burst %d: pooled ingest->dispatch->step->relay: %.2f allocs/step, want 0", burst, allocs)
+		}
+		st := l.Stats()
+		if st.Sent == 0 || st.Received != st.Sent {
+			t.Errorf("burst %d: pipeline did not forward cleanly: %+v", burst, st)
+		}
+		if ps := p.Stats(); ps.Outstanding != 0 {
+			t.Errorf("burst %d: pool outstanding = %d after full drain, want 0", burst, ps.Outstanding)
+		}
 	}
 }
 
@@ -92,7 +99,7 @@ func TestPooledPipelineZeroAllocs(t *testing.T) {
 // path runs on heap frames (Release everywhere is a no-op) and forwards
 // identically — the seed lifecycle.
 func TestUnpooledPipelineUnchanged(t *testing.T) {
-	l, step := pooledPipeline(t, nil)
+	l, step := pooledPipeline(t, nil, 1)
 	for i := 0; i < 32; i++ {
 		step()
 	}
@@ -151,7 +158,23 @@ func TestDropPathsRelease(t *testing.T) {
 // -benchmem output to enforce 0 allocs/op.
 func BenchmarkPooledDispatchRelay(b *testing.B) {
 	p := pool.New()
-	_, step := pooledPipeline(b, p)
+	_, step := pooledPipeline(b, p, 1)
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// BenchmarkPooledDispatchBurst is BenchmarkPooledDispatchRelay with a full
+// RecvBatch of 16 frames per op, so the CI 0 allocs/op gate also covers the
+// multi-frame run (staging, EnqueueBatch, per-run accounting).
+func BenchmarkPooledDispatchBurst(b *testing.B) {
+	p := pool.New()
+	_, step := pooledPipeline(b, p, 16)
 	for i := 0; i < 64; i++ {
 		step()
 	}
@@ -163,7 +186,7 @@ func BenchmarkPooledDispatchRelay(b *testing.B) {
 }
 
 func BenchmarkHeapDispatchRelay(b *testing.B) {
-	_, step := pooledPipeline(b, nil)
+	_, step := pooledPipeline(b, nil, 1)
 	for i := 0; i < 64; i++ {
 		step()
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -61,10 +60,17 @@ type VR struct {
 	vris   atomic.Pointer[[]*VRIAdapter]
 	nextID int
 
-	// targets is dispatch's scratch slice, reused under mu so the hot path
-	// does not allocate a fresh balance.Target slice per frame. Balancers
-	// must not retain it past Pick (none of the shipped ones do).
+	// srcNet/srcMask are the subnet rule of cfg.SrcPrefix/SrcBits, computed
+	// once at AddVR so classification is one AND and one compare per VR.
+	srcNet, srcMask uint32
+
+	// targets and stage are dispatchLocked's scratch slices, reused under mu
+	// so the hot path does not allocate: the balance.Target list of the run,
+	// and the frames picked for one VRI that the next flush publishes.
+	// Balancers must not retain targets past Pick (none of the shipped ones
+	// do).
 	targets []balance.Target
+	stage   []*packet.Frame
 
 	// arrival estimates the VR's traffic load for core allocation.
 	arrival *estimate.ArrivalRate
@@ -191,112 +197,167 @@ func (v *VR) ServiceRatePerVRI() float64 {
 	return sum / float64(len(vris))
 }
 
-// match reports whether the frame belongs to this VR.
-func (v *VR) match(f *packet.Frame) bool {
+// match reports whether the frame, whose headers are parsed into m, belongs
+// to this VR.
+func (v *VR) match(m *packet.Meta, f *packet.Frame) bool {
 	if v.cfg.Classify != nil {
 		return v.cfg.Classify(f)
 	}
-	if f.EtherType() != packet.EtherTypeIPv4 || len(f.Buf) < packet.EthHeaderLen+packet.IPv4HeaderLen {
-		return false
-	}
-	h, _, err := packet.ParseIPv4(f.Buf[packet.EthHeaderLen:])
-	if err != nil {
-		return false
-	}
-	if v.cfg.SrcBits == 0 {
-		return true // 0-bit prefix matches everything
-	}
-	mask := ^uint32(0) << (32 - uint(v.cfg.SrcBits))
-	return uint32(h.Src)&mask == uint32(v.cfg.SrcPrefix)&mask
+	// A 0-bit prefix has a zero mask and matches every valid IPv4 frame.
+	return m.IPv4 && uint32(m.Src)&v.srcMask == v.srcNet
 }
 
-// dispatch hands a frame to one of the VR's VRIs and performs the VRI
-// adapter's load estimation. With flow dispatch enabled it routes through the
-// sharded affinity table; otherwise it takes the classic single-lock path.
-func (v *VR) dispatch(f *packet.Frame, now int64) error {
-	if v.flows != nil {
-		return v.dispatchFlow(f, now)
-	}
-	return v.dispatchLocked(f, now)
-}
-
-// dispatchLocked is the seed dispatch path: one balancer decision per frame,
-// serialized on v.mu.
-func (v *VR) dispatchLocked(f *packet.Frame, now int64) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	// The paper's traffic load is the *arrival* rate of incoming frames
-	// for the VR, so estimate it before any queue-full drop — otherwise a
+// dispatch hands a run of frames — consecutive frames of one burst that all
+// classified to this VR — to the VR's VRIs and returns how many were
+// accepted; the rest are released under inDrops or admitShed. arrivals is the
+// number of frames to report to the VR's arrival estimator (see
+// burstArrivals). With flow dispatch enabled the run goes through the sharded
+// affinity table; otherwise it takes the classic single-lock path.
+func (v *VR) dispatch(frames []*packet.Frame, scratch []parsed, now int64, arrivals int) int {
+	// The paper's traffic load is the *arrival* rate of incoming frames for
+	// the VR, so estimate it before any queue-full drop — otherwise a
 	// saturated VR would under-report its load and never earn more cores.
-	v.arrival.Observe(now)
+	// The estimator is internally locked.
+	v.arrival.ObserveN(now, arrivals)
+	if v.flows != nil {
+		return v.dispatchFlow(frames, scratch, now)
+	}
+	return v.dispatchLocked(frames, now)
+}
+
+// refuse drops a whole run because the VR has no VRI to take it.
+func (v *VR) refuse(frames []*packet.Frame) int {
+	v.inDrops.Add(int64(len(frames)))
+	releaseAll(frames)
+	return 0
+}
+
+// dispatchLocked is the seed dispatch path, one run at a time: v.mu is held
+// once for the run, and the balancer still decides once per frame, in arrival
+// order. Each VRI's queue depth is read once at the start of the run and
+// counted locally from there (runDepth), so a pick sees the frames placed
+// before it in the same run without re-reading the ring cursor the VRI's core
+// keeps writing. Consecutive frames for one VRI are staged and published with
+// a single EnqueueBatch.
+func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
+	v.mu.Lock()
 	vris := v.vriList()
 	if len(vris) == 0 {
-		v.inDrops.Add(1)
-		f.Release()
-		return errors.New("core: VR has no VRIs")
+		v.mu.Unlock()
+		return v.refuse(frames)
 	}
 	v.targets = v.targets[:0]
 	for _, a := range vris {
+		ring := a.Data.In.Len()
+		a.runDepth = int(a.preLen.Load()) + ring
+		a.runRoom = a.Data.In.Cap() - ring
 		v.targets = append(v.targets, balance.Target{ID: a.ID, Load: a.loadFn})
 	}
-	idx := v.cfg.Balancer.Pick(v.targets, f)
-	a := vris[idx]
-	// Figure 3.4 "queue length": observe occupancy when forwarding.
-	depth := a.PendingData()
-	a.QueueEst.Observe(depth)
-	if !a.Data.In.Enqueue(f) {
-		v.inDrops.Add(1)
-		f.Release()
-		return fmt.Errorf("core: VRI %d/%d input queue full", v.ID, a.ID)
+	var cur *VRIAdapter
+	for _, f := range frames {
+		a := vris[v.cfg.Balancer.Pick(v.targets, f)]
+		if a != cur {
+			accepted += v.flush(cur, now)
+			cur = a
+		}
+		// Figure 3.4 "queue length": observe occupancy when forwarding.
+		a.QueueEst.Observe(a.runDepth)
+		v.stage = append(v.stage, f)
+		a.runDepth++
+		if a.runRoom > 0 {
+			a.runRoom--
+		} else {
+			// The ring was full when the run began: try now, so that the
+			// next pick sees the real outcome rather than a guess.
+			accepted += v.flush(a, now)
+		}
 	}
-	n := v.dispatched.Add(1)
-	v.depthHWM.SetMax(int64(depth + 1))
-	// Sample one balancer decision in every 256 so the trace shows who the
-	// balancer is picking without flooding the ring on the hot path.
-	// Tracer.Record is nil-safe, so no explicit nil check.
-	if n&0xff == 0 {
+	accepted += v.flush(cur, now)
+	v.mu.Unlock()
+	return accepted
+}
+
+// flush publishes the frames staged for a with one EnqueueBatch and returns
+// how many the ring accepted; a rejected tail is counted in inDrops and
+// released. Caller holds v.mu.
+func (v *VR) flush(a *VRIAdapter, now int64) int {
+	n := len(v.stage)
+	if n == 0 {
+		return 0
+	}
+	a.handed.Add(int64(n))
+	ok := ipc.EnqueueBatch(a.Data.In, v.stage)
+	if rejected := n - ok; rejected > 0 {
+		a.settled.Add(int64(rejected))
+		v.inDrops.Add(int64(rejected))
+		releaseAll(v.stage[ok:])
+		a.runDepth -= rejected
+	}
+	clear(v.stage)
+	v.stage = v.stage[:0]
+	v.placed(a, ok, a.runDepth, now, obs.KindBalance,
+		"balancer pick; value = chosen VRI queue depth after enqueue")
+	return ok
+}
+
+// placed accounts n frames that a's input queue just accepted, leaving it
+// depth frames deep: the dispatched counter, the depth high-water mark, and
+// one sampled trace event per 256 dispatched frames, so the trace shows who
+// is being picked without flooding the ring on the hot path. Tracer.Record
+// is nil-safe, so no explicit nil check.
+func (v *VR) placed(a *VRIAdapter, n, depth int, now int64, kind obs.Kind, note string) {
+	if n == 0 {
+		return
+	}
+	total := v.dispatched.Add(int64(n))
+	v.depthHWM.SetMax(int64(depth))
+	if total>>8 != (total-int64(n))>>8 {
 		v.tracer.Record(obs.Event{
 			At:    now,
-			Kind:  obs.KindBalance,
+			Kind:  kind,
 			VR:    v.ID,
 			VRI:   a.ID,
 			Core:  a.Core,
-			Value: float64(depth + 1),
-			Note:  "balancer pick; value = chosen VRI queue depth after enqueue",
+			Value: float64(depth),
+			Note:  note,
 		})
 	}
-	return nil
 }
 
-// dispatchFlow is the lock-free dispatch path: the frame's flow key is
-// resolved against the sharded affinity table and the frame is enqueued to
-// the pinned VRI. The only lock taken is the key's shard mutex inside
-// Assign; everything else reads atomics (the VRI snapshot, queue cursors,
-// estimator EWMAs), so ingest goroutines working different shards never
-// contend. Safe for concurrent callers: the data-in queues are
-// multi-producer when flow dispatch is on (see spawnVRI).
-func (v *VR) dispatchFlow(f *packet.Frame, now int64) error {
-	// Arrival is the VR's *offered* load, so observe before any drop — the
-	// same rule as the locked path. The estimator is internally locked.
-	v.arrival.Observe(now)
+// flowNotes are the sampled flow event's notes, one per Assign outcome, built
+// once so that sampling does not allocate.
+var flowNotes = func() (notes [flow.Overflow + 1]string) {
+	for o := range notes {
+		notes[o] = flow.Outcome(o).String() + "; value = pinned VRI queue depth after enqueue"
+	}
+	return notes
+}()
+
+// dispatchFlow is the lock-free dispatch path, one run at a time: each
+// frame's flow key — taken from its already-parsed headers — is resolved
+// against the sharded affinity table and the frame is enqueued to the pinned
+// VRI. The only lock taken is the key's shard mutex inside Assign; everything
+// else reads atomics (the VRI snapshot, queue cursors, estimator EWMAs), so
+// ingest goroutines working different shards never contend. Safe for
+// concurrent callers: the data-in queues are multi-producer when flow
+// dispatch is on (see spawnVRI).
+func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (accepted int) {
 	vris := v.vriList()
 	if len(vris) == 0 {
-		v.inDrops.Add(1)
-		f.Release()
-		return errors.New("core: VR has no VRIs")
+		return v.refuse(frames)
 	}
-	key := flow.KeyOf(f)
 	var chosen *VRIAdapter
 	established := false
 	// keep decides what to do with a pin from before the last VRI spawn or
-	// destroy. Moving a flow whose frames are still queued on the old VRI
-	// would let the new VRI overtake them, so affinity is kept while the
-	// pinned VRI is alive and backed up; a drained (or dead) flow can move
-	// freely — its frames are all processed (or already lost to teardown).
+	// destroy. Moving a flow whose frames are still on their way through the
+	// old VRI would let the new VRI overtake them, so affinity is kept while
+	// the pinned VRI is alive and owes frames (see VRIAdapter.owes); a
+	// settled (or dead) flow can move freely — its frames are all relayed
+	// (or already lost to teardown).
 	keep := func(id int) bool {
 		established = true
 		a, ok := snapshotByID(vris, id)
-		if !ok || a.PendingData() > 0 {
+		if !ok || a.owes() {
 			chosen = a // nil when !ok; Assign then consults pick
 			return ok
 		}
@@ -318,48 +379,51 @@ func (v *VR) dispatchFlow(f *packet.Frame, now int64) error {
 		chosen = best
 		return best.ID
 	}
-	id, outcome := v.flows.Assign(key, now, keep, pick)
-	if id < 0 {
-		// Admission refused the new flow: shed the frame before it joins a
-		// backlog no VRI can clear. The arrival estimator already saw it, so
-		// the VR's offered load (and thus its claim to more cores) is intact.
-		v.admitShed.Add(1)
-		f.Release()
-		return fmt.Errorf("core: VR %d shed new flow under load (admit depth %d)", v.ID, v.admitDepth)
-	}
-	a := chosen
-	if a == nil || a.ID != id {
-		// Hit on a pin whose VRI is not in our snapshot: teardown raced
-		// between our snapshot and Assign's epoch read. Fall back to a fresh
-		// local pick without installing it — the next frame of the flow will
-		// see the bumped epoch and rebalance through the table.
-		var ok bool
-		if a, ok = snapshotByID(vris, id); !ok {
-			a = leastLoaded(vris)
+	// cur is the VRI the last frame went to; depth is its queue depth, read
+	// when the run first reached it and counted locally since, and ok the
+	// frames it accepted since then, not yet folded into the VR's counters.
+	var cur *VRIAdapter
+	depth, ok := 0, 0
+	outcome := flow.Hit
+	for i, f := range frames {
+		chosen, established = nil, false
+		id, oc := v.flows.Assign(flow.KeyOfMeta(scratch[i].meta, f), now, keep, pick)
+		if id < 0 {
+			// Admission refused the new flow: shed the frame before it joins a
+			// backlog no VRI can clear. The arrival estimator already saw it, so
+			// the VR's offered load (and thus its claim to more cores) is intact.
+			v.admitShed.Add(1)
+			f.Release()
+			continue
 		}
+		a := chosen
+		if a == nil || a.ID != id {
+			// Hit on a pin whose VRI is not in our snapshot: teardown raced
+			// between our snapshot and Assign's epoch read. Fall back to a fresh
+			// local pick without installing it — the next frame of the flow will
+			// see the bumped epoch and rebalance through the table.
+			var found bool
+			if a, found = snapshotByID(vris, id); !found {
+				a = leastLoaded(vris)
+			}
+		}
+		if a != cur {
+			v.placed(cur, ok, depth, now, obs.KindFlow, flowNotes[outcome])
+			cur, depth, ok = a, a.PendingData(), 0
+		}
+		a.QueueEst.Observe(depth)
+		if !a.hand(f) {
+			v.inDrops.Add(1)
+			f.Release()
+			continue
+		}
+		depth++
+		ok++
+		accepted++
+		outcome = oc
 	}
-	depth := a.PendingData()
-	a.QueueEst.Observe(depth)
-	if !a.Data.In.Enqueue(f) {
-		v.inDrops.Add(1)
-		f.Release()
-		return fmt.Errorf("core: VRI %d/%d input queue full", v.ID, a.ID)
-	}
-	n := v.dispatched.Add(1)
-	v.depthHWM.SetMax(int64(depth + 1))
-	// Sampled affinity trace, mirroring the locked path's balancer sample.
-	if n&0xff == 0 {
-		v.tracer.Record(obs.Event{
-			At:    now,
-			Kind:  obs.KindFlow,
-			VR:    v.ID,
-			VRI:   a.ID,
-			Core:  a.Core,
-			Value: float64(depth + 1),
-			Note:  outcome.String() + "; value = pinned VRI queue depth after enqueue",
-		})
-	}
-	return nil
+	v.placed(cur, ok, depth, now, obs.KindFlow, flowNotes[outcome])
+	return accepted
 }
 
 // snapshotByID finds a VRI by ID in an immutable snapshot slice.
@@ -451,7 +515,7 @@ func (v *VR) spawnVRI(core int, now int64, queueKind ipc.Kind, dataCap, ctlCap i
 		SpawnedAt: now,
 	}
 	a.waitHist = v.waitHist
-	a.loadFn = a.Load // bound once; dispatch reuses it allocation-free
+	a.loadFn = a.runLoad // bound once; dispatch reuses it allocation-free
 	// Cache the RoutePinner assertion: Step/StepBatch pin the engine's FIB
 	// generation once per quantum without re-asserting on the hot path.
 	if p, ok := engine.(vr.RoutePinner); ok {

@@ -11,6 +11,9 @@ import (
 	"lvrm/internal/vr"
 )
 
+// cacheLine is the assumed size of a CPU cache line, as in internal/ipc.
+const cacheLine = 64
+
 // ControlEvent is a message one VRI sends to another through the control
 // queues (e.g. to synchronize routing state, Section 3.7). LVRM relays the
 // event from the source VRI's outgoing control queue to the destination
@@ -76,7 +79,33 @@ type VRIAdapter struct {
 	// a teardown drain).
 	migIn atomic.Int64
 
-	// loadFn is the bound Load method, created once at spawn so the
+	// The fields between the two pads are written by the dispatching side
+	// once per frame, while the counters above and the quantum state below
+	// are written by the VRI's own core once per frame: on one cache line the
+	// two cores would keep stealing it from each other, and whether they
+	// share one would depend on where the allocator happened to put the
+	// struct (its size class alternates between 0 and 32 mod 64). The pads
+	// keep them apart at any alignment.
+	_ [cacheLine]byte
+
+	// handed counts frames given to this instance — dispatched to its input
+	// ring or staged onto it by a migration — and settled the ones it is done
+	// with: relayed out of Data.Out, dropped, or transplanted away. handed is
+	// bumped before the frame becomes visible to the consumer and settled
+	// only after the frame has left, so handed - settled never reads low;
+	// owes is the one reader.
+	handed  atomic.Int64
+	settled atomic.Int64
+
+	// runDepth and runRoom are dispatchLocked's view of the input queue for
+	// the run in progress: depth and free slots, read once when the run
+	// starts and counted locally as frames are placed. Guarded by the VR's
+	// mu, like the balancer state.
+	runDepth, runRoom int
+
+	_ [cacheLine]byte
+
+	// loadFn is the bound runLoad method, created once at spawn so the
 	// dispatch hot path can build balance targets without allocating a
 	// method value per frame.
 	loadFn func() float64
@@ -193,16 +222,39 @@ func (a *VRIAdapter) PendingData() int {
 	return int(a.preLen.Load()) + a.Data.In.Len()
 }
 
-// Load returns the queue-length estimate used by JSQ. Reading the load
-// also folds the instantaneous queue occupancy into the EWMA — the VRI
-// adapter reports a fresh estimate whenever the VRI monitor balances
-// (Figure 3.4) — so a VRI whose queue has drained becomes attractive again
-// even if it has not been dispatched to recently.
-func (a *VRIAdapter) Load() float64 {
+// runLoad returns the queue-length estimate used by JSQ during a
+// dispatchLocked run. Reading the load also folds the queue occupancy (the
+// run's local count, runDepth) into the EWMA — the VRI adapter reports a
+// fresh estimate whenever the VRI monitor balances (Figure 3.4) — so a VRI
+// whose queue has drained becomes attractive again even if it has not been
+// dispatched to recently.
+func (a *VRIAdapter) runLoad() float64 {
 	if !a.FreezeLoadOnRead {
-		a.QueueEst.Observe(a.PendingData())
+		a.QueueEst.Observe(a.runDepth)
 	}
 	return a.QueueEst.Estimate()
+}
+
+// hand enqueues f on the VRI's input ring, counting it handed first. It
+// reports whether the ring took it; on refusal the caller keeps ownership.
+func (a *VRIAdapter) hand(f *packet.Frame) bool {
+	a.handed.Add(1)
+	if a.Data.In.Enqueue(f) {
+		return true
+	}
+	a.settled.Add(1)
+	return false
+}
+
+// owes reports whether the VRI still holds frames handed to it: queued,
+// dequeued into a Step quantum, or finished and waiting in Data.Out for the
+// relay. A flow may only leave a VRI that owes nothing — an empty input ring
+// is not enough, the frames inside the quantum and the out-ring can still be
+// overtaken. settled is read first, so a frame handed between the two reads
+// errs towards true.
+func (a *VRIAdapter) owes() bool {
+	settled := a.settled.Load()
+	return a.handed.Load() > settled
 }
 
 // Step performs one VRI scheduling quantum at virtual/wall time now: it
@@ -249,11 +301,13 @@ func (a *VRIAdapter) Step(now int64, onControl func(*ControlEvent)) (cost time.D
 	if err != nil || f.Out == vr.Drop {
 		a.engDrops.Add(1)
 		f.Release()
+		a.settled.Add(1)
 		return cost, true
 	}
 	if !a.Data.Out.Enqueue(f) {
 		a.outDrops.Add(1)
 		f.Release()
+		a.settled.Add(1)
 	}
 	return cost, true
 }
@@ -353,19 +407,26 @@ func (a *VRIAdapter) StepBatch(now int64, max int, onControl func(*ControlEvent)
 		out = append(out, f)
 	}
 	res.Frames = n
+	// Sum the buffer lengths before the enqueue: once a frame is in the
+	// out-ring the monitor may relay it and the pool recycle it. A rejected
+	// tail is still ours, so its bytes are taken back out afterwards.
+	for _, f := range out {
+		res.OutBytes += len(f.Buf)
+	}
 	accepted := ipc.EnqueueBatch(a.Data.Out, out)
-	if rejected := len(out) - accepted; rejected > 0 {
-		a.outDrops.Add(int64(rejected))
-		for _, f := range out[accepted:] {
+	if rejected := out[accepted:]; len(rejected) > 0 {
+		a.outDrops.Add(int64(len(rejected)))
+		for _, f := range rejected {
+			res.OutBytes -= len(f.Buf)
 			f.Release()
 		}
 	}
-	for i := 0; i < accepted; i++ {
-		res.OutBytes += len(out[i].Buf)
+	// Engine drops and out-ring rejects are settled here, after the fact;
+	// the accepted frames settle when the monitor relays them.
+	if gone := n - accepted; gone > 0 {
+		a.settled.Add(int64(gone))
 	}
-	for i := range out {
-		out[i] = nil // release references for GC; the queue owns them now
-	}
+	clear(out) // release references for GC; the queue owns them now
 	a.batchOut = out[:0]
 	return res
 }

@@ -92,11 +92,21 @@ func NewArrivalRate(weight float64) *ArrivalRate {
 }
 
 // Observe records a frame arrival at virtual time now (ns).
-func (a *ArrivalRate) Observe(now int64) {
+func (a *ArrivalRate) Observe(now int64) { a.ObserveN(now, 1) }
+
+// ObserveN records n frame arrivals that share the timestamp now (ns) — a
+// received burst, stamped with one clock read. The gap since the previous
+// observation is attributed evenly across the n arrivals, so the estimate
+// stays a per-frame rate: n plain Observe(now) calls would record one real
+// gap and discard n-1 zero gaps, reporting the burst rate instead.
+func (a *ArrivalRate) ObserveN(now int64, n int) {
+	if n <= 0 {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.havePrev {
-		gap := float64(now - a.prev)
+		gap := float64(now-a.prev) / float64(n)
 		if gap > 0 {
 			a.gap.Update(gap)
 		}

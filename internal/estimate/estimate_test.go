@@ -132,6 +132,42 @@ func TestArrivalRateZeroGapIgnored(t *testing.T) {
 	}
 }
 
+// TestArrivalRateObserveN: ObserveN(now, 1) is Observe(now) bit for bit, and
+// a stream received in bursts of n frames that share one timestamp yields the
+// per-frame rate — where n plain Observe calls per burst would keep one gap
+// and discard n-1, reporting the burst rate.
+func TestArrivalRateObserveN(t *testing.T) {
+	one, plain := NewArrivalRate(0), NewArrivalRate(0)
+	now := int64(0)
+	for i := 0; i < 500; i++ {
+		now += int64(1+(i*7919)%4000) * 1000 // uneven gaps, 1..4000 µs
+		one.ObserveN(now, 1)
+		plain.Observe(now)
+		if one.Estimate() != plain.Estimate() || one.Valid() != plain.Valid() {
+			t.Fatalf("arrival %d: ObserveN(now,1) = %v, Observe(now) = %v", i, one.Estimate(), plain.Estimate())
+		}
+	}
+
+	const n, burstGap = 16, 160 * time.Microsecond // 16 frames per 160 µs = 100 kfps
+	burst, perFrame := NewArrivalRate(0), NewArrivalRate(0)
+	for i := int64(1); i <= 200; i++ {
+		burst.ObserveN(i*int64(burstGap), n)
+		for k := 0; k < n; k++ {
+			perFrame.Observe(i * int64(burstGap))
+		}
+	}
+	if got := burst.Estimate(); math.Abs(got-100e3) > 1 {
+		t.Errorf("bursts of %d: ObserveN estimates %.0f fps, want 100000", n, got)
+	}
+	if got := perFrame.Estimate(); math.Abs(got-100e3/n) > 1 {
+		t.Errorf("bursts of %d: per-frame Observe estimates %.0f fps, expected the burst rate %.0f", n, got, 100e3/n)
+	}
+	burst.ObserveN(1<<40, 0) // n <= 0 records nothing
+	if !burst.IdleSince(201*int64(burstGap), burstGap) {
+		t.Error("ObserveN(now, 0) moved the last-arrival time")
+	}
+}
+
 func TestQueueLength(t *testing.T) {
 	q := NewQueueLength(0)
 	for i := 0; i < 100; i++ {

@@ -94,6 +94,6 @@ func ablationEstimate(cfg Config) (*Result, error) {
 			fmt.Sprintf("%d/6", active))
 	}
 	res.Notes = append(res.Notes,
-		"Reading the queue length on every balancing decision keeps drained VRIs attractive; the literal update-on-dispatch rule can strand capacity after a burst (see internal/core VRIAdapter.Load).")
+		"Reading the queue length on every balancing decision keeps drained VRIs attractive; the literal update-on-dispatch rule can strand capacity after a burst (see internal/core VRIAdapter.runLoad).")
 	return res, nil
 }

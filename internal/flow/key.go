@@ -15,9 +15,13 @@ import (
 //
 // The zero key is reserved as the empty-slot sentinel in the shard tables;
 // KeyOf never returns it.
-func KeyOf(f *packet.Frame) uint64 {
-	if ft, ok := packet.FlowOf(f); ok {
-		if k := ft.Hash(); k != 0 {
+func KeyOf(f *packet.Frame) uint64 { return KeyOfMeta(packet.ParseMeta(f), f) }
+
+// KeyOfMeta is KeyOf for a frame whose headers the caller has already parsed
+// (m must be packet.ParseMeta(f)), so burst dispatch parses each frame once.
+func KeyOfMeta(m packet.Meta, f *packet.Frame) uint64 {
+	if m.IPv4 {
+		if k := m.Hash(); k != 0 {
 			return k
 		}
 		return 1

@@ -193,25 +193,51 @@ func BuildUDP(o UDPBuildOpts) (*Frame, error) {
 	return f, nil
 }
 
-// FlowOf extracts the transport 5-tuple of the frame, if it carries IPv4
-// TCP or UDP. ICMP and other protocols yield a port-less tuple so that a
+// Meta is what the monitor needs from a frame's headers, parsed once per
+// frame by ParseMeta: classification reads Src, flow dispatch hashes the
+// 5-tuple. It lives beside the frame in the monitor's burst scratch, never in
+// Frame itself.
+type Meta struct {
+	FiveTuple
+	// IPv4 reports whether the frame carries a valid IPv4 header; when
+	// false the tuple is zero.
+	IPv4 bool
+}
+
+// ParseMeta parses the frame's Ethernet and IPv4 headers in one pass,
+// applying every check ParseIPv4 does (length, version, IHL, header checksum,
+// TotalLen) on top of the EtherType test. TCP and UDP frames also yield their
+// ports; ICMP and other protocols yield a port-less tuple so that a
 // flow-based balancer can still pin them consistently.
+func ParseMeta(f *Frame) Meta {
+	var m Meta
+	b := f.Buf
+	if len(b) < EthHeaderLen+IPv4HeaderLen || binary.BigEndian.Uint16(b[12:14]) != EtherTypeIPv4 {
+		return m
+	}
+	b = b[EthHeaderLen:]
+	ihl := int(b[0]&0x0f) * 4
+	if b[0]>>4 != 4 || ihl < IPv4HeaderLen || len(b) < ihl || Checksum(b[:ihl]) != 0 {
+		return m
+	}
+	total := int(binary.BigEndian.Uint16(b[2:4]))
+	if total < ihl || total > len(b) {
+		return m
+	}
+	m.IPv4 = true
+	m.Proto = b[9]
+	m.Src = IP(binary.BigEndian.Uint32(b[12:16]))
+	m.Dst = IP(binary.BigEndian.Uint32(b[16:20]))
+	if (m.Proto == ProtoTCP || m.Proto == ProtoUDP) && total-ihl >= 4 {
+		m.SrcPort = binary.BigEndian.Uint16(b[ihl : ihl+2])
+		m.DstPort = binary.BigEndian.Uint16(b[ihl+2 : ihl+4])
+	}
+	return m
+}
+
+// FlowOf extracts the transport 5-tuple of the frame, if it carries valid
+// IPv4 (see ParseMeta).
 func FlowOf(f *Frame) (FiveTuple, bool) {
-	var ft FiveTuple
-	if f.EtherType() != EtherTypeIPv4 {
-		return ft, false
-	}
-	h, payload, err := ParseIPv4(f.Buf[EthHeaderLen:])
-	if err != nil {
-		return ft, false
-	}
-	ft.Src, ft.Dst, ft.Proto = h.Src, h.Dst, h.Proto
-	switch h.Proto {
-	case ProtoTCP, ProtoUDP:
-		if len(payload) >= 4 {
-			ft.SrcPort = binary.BigEndian.Uint16(payload[0:2])
-			ft.DstPort = binary.BigEndian.Uint16(payload[2:4])
-		}
-	}
-	return ft, true
+	m := ParseMeta(f)
+	return m.FiveTuple, m.IPv4
 }

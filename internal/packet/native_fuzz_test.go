@@ -39,14 +39,9 @@ func FuzzParseARP(f *testing.F) {
 	})
 }
 
-// FuzzFrameDecode drives the whole frame-decoder surface — Ethernet
-// accessors, IPv4 parse, transport parses, TTL decrement, and the flow
-// classifier — over one mutated buffer. The seed corpus covers each golden
-// frame type plus hand-built runt, oversize, and truncated-header shapes, so
-// the mutator starts at every decoder branch. The single property is that no
-// input, however mangled, panics a decoder; successful parses must also keep
-// their length invariants.
-func FuzzFrameDecode(f *testing.F) {
+// frameDecodeCorpus is FuzzFrameDecode's seed corpus, shared with the
+// ParseMeta table test.
+func frameDecodeCorpus() [][]byte {
 	// Golden frames: every codec the package ships.
 	udp, _ := BuildUDP(UDPBuildOpts{
 		Src: IPv4(10, 1, 0, 1), Dst: IPv4(10, 2, 0, 1),
@@ -55,22 +50,34 @@ func FuzzFrameDecode(f *testing.F) {
 	tcp, _ := BuildTCP(TCPBuildOpts{Hdr: TCPHeader{SrcPort: 80, DstPort: 1234}})
 	icmp, _ := BuildICMPEcho(ICMPBuildOpts{Src: IPv4(10, 1, 0, 1), Dst: IPv4(10, 2, 0, 1)})
 	arp := BuildARP(ARPMessage{Op: ARPRequest, SenderIP: IPv4(10, 0, 0, 1), TargetIP: IPv4(10, 0, 0, 2)})
-	f.Add(udp.Buf)
-	f.Add(tcp.Buf)
-	f.Add(icmp.Buf)
-	f.Add(arp.Buf)
-	// Adversarial shapes: empty, runts below every header boundary, a
-	// truncated IPv4 header, an IPv4 header promising more payload than the
-	// buffer holds, and an oversize all-ones buffer.
-	f.Add([]byte{})
-	f.Add([]byte{0xde})
-	f.Add(udp.Buf[:6])                            // half a MAC pair
-	f.Add(udp.Buf[:EthHeaderLen-1])               // one byte short of an EtherType
-	f.Add(udp.Buf[:EthHeaderLen+IPv4HeaderLen-1]) // truncated IPv4 header
 	long := append([]byte(nil), udp.Buf...)
 	long[EthHeaderLen+2], long[EthHeaderLen+3] = 0xff, 0xff // TotalLen 65535
-	f.Add(long)
-	f.Add(bytes.Repeat([]byte{0xff}, EthMaxFrame+64))
+	return [][]byte{
+		udp.Buf, tcp.Buf, icmp.Buf, arp.Buf,
+		// Adversarial shapes: empty, runts below every header boundary, a
+		// truncated IPv4 header, an IPv4 header promising more payload than
+		// the buffer holds, and an oversize all-ones buffer.
+		{},
+		{0xde},
+		udp.Buf[:6],                            // half a MAC pair
+		udp.Buf[:EthHeaderLen-1],               // one byte short of an EtherType
+		udp.Buf[:EthHeaderLen+IPv4HeaderLen-1], // truncated IPv4 header
+		long,
+		bytes.Repeat([]byte{0xff}, EthMaxFrame+64),
+	}
+}
+
+// FuzzFrameDecode drives the whole frame-decoder surface — Ethernet
+// accessors, IPv4 parse, transport parses, TTL decrement, and the flow
+// classifier — over one mutated buffer. The seed corpus covers each golden
+// frame type plus hand-built runt, oversize, and truncated-header shapes, so
+// the mutator starts at every decoder branch. The single property is that no
+// input, however mangled, panics a decoder; successful parses must also keep
+// their length invariants.
+func FuzzFrameDecode(f *testing.F) {
+	for _, b := range frameDecodeCorpus() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr := &Frame{Buf: b, Out: -1}
 		// Ethernet accessors must tolerate any length.
@@ -78,8 +85,11 @@ func FuzzFrameDecode(f *testing.F) {
 		_ = fr.DstMAC()
 		_ = fr.SrcMAC()
 		_ = fr.WireLen()
-		// The flow classifier must always deliver a verdict.
-		_, _ = FlowOf(fr)
+		// The flow classifier must always deliver a verdict, and the same
+		// one as the parsers it stands for.
+		if got, want := ParseMeta(fr), refMeta(b); got != want {
+			t.Fatalf("ParseMeta = %+v, ParseIPv4 says %+v", got, want)
+		}
 		if len(b) < EthHeaderLen {
 			return
 		}

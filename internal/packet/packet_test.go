@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -334,5 +335,63 @@ func BenchmarkFiveTupleHash(b *testing.B) {
 	ft := FiveTuple{Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2), SrcPort: 1234, DstPort: 80, Proto: ProtoTCP}
 	for i := 0; i < b.N; i++ {
 		_ = ft.Hash()
+	}
+}
+
+// refMeta derives what ParseMeta must return from the parsers it replaces on
+// the monitor's path: the EtherType test of VR classification, ParseIPv4's
+// verdict, and the port read of the flow key.
+func refMeta(b []byte) Meta {
+	var m Meta
+	if len(b) < EthHeaderLen || binary.BigEndian.Uint16(b[12:14]) != EtherTypeIPv4 {
+		return m
+	}
+	h, payload, err := ParseIPv4(b[EthHeaderLen:])
+	if err != nil {
+		return m
+	}
+	m.IPv4, m.Src, m.Dst, m.Proto = true, h.Src, h.Dst, h.Proto
+	if (h.Proto == ProtoTCP || h.Proto == ProtoUDP) && len(payload) >= 4 {
+		m.SrcPort = binary.BigEndian.Uint16(payload[0:2])
+		m.DstPort = binary.BigEndian.Uint16(payload[2:4])
+	}
+	return m
+}
+
+// TestParseMetaMatchesParsers: over the FuzzFrameDecode corpus and every
+// single-bit corruption of a valid frame's Ethernet and IPv4 headers,
+// ParseMeta accepts exactly the frames EtherType + ParseIPv4 accept, with the
+// same addresses, protocol and ports, and FlowOf is its projection.
+func TestParseMetaMatchesParsers(t *testing.T) {
+	inputs := frameDecodeCorpus()
+	valid := inputs[0]
+	for i := 0; i < EthHeaderLen+IPv4HeaderLen+4; i++ {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), valid...)
+			mut[i] ^= 1 << bit
+			inputs = append(inputs, mut)
+		}
+	}
+	accepted := 0
+	for i, b := range inputs {
+		f := &Frame{Buf: b}
+		got, want := ParseMeta(f), refMeta(b)
+		if got != want {
+			t.Errorf("input %d (%d bytes): ParseMeta = %+v, want %+v", i, len(b), got, want)
+		}
+		if ft, ok := FlowOf(f); ft != got.FiveTuple || ok != got.IPv4 {
+			t.Errorf("input %d: FlowOf = %v, %v; ParseMeta says %+v", i, ft, ok, got)
+		}
+		if !got.IPv4 && got != (Meta{}) {
+			t.Errorf("input %d: rejected frame left a non-zero tuple %+v", i, got)
+		}
+		if got.IPv4 {
+			accepted++
+		}
+	}
+	// udp, tcp, icmp, plus the MAC and port flips; every IPv4 header flip
+	// must be rejected by the checksum.
+	if want := 3 + (12+4)*8; accepted != want {
+		t.Errorf("accepted %d inputs, want %d", accepted, want)
 	}
 }
