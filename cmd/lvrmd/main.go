@@ -74,7 +74,7 @@ func run() int {
 		duration  = flag.Duration("duration", 10*time.Second, "how long to run (0 = until interrupt)")
 		balName   = flag.String("balancer", "jsq", "load balancer: jsq, rr, random")
 		polName   = flag.String("policy", "dynamic-fixed:20000", "core allocation policy: fixed:<n>, dynamic-fixed:<fps>, dynamic-service")
-		queue     = flag.String("queue", "lockfree", "IPC queue kind: lockfree, locked, channel")
+		queue     = flag.String("queue", "lockfree", "IPC queue kind: lockfree, locked")
 		burn      = flag.Bool("burn", false, "busy-spin each frame's simulated cost (real CPU load)")
 		vrLoad    = flag.Duration("vr-load", 0, "artificial extra per-frame load added to every VR's engine (the paper's dummy load; 16us ~= one 60 Kfps VRI). With -burn it is spun for real, capping each VRI's service rate — the way to overload a VR and watch -max-replicas split it live")
 		httpAddr  = flag.String("http", "", "serve /status, /metrics, /trace, /debug/vars and /debug/pprof at this address (e.g. :8080)")
@@ -106,8 +106,6 @@ func run() int {
 	switch *queue {
 	case "locked":
 		kind = ipc.Locked
-	case "channel":
-		kind = ipc.Channel
 	case "lockfree":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown queue kind %q\n", *queue)

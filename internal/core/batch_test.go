@@ -33,7 +33,7 @@ func TestRelayCountsSendFailures(t *testing.T) {
 	for i := 0; i < n; i++ {
 		clock.advance(10 * time.Microsecond)
 		a.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-		a.Step(clock.now, nil)
+		a.StepBatch(clock.now, 1, nil)
 	}
 	if got := l.RelayOut(0); got != 0 {
 		t.Errorf("RelayOut reported %d successful sends on a dead adapter", got)
@@ -50,6 +50,8 @@ func TestRelayCountsSendFailures(t *testing.T) {
 	}
 }
 
+// TestStepBatchControlPriority: a quantum that finds control pending handles
+// control only (up to max) and leaves the data for the next quantum.
 func TestStepBatchControlPriority(t *testing.T) {
 	clock := &fakeClock{}
 	l := newTestLVRM(t, clock, nil)
@@ -61,27 +63,46 @@ func TestStepBatchControlPriority(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.Control.In.Enqueue(&ControlEvent{DstVR: v.ID, DstVRI: a.ID})
 	}
-	order := make([]string, 0, 8)
-	res := a.StepBatch(clock.now, 8, func(*ControlEvent) {
-		if a.Data.In.Len() < 5 {
-			t.Error("a data frame was consumed before a pending control event")
-		}
-		order = append(order, "ctl")
-	})
-	if res.Control != 3 || res.Frames != 5 {
-		t.Fatalf("StepBatch = {Control:%d Frames:%d}, want 3 control then 5 frames", res.Control, res.Frames)
+	handled := 0
+	onControl := func(*ControlEvent) { handled++ }
+	res := a.StepBatch(clock.now, 8, onControl)
+	if res.Control != 3 || res.Frames != 0 || res.OutBytes != 0 {
+		t.Fatalf("first StepBatch = %+v, want 3 control events and no frames", res)
 	}
-	if len(order) != 3 {
-		t.Errorf("onControl ran %d times, want 3", len(order))
+	if handled != 3 {
+		t.Errorf("onControl ran %d times, want 3", handled)
 	}
-	if res.Cost < 3*ControlHandleCost {
-		t.Errorf("Cost = %v, below the control handling floor", res.Cost)
+	if res.Cost != 3*ControlHandleCost {
+		t.Errorf("Cost = %v, want %v", res.Cost, 3*ControlHandleCost)
+	}
+	if a.Data.In.Len() != 5 || a.Processed() != 0 {
+		t.Fatalf("control quantum consumed data: %d queued, %d processed", a.Data.In.Len(), a.Processed())
+	}
+	res = a.StepBatch(clock.now, 8, onControl)
+	if res.Control != 0 || res.Frames != 5 || res.OutBytes <= 0 {
+		t.Fatalf("second StepBatch = %+v, want the 5 frames", res)
 	}
 	if a.Data.Out.Len() != 5 {
 		t.Errorf("outgoing queue = %d frames, want 5", a.Data.Out.Len())
 	}
-	if res.OutBytes <= 0 {
-		t.Errorf("OutBytes = %d, want > 0", res.OutBytes)
+
+	// max caps control too: 5 pending at max 2 take three quanta, and data
+	// queued meanwhile waits for all of them.
+	for i := 0; i < 5; i++ {
+		a.Control.In.Enqueue(&ControlEvent{DstVR: v.ID, DstVRI: a.ID})
+	}
+	a.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
+	for i, want := range []StepBatchResult{
+		{Control: 2, Cost: 2 * ControlHandleCost},
+		{Control: 2, Cost: 2 * ControlHandleCost},
+		{Control: 1, Cost: ControlHandleCost},
+	} {
+		if got := a.StepBatch(clock.now, 2, onControl); got != want {
+			t.Fatalf("capped quantum %d = %+v, want %+v", i, got, want)
+		}
+	}
+	if res := a.StepBatch(clock.now, 2, onControl); res.Control != 0 || res.Frames != 1 {
+		t.Fatalf("quantum after control drained = %+v, want the data frame", res)
 	}
 }
 

@@ -42,12 +42,12 @@ type Config struct {
 	// DataQueueCap and ControlQueueCap size the per-VRI queue pairs.
 	DataQueueCap, ControlQueueCap int
 	// RecvBatch caps how many frames one adapter poll drains (via
-	// netio.RecvBatch), VRIBatch caps how many data frames a VRI worker
-	// drains per wakeup (VRIAdapter.StepBatch), and RelayBatch caps how
-	// many frames RelayOut moves per VRI queue visit. Each defaults to 1,
-	// which reproduces the per-frame semantics exactly; larger values
-	// amortize the queue release/acquire pair and the scheduler round-trip
-	// per frame (the ROADMAP's "batched dequeue on the data path").
+	// netio.RecvBatch), VRIBatch caps how many control events or data
+	// frames a VRI worker takes per quantum (VRIAdapter.StepBatch), and
+	// RelayBatch caps how many frames RelayOut moves per VRI queue visit.
+	// Each defaults to 1, the paper's one item per loop iteration; larger
+	// values amortize the queue release/acquire pair and the scheduler
+	// round-trip per frame.
 	RecvBatch, VRIBatch, RelayBatch int
 	// FlowShards enables flow-aware sharded dispatch when > 0: each VR gets
 	// a flow-affinity table with this many shards (rounded up to a power of
@@ -112,7 +112,7 @@ type Config struct {
 	// registering it here exports the lvrm_rib_*/lvrm_fib_* metric series
 	// through Obs and surfaces the RIB on the Status path. Engines consume
 	// it via vr.BasicConfig.FIB; VRIs pin one FIB generation per
-	// Step/StepBatch quantum (vr.RoutePinner).
+	// StepBatch quantum (vr.RoutePinner).
 	RIB *rib.RIB
 	// Obs, when non-nil, receives the monitor's live metrics: dispatch-wait
 	// histograms, per-VR/VRI queue gauges, allocation counters, and adapter
@@ -304,6 +304,11 @@ func (l *LVRM) AddVR(cfg VRConfig) (*VR, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("core: VRConfig.Engine is required")
 	}
+	// Outside 0..32 the mask's shift count wraps to a zero mask, and the VR
+	// would claim every IPv4 frame ahead of the VRs registered after it.
+	if cfg.Classify == nil && (cfg.SrcBits < 0 || cfg.SrcBits > 32) {
+		return nil, fmt.Errorf("core: VR %s: SrcBits %d outside 0..32", cfg.Name, cfg.SrcBits)
+	}
 	if cfg.Balancer == nil {
 		cfg.Balancer = balance.NewJSQ()
 	}
@@ -392,7 +397,7 @@ func (l *LVRM) Stats() Stats {
 	for _, v := range l.vrList() {
 		live += v.Cores()
 		retired += v.retiredVRIs.Load()
-		migrated += v.drainMigrated.Load()
+		migrated += v.migFrames.Load()
 		relayed += v.drainRelayed.Load()
 		dropped += v.drainDropped.Load()
 		shed += v.admitShed.Load()

@@ -122,6 +122,45 @@ func TestClassifyBySourceSubnet(t *testing.T) {
 	}
 }
 
+// TestAddVRSrcBitsRange: a prefix length outside 0..32 used to wrap the mask
+// shift to a match-everything VR that starved every VR after it.
+func TestAddVRSrcBitsRange(t *testing.T) {
+	for _, c := range []struct {
+		bits    int
+		ok      bool
+		claimed bool // does the VR claim a frame from 10.3.9.9, outside 10.1.0.0/bits?
+	}{
+		{-1, false, false},
+		{0, true, true},
+		{24, true, false},
+		{32, true, false},
+		{33, false, false},
+	} {
+		l := newTestLVRM(t, &fakeClock{}, nil)
+		v, err := l.AddVR(vrCfg(t, "vr1", "10.1.0.0", c.bits))
+		if (err == nil) != c.ok {
+			t.Errorf("SrcBits %d: AddVR err = %v, want ok=%v", c.bits, err, c.ok)
+		}
+		if err != nil {
+			if len(l.VRs()) != 0 {
+				t.Errorf("SrcBits %d: rejected VR was registered", c.bits)
+			}
+			continue
+		}
+		if got, ok := l.Classify(frameFrom(t, "10.1.0.0", "10.2.0.1")); !ok || got != v {
+			t.Errorf("SrcBits %d: own prefix not classified", c.bits)
+		}
+		if _, ok := l.Classify(frameFrom(t, "10.3.9.9", "10.2.0.1")); ok != c.claimed {
+			t.Errorf("SrcBits %d: foreign source claimed = %v, want %v", c.bits, ok, c.claimed)
+		}
+	}
+	// A custom classifier ignores the prefix fields altogether.
+	l := newTestLVRM(t, &fakeClock{}, nil)
+	if _, err := l.AddVR(VRConfig{Name: "all", SrcBits: 40, Classify: func(*packet.Frame) bool { return true }, Engine: testEngineFactory(t)}); err != nil {
+		t.Errorf("SrcBits is ignored when Classify is set, got %v", err)
+	}
+}
+
 func TestClassifyCustomFunc(t *testing.T) {
 	clock := &fakeClock{}
 	l := newTestLVRM(t, clock, nil)
@@ -151,9 +190,8 @@ func TestRecvDispatchProcessRelay(t *testing.T) {
 	// Drive the VRI one step: it should process and emit the frame.
 	a := v.VRIs()[0]
 	clock.advance(time.Microsecond)
-	cost, did := a.Step(clock.now, nil)
-	if !did || cost <= 0 {
-		t.Fatalf("Step = (%v,%v)", cost, did)
+	if res := a.StepBatch(clock.now, 1, nil); res.Frames != 1 || res.Cost <= 0 {
+		t.Fatalf("StepBatch = %+v", res)
 	}
 	if got := l.RelayOut(0); got != 1 {
 		t.Fatalf("RelayOut = %d", got)
@@ -201,7 +239,7 @@ func TestControlRelayBetweenVRIs(t *testing.T) {
 	}
 	var got *ControlEvent
 	clock.advance(time.Microsecond)
-	_, did := b.Step(clock.now, func(e *ControlEvent) { got = e })
+	did := b.StepBatch(clock.now, 1, func(e *ControlEvent) { got = e }).Did()
 	if !did || got == nil {
 		t.Fatal("VRI b did not receive the control event")
 	}
@@ -221,7 +259,7 @@ func TestControlPriorityOverData(t *testing.T) {
 	// Enqueue a data frame first, then a control event.
 	a.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
 	a.Control.In.Enqueue(&ControlEvent{})
-	_, did := a.Step(clock.now, nil)
+	did := a.StepBatch(clock.now, 1, nil).Did()
 	if !did {
 		t.Fatal("no work")
 	}
@@ -229,7 +267,7 @@ func TestControlPriorityOverData(t *testing.T) {
 		t.Errorf("control not prioritized: ctl=%d data=%d", a.ControlHandled(), a.Processed())
 	}
 	// Next step takes the data frame.
-	a.Step(clock.now, nil)
+	a.StepBatch(clock.now, 1, nil)
 	if a.Processed() != 1 {
 		t.Errorf("data frame not processed after control")
 	}
@@ -380,7 +418,7 @@ func TestPollOnceEndToEnd(t *testing.T) {
 		l.PollOnce(8)
 		for _, a := range v.VRIs() {
 			for {
-				if _, did := a.Step(clock.now, nil); !did {
+				if !a.StepBatch(clock.now, 1, nil).Did() {
 					break
 				}
 			}
@@ -440,7 +478,7 @@ func TestVRIStoppedStepsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-	if _, did := a.Step(clock.now, nil); did {
+	if a.StepBatch(clock.now, 1, nil).Did() {
 		t.Error("stopped VRI did work")
 	}
 }
@@ -484,7 +522,7 @@ func TestServiceRatePerVRIUnknown(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		clock.advance(10 * time.Microsecond)
-		a.Step(clock.now, nil)
+		a.StepBatch(clock.now, 1, nil)
 	}
 	if v.ServiceRatePerVRI() <= 0 {
 		t.Error("no service-rate estimate after back-to-back service")

@@ -161,15 +161,6 @@ func (l *LVRM) RecvDispatchBatch(budget int) int {
 	return total
 }
 
-// relayScratch returns the relay scratch buffer grown to at least n slots.
-// Monitor goroutine only.
-func (l *LVRM) relayScratch(n int) []*packet.Frame {
-	if cap(l.relayBuf) < n {
-		l.relayBuf = make([]*packet.Frame, n)
-	}
-	return l.relayBuf[:n]
-}
-
 // sendBatch forwards buf[:n] to the socket adapter, counting successes in
 // sent and failures in sendErrs — a frame that dequeued but failed to send
 // is lost, and the loss must be visible in Stats rather than silent. It
@@ -190,11 +181,28 @@ func (l *LVRM) sendBatch(buf []*packet.Frame, n int) int {
 	return ok
 }
 
-// RelayOut drains up to budget frames from every VRI's outgoing data queue
-// into the socket adapter and returns how many were sent. Frames move in
-// Config.RelayBatch-sized bursts — one cursor acquire/release per burst on
-// the lock-free rings — and send failures are counted, never silently
-// swallowed.
+// relay moves up to max frames from a's outgoing data queue to the socket
+// adapter in one burst — one cursor acquire/release on the lock-free rings —
+// and returns how many left the queue and how many of those were sent. The
+// difference was lost to send failures, counted in Stats.SendErrors; such a
+// frame is gone from the queue all the same, so it settles like the rest.
+// Monitor goroutine only: relayBuf is its scratch.
+func (l *LVRM) relay(a *VRIAdapter, max int) (n, sent int) {
+	if cap(l.relayBuf) < max {
+		l.relayBuf = make([]*packet.Frame, max)
+	}
+	buf := l.relayBuf[:max]
+	n = ipc.DequeueBatch(a.Data.Out, buf)
+	if n > 0 {
+		sent = l.sendBatch(buf, n)
+		a.settled.Add(int64(n))
+	}
+	return n, sent
+}
+
+// RelayOut drains up to budget frames (0 = no limit) from every VRI's
+// outgoing data queue into the socket adapter, Config.RelayBatch at a time,
+// and returns how many were sent.
 func (l *LVRM) RelayOut(budget int) int {
 	sent := 0
 	for _, v := range l.vrList() {
@@ -206,13 +214,8 @@ func (l *LVRM) RelayOut(budget int) int {
 						want = r
 					}
 				}
-				buf := l.relayScratch(want)
-				n := ipc.DequeueBatch(a.Data.Out, buf)
-				if n == 0 {
-					break
-				}
-				sent += l.sendBatch(buf, n)
-				a.settled.Add(int64(n))
+				n, ok := l.relay(a, want)
+				sent += ok
 				if n < want {
 					break // queue drained
 				}
@@ -224,28 +227,15 @@ func (l *LVRM) RelayOut(budget int) int {
 
 // RelayFrom drains up to max frames from the given VRI's outgoing data queue
 // into the socket adapter and returns how many frames were consumed from the
-// queue (sent or lost to a counted send failure).
+// queue (sent or lost to a counted send failure). The testbed uses it so
+// each VRI's completions relay that VRI's own output (a global scan would
+// starve later VRIs whenever an earlier one is busy).
 func (l *LVRM) RelayFrom(a *VRIAdapter, max int) int {
 	if max < 1 {
 		max = 1
 	}
-	buf := l.relayScratch(max)
-	n := ipc.DequeueBatch(a.Data.Out, buf)
-	if n > 0 {
-		l.sendBatch(buf, n)
-		a.settled.Add(int64(n))
-	}
+	n, _ := l.relay(a, max)
 	return n
-}
-
-// RelayOneFrom drains exactly one frame from the given VRI's outgoing data
-// queue into the socket adapter, reporting whether a frame was consumed. The
-// testbed uses it so each VRI's completions relay that VRI's own output
-// (a global scan would starve later VRIs whenever an earlier one is busy).
-// A frame that dequeues but fails to send still counts as consumed — it is
-// gone from the queue — with the loss recorded in Stats.SendErrors.
-func (l *LVRM) RelayOneFrom(a *VRIAdapter) bool {
-	return l.RelayFrom(a, 1) == 1
 }
 
 // RelayControl moves pending control events from every VRI's outgoing

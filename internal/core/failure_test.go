@@ -103,13 +103,13 @@ func TestRelayToClosedAdapter(t *testing.T) {
 	v, _ := l.AddVR(vrCfg(t, "vr1", "10.1.0.0", 16))
 	a := v.VRIs()[0]
 	a.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-	a.Step(clock.now, nil)
+	a.StepBatch(clock.now, 1, nil)
 	adapter.Close()
 	// The frame is consumed from the queue even though the send fails, so
-	// RelayOneFrom must report progress — otherwise relay loops would stall
+	// RelayFrom must report progress — otherwise relay loops would stall
 	// on a failing adapter with frames still queued. The loss is counted.
-	if !l.RelayOneFrom(a) {
-		t.Error("RelayOneFrom did not report the frame as consumed")
+	if l.RelayFrom(a, 1) != 1 {
+		t.Error("RelayFrom did not report the frame as consumed")
 	}
 	st := l.Stats()
 	if st.Sent != 0 {

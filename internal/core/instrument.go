@@ -206,10 +206,9 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 
 	// Hand-off accounting, aggregated across every migration-engine
 	// invocation (teardown drain, replica split/fold, live move). Every
-	// residue frame appears in exactly one of migrated/relayed/dropped, so
-	// the operator can prove conservation from the scrape alone.
-	perVR("lvrm_drain_migrated_total", "Data-in residue transplanted to destination VRIs by the migration engine (all kinds).",
-		obs.TypeCounter, func(v *VR) float64 { return float64(v.drainMigrated.Load()) })
+	// residue frame appears in exactly one of lvrm_migration_frames_moved /
+	// relayed / dropped, so the operator can prove conservation from the
+	// scrape alone.
 	perVR("lvrm_drain_relayed_total", "Data-out residue relayed to the socket adapter by a detaching migration.",
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.drainRelayed.Load()) })
 	perVR("lvrm_drain_dropped_total", "Migration residue released because no destination could take it.",
@@ -218,8 +217,6 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.drainCtlMoved.Load()) })
 	perVR("lvrm_drain_ctl_dropped_total", "Control residue dropped by a detaching migration (addressed to the dead VRI or undeliverable).",
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.drainCtlDropped.Load()) })
-	perVR("lvrm_drain_pins_total", "Flow-table pins re-pointed or unpinned by the migration engine (all kinds).",
-		obs.TypeCounter, func(v *VR) float64 { return float64(v.drainPins.Load()) })
 
 	// Flow-affinity table outcomes and occupancy. Registered unconditionally
 	// but emitting only for VRs with flow dispatch enabled, so the families

@@ -189,9 +189,18 @@ func TestRuntimeScrape(t *testing.T) {
 		"lvrm_send_errors_total 0",
 		"lvrm_adapter_rx_runts_total{adapter=\"chan\"} 0",
 		"lvrm_adapter_rx_oversize_total{adapter=\"chan\"} 0",
+		`lvrm_migration_frames_moved_total{vr="vr1"}`,
+		`lvrm_migration_pins_flipped_total{vr="vr1"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	// One name per quantity: the drain_* mirrors of the two series above
+	// are retired.
+	for _, gone := range []string{"lvrm_drain_migrated_total", "lvrm_drain_pins_total"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("metrics output still exports %q", gone)
 		}
 	}
 

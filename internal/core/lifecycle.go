@@ -144,12 +144,12 @@ type DrainStats struct {
 // migration the engine has run for it.
 func (v *VR) DrainStats() DrainStats {
 	return DrainStats{
-		Migrated:   v.drainMigrated.Load(),
+		Migrated:   v.migFrames.Load(),
 		Relayed:    v.drainRelayed.Load(),
 		Dropped:    v.drainDropped.Load(),
 		CtlMoved:   v.drainCtlMoved.Load(),
 		CtlDropped: v.drainCtlDropped.Load(),
-		Pins:       v.drainPins.Load(),
+		Pins:       v.migPins.Load(),
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 //     strictly behind the residue about to be staged.
 //   - Staged residue precedes the ring: transplanted frames go to the
 //     destination's staging queue, which its consumer drains BEFORE the
-//     ring (takePre first in Step/StepBatch), preserving per-flow FIFO
+//     ring (takePre first in StepBatch), preserving per-flow FIFO
 //     order across the hand-off.
 //   - Bounded pause: the only consumers stopped are the source's and the
 //     destination's; the pause lasts one transplant, measured and exported
@@ -254,17 +254,15 @@ func (l *LVRM) migratePartition(v *VR, m migration) MigrationReport {
 
 // addMigration folds one migration's accounting into the VR's cumulative
 // counters: the per-kind totals behind lvrm_migrations_total and Status, and
-// the legacy drain_* counters the conservation reports are written against.
+// the drain_* counters the conservation reports are written against.
 func (v *VR) addMigration(rep MigrationReport) {
 	v.migrations[rep.Kind].Add(1)
 	v.migFrames.Add(rep.Moved)
 	v.migPins.Add(rep.Pins)
-	v.drainMigrated.Add(rep.Moved)
 	v.drainRelayed.Add(rep.Relayed)
 	v.drainDropped.Add(rep.Dropped)
 	v.drainCtlMoved.Add(rep.CtlMoved)
 	v.drainCtlDropped.Add(rep.CtlDropped)
-	v.drainPins.Add(rep.Pins)
 }
 
 // moveVRI is live migration: relocate a running VRI to another core with no

@@ -41,7 +41,7 @@ func TestOversubscribeOntoLVRMCore(t *testing.T) {
 	// The shared VRI still processes frames.
 	shared := v.VRIs()[7]
 	shared.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-	if _, did := shared.Step(clock.now, nil); !did {
+	if !shared.StepBatch(clock.now, 1, nil).Did() {
 		t.Error("shared-core VRI did no work")
 	}
 	// Shrinking releases a dedicated core first... the shared one ranks as
@@ -62,6 +62,8 @@ func TestOversubscribeOntoLVRMCore(t *testing.T) {
 	}
 }
 
+// TestRelayOneFrom relays one frame from a chosen VRI, as the testbed does
+// after each completion.
 func TestRelayOneFrom(t *testing.T) {
 	clock := &fakeClock{}
 	qa := netio.NewQueueAdapter(netio.PFRing, 64)
@@ -72,14 +74,14 @@ func TestRelayOneFrom(t *testing.T) {
 	})
 	vris := v.VRIs()
 	a, b := vris[0], vris[1]
-	// Both VRIs produce output; RelayOneFrom must drain the requested one
+	// Both VRIs produce output; RelayFrom must drain the requested one
 	// even when the other also has frames waiting.
 	for _, vri := range []*VRIAdapter{a, b} {
 		vri.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-		vri.Step(clock.now, nil)
+		vri.StepBatch(clock.now, 1, nil)
 	}
-	if !l.RelayOneFrom(b) {
-		t.Fatal("RelayOneFrom(b) failed")
+	if l.RelayFrom(b, 1) != 1 {
+		t.Fatal("RelayFrom(b, 1) failed")
 	}
 	if b.Data.Out.Len() != 0 {
 		t.Error("b's frame not drained")
@@ -87,11 +89,11 @@ func TestRelayOneFrom(t *testing.T) {
 	if a.Data.Out.Len() != 1 {
 		t.Error("a's frame stolen")
 	}
-	if !l.RelayOneFrom(a) {
-		t.Fatal("RelayOneFrom(a) failed")
+	if l.RelayFrom(a, 1) != 1 {
+		t.Fatal("RelayFrom(a, 1) failed")
 	}
-	if l.RelayOneFrom(a) {
-		t.Error("RelayOneFrom on empty queue reported success")
+	if l.RelayFrom(a, 1) != 0 {
+		t.Error("RelayFrom on empty queue reported a frame")
 	}
 	if st := l.Stats(); st.Sent != 2 {
 		t.Errorf("Sent = %d", st.Sent)

@@ -344,7 +344,7 @@ func TestServiceRatePerVRIAveragesReplicas(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		clock.advance(10 * time.Microsecond)
-		busy.Step(clock.now, nil)
+		busy.StepBatch(clock.now, 1, nil)
 	}
 	if !busy.SvcEst.Valid() {
 		t.Fatal("no service estimate after 50 back-to-back services")
@@ -374,6 +374,11 @@ func (e lagEngine) Name() string { return "lag-" + e.inner.Name() }
 // every received frame must be accounted for, no flow may ever have been
 // observed out of order at TX, and the pool must read zero outstanding.
 func runReplicaSoak(t *testing.T, wantFold bool) {
+	if testing.Short() {
+		// 3-5 s of wall clock each; TestMigrationSoak keeps live split and
+		// fold in the short tier.
+		t.Skip("multi-second live soak: run without -short")
+	}
 	p := pool.NewWithOptions(pool.Options{Poison: true})
 	ca := netio.NewChanAdapter(4096)
 	l, err := New(Config{

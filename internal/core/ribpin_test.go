@@ -48,7 +48,7 @@ func TestVRIPinsFIBGeneration(t *testing.T) {
 	a := v.VRIs()[0]
 
 	// An idle Step still pins: the generation gauge tracks the FIB.
-	a.Step(clock.now, nil)
+	a.StepBatch(clock.now, 1, nil)
 	gen1 := a.RouteGeneration()
 	if gen1 != r.FIB().Generation() || gen1 == 0 {
 		t.Fatalf("pinned generation %d, FIB at %d", gen1, r.FIB().Generation())
@@ -58,14 +58,14 @@ func TestVRIPinsFIBGeneration(t *testing.T) {
 	f := frameFrom(t, "10.1.0.5", "10.2.0.1")
 	a.Data.In.Enqueue(f)
 	clock.advance(time.Microsecond)
-	a.Step(clock.now, nil)
+	a.StepBatch(clock.now, 1, nil)
 	if f.Out != 1 {
 		t.Fatalf("10.2/16 frame forwarded to %d, want 1", f.Out)
 	}
 	f2 := frameFrom(t, "10.1.0.5", "10.3.0.1")
 	a.Data.In.Enqueue(f2)
 	clock.advance(time.Microsecond)
-	a.Step(clock.now, nil)
+	a.StepBatch(clock.now, 1, nil)
 	if f2.Out != vr.Drop {
 		t.Fatalf("unrouted frame forwarded to %d", f2.Out)
 	}
@@ -125,7 +125,7 @@ func TestInstrumentRIBMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := v.VRIs()[0]
-	a.Step(clock.now, nil)
+	a.StepBatch(clock.now, 1, nil)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

@@ -25,7 +25,7 @@ func TestBroadcastRouteUpdateDES(t *testing.T) {
 	for _, a := range v.VRIs() {
 		f := frameFrom(t, "10.1.0.5", "172.16.0.1")
 		a.Data.In.Enqueue(f)
-		a.Step(clock.now, nil)
+		a.StepBatch(clock.now, 1, nil)
 		if f.Out != vr.Drop {
 			t.Fatalf("pre-update frame forwarded to %d", f.Out)
 		}
@@ -41,7 +41,7 @@ func TestBroadcastRouteUpdateDES(t *testing.T) {
 	for _, a := range v.VRIs() {
 		clock.advance(time.Microsecond)
 		a := a
-		if _, did := a.Step(clock.now, func(ev *ControlEvent) { apply(v, a, ev) }); !did {
+		if !a.StepBatch(clock.now, 1, func(ev *ControlEvent) { apply(v, a, ev) }).Did() {
 			t.Fatal("VRI had no control event")
 		}
 	}
@@ -50,7 +50,7 @@ func TestBroadcastRouteUpdateDES(t *testing.T) {
 		f := frameFrom(t, "10.1.0.5", "172.16.0.1")
 		a.Data.In.Enqueue(f)
 		clock.advance(time.Microsecond)
-		a.Step(clock.now, nil)
+		a.StepBatch(clock.now, 1, nil)
 		if f.Out != 1 {
 			t.Errorf("VRI %d: post-update Out = %d, want 1", a.ID, f.Out)
 		}
@@ -77,7 +77,7 @@ func TestRouteSyncHandlerComposition(t *testing.T) {
 	// The update landed in the engine.
 	f := frameFrom(t, "10.1.0.5", "192.168.3.4")
 	a.Data.In.Enqueue(f)
-	a.Step(clock.now, nil)
+	a.StepBatch(clock.now, 1, nil)
 	if f.Out != 1 {
 		t.Errorf("handler did not apply the update: Out = %d", f.Out)
 	}

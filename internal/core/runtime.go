@@ -212,12 +212,7 @@ func (r *Runtime) sweepOnce() bool {
 	l := r.lvrm
 	for _, v := range l.VRs() {
 		for _, a := range v.VRIs() {
-			onControl := func(ev *ControlEvent) {
-				if r.ControlHandler != nil {
-					r.ControlHandler(v, a, ev)
-				}
-			}
-			if res := a.StepBatch(l.cfg.Clock(), l.cfg.VRIBatch, onControl); res.Did() {
+			if res := a.StepBatch(l.cfg.Clock(), l.cfg.VRIBatch, r.onControl(v, a)); res.Did() {
 				work = true
 			}
 		}
@@ -314,18 +309,22 @@ func (r *Runtime) stopVRI(a *VRIAdapter) {
 	<-w.done
 }
 
-// vriLoop is one VRI process: drain control events first, then data frames.
-// With Config.VRIBatch > 1 each wakeup runs StepBatch, amortizing one cursor
-// publication per batch on the SPSC rings; at 1 it keeps the seed's exact
-// one-item-per-step semantics.
-func (r *Runtime) vriLoop(v *VR, a *VRIAdapter, w vriWorker, stopped chan struct{}) {
-	defer r.wg.Done()
-	defer close(w.done)
-	onControl := func(ev *ControlEvent) {
+// onControl binds the runtime's ControlHandler to one VRI, for StepBatch.
+func (r *Runtime) onControl(v *VR, a *VRIAdapter) func(*ControlEvent) {
+	return func(ev *ControlEvent) {
 		if r.ControlHandler != nil {
 			r.ControlHandler(v, a, ev)
 		}
 	}
+}
+
+// vriLoop is one VRI process: control events first, then data frames, up to
+// Config.VRIBatch of either per wakeup (one cursor publication per batch on
+// the SPSC rings; at 1, the paper's one item per iteration).
+func (r *Runtime) vriLoop(v *VR, a *VRIAdapter, w vriWorker, stopped chan struct{}) {
+	defer r.wg.Done()
+	defer close(w.done)
+	onControl := r.onControl(v, a)
 	batch := r.lvrm.cfg.VRIBatch
 	idle := 0
 	for {
@@ -336,20 +335,10 @@ func (r *Runtime) vriLoop(v *VR, a *VRIAdapter, w vriWorker, stopped chan struct
 			return
 		default:
 		}
-		var (
-			cost time.Duration
-			did  bool
-		)
-		if batch > 1 {
-			res := a.StepBatch(r.lvrm.cfg.Clock(), batch, onControl)
-			cost, did = res.Cost, res.Did()
-		} else {
-			cost, did = a.Step(r.lvrm.cfg.Clock(), onControl)
-		}
-		if did {
+		if res := a.StepBatch(r.lvrm.cfg.Clock(), batch, onControl); res.Did() {
 			idle = 0
-			if r.BurnCost && cost > 0 {
-				burn(cost)
+			if r.BurnCost && res.Cost > 0 {
+				burn(res.Cost)
 			}
 			continue
 		}

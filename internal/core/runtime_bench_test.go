@@ -16,7 +16,7 @@ import (
 // §3.5 lock-free vs lock-based comparison on the real data path rather
 // than in isolation.
 func BenchmarkLiveRuntimeQueueKinds(b *testing.B) {
-	for _, kind := range []ipc.Kind{ipc.LockFree, ipc.Locked, ipc.Channel} {
+	for _, kind := range []ipc.Kind{ipc.LockFree, ipc.Locked} {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			ca := netio.NewChanAdapter(8192)

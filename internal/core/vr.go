@@ -106,14 +106,13 @@ type VR struct {
 	inDrops    atomic.Int64 // frames lost to full (or closing) VRI input queues
 	admitShed  atomic.Int64 // new-flow frames shed by load-aware admission
 
-	// Drain accounting: where destroyed VRIs' queue residue went, summed
-	// over every teardown (see lifecycle.go's DrainStats).
-	drainMigrated   atomic.Int64
+	// Drain accounting: where migrated VRIs' queue residue went besides a
+	// destination's data-in side (that is migFrames), summed over every
+	// migration (see lifecycle.go's DrainStats).
 	drainRelayed    atomic.Int64
 	drainDropped    atomic.Int64
 	drainCtlMoved   atomic.Int64
 	drainCtlDropped atomic.Int64
-	drainPins       atomic.Int64
 
 	// Retired totals: destroyed VRIs' counters folded in at drain time, so
 	// conservation sums over "all VRIs ever" stay computable from live
@@ -495,7 +494,7 @@ func (v *VR) spawnVRI(core int, now int64, queueKind ipc.Kind, dataCap, ctlCap i
 	// With flow dispatch, several ingest goroutines can enqueue to the same
 	// VRI's data-in queue concurrently, which the SPSC ring forbids — upgrade
 	// it to the MPSC ring. Out stays SPSC (one VRI producer, one relay
-	// consumer), and the Locked/Channel variants are already MP-safe.
+	// consumer), and the Locked variant is already MP-safe.
 	dataIn := queueKind
 	if v.flows != nil && queueKind == ipc.LockFree {
 		dataIn = ipc.MultiProducer
@@ -516,7 +515,7 @@ func (v *VR) spawnVRI(core int, now int64, queueKind ipc.Kind, dataCap, ctlCap i
 	}
 	a.waitHist = v.waitHist
 	a.loadFn = a.runLoad // bound once; dispatch reuses it allocation-free
-	// Cache the RoutePinner assertion: Step/StepBatch pin the engine's FIB
+	// Cache the RoutePinner assertion: StepBatch pins the engine's FIB
 	// generation once per quantum without re-asserting on the hot path.
 	if p, ok := engine.(vr.RoutePinner); ok {
 		a.pinner = p

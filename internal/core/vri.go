@@ -111,7 +111,7 @@ type VRIAdapter struct {
 	loadFn func() float64
 
 	// pinner is the engine's vr.RoutePinner, type-asserted once at spawn
-	// so Step/StepBatch pin the FIB generation without a per-quantum
+	// so StepBatch pins the FIB generation without a per-quantum
 	// interface assertion. Nil when the engine has no dynamic FIB.
 	pinner vr.RoutePinner
 	// routeGen mirrors the last pinned generation for the scrape path
@@ -139,7 +139,7 @@ type VRIAdapter struct {
 
 	// waitHist, when non-nil, records dispatch→dequeue wait per data frame
 	// (the VR's lvrm_dispatch_wait_nanoseconds histogram). The wait comes
-	// free: dispatch stamps f.Timestamp and Step already receives now.
+	// free: dispatch stamps f.Timestamp and StepBatch already receives now.
 	waitHist *obs.Histogram
 
 	// SpawnedAt records when the VRI was created (ns).
@@ -168,15 +168,6 @@ func (a *VRIAdapter) MigratedIn() int64 { return a.migIn.Load() }
 // RouteGeneration returns the FIB generation this VRI last pinned (0 when
 // its engine has no dynamic FIB).
 func (a *VRIAdapter) RouteGeneration() uint64 { return a.routeGen.Load() }
-
-// pinRoutes pins the engine's FIB generation for the quantum that follows.
-// Called at the top of Step/StepBatch: every frame in the quantum resolves
-// against one consistent routing epoch regardless of concurrent publishes.
-func (a *VRIAdapter) pinRoutes() {
-	if a.pinner != nil {
-		a.routeGen.Store(a.pinner.PinRoutes())
-	}
-}
 
 // stagePre appends a transplanted frame to the staging queue. Only the
 // monitor calls it, and only while the VRI's consumer is paused (the live
@@ -247,69 +238,14 @@ func (a *VRIAdapter) hand(f *packet.Frame) bool {
 }
 
 // owes reports whether the VRI still holds frames handed to it: queued,
-// dequeued into a Step quantum, or finished and waiting in Data.Out for the
-// relay. A flow may only leave a VRI that owes nothing — an empty input ring
-// is not enough, the frames inside the quantum and the out-ring can still be
-// overtaken. settled is read first, so a frame handed between the two reads
-// errs towards true.
+// dequeued into a StepBatch quantum, or finished and waiting in Data.Out for
+// the relay. A flow may only leave a VRI that owes nothing — an empty input
+// ring is not enough, the frames inside the quantum and the out-ring can
+// still be overtaken. settled is read first, so a frame handed between the
+// two reads errs towards true.
 func (a *VRIAdapter) owes() bool {
 	settled := a.settled.Load()
 	return a.handed.Load() > settled
-}
-
-// Step performs one VRI scheduling quantum at virtual/wall time now: it
-// consumes one control event if available (control queues have priority),
-// otherwise one data frame. It returns the simulated CPU cost of the work
-// and whether any work was done. The caller (testbed or live runtime) owns
-// charging the cost and pacing.
-func (a *VRIAdapter) Step(now int64, onControl func(*ControlEvent)) (cost time.Duration, did bool) {
-	if VRIState(a.state.Load()) != VRIRunning {
-		return 0, false
-	}
-	a.pinRoutes()
-	// Control first.
-	if ev, ok := a.Control.In.Dequeue(); ok {
-		a.ctlHandled.Add(1)
-		if onControl != nil {
-			onControl(ev)
-		}
-		return ControlHandleCost, true
-	}
-	// Staged transplant residue predates everything in the ring; consume
-	// it first so per-flow order survives a split/fold handoff.
-	f, ok := a.takePre()
-	if !ok {
-		f, ok = a.Data.In.Dequeue()
-	}
-	if !ok {
-		return 0, false
-	}
-	if a.waitHist != nil && f.Timestamp > 0 && now >= f.Timestamp {
-		a.waitHist.Observe(now - f.Timestamp)
-	}
-	// The LVRM adapter measures the service rate by the gap between
-	// consecutive FromLVRM calls (Section 3.6) — but only while the queue
-	// stays backed up, so the estimate is the VRI's capacity and not an
-	// echo of the arrival rate.
-	if a.PendingData() > 0 {
-		a.SvcEst.Observe(now)
-	} else {
-		a.SvcEst.Break()
-	}
-	cost, err := a.Engine.Process(f)
-	a.processed.Add(1)
-	if err != nil || f.Out == vr.Drop {
-		a.engDrops.Add(1)
-		f.Release()
-		a.settled.Add(1)
-		return cost, true
-	}
-	if !a.Data.Out.Enqueue(f) {
-		a.outDrops.Add(1)
-		f.Release()
-		a.settled.Add(1)
-	}
-	return cost, true
 }
 
 // StepBatchResult reports what one StepBatch call did: the simulated CPU
@@ -326,20 +262,30 @@ type StepBatchResult struct {
 // Did reports whether any work was done.
 func (r StepBatchResult) Did() bool { return r.Control+r.Frames > 0 }
 
-// StepBatch performs one batched VRI scheduling quantum at time now: it
-// drains every pending control event first (control queues keep strict
-// priority), then up to max data frames in one queue operation. The batch
-// dequeue publishes a single cursor release/acquire pair for the whole run
-// of frames, and the processed outputs are enqueued toward LVRM the same
-// way — the amortization the paper's Section 3.5 queues exist to enable.
-// With max = 1 the data-path semantics match a Step loop exactly.
+// StepBatch performs one VRI scheduling quantum at virtual/wall time now.
+// Control queues keep strict priority: if control events are pending it
+// handles up to max of them and returns without touching data, so the next
+// quantum re-checks control before any frame. Otherwise it takes up to max
+// data frames in one queue operation — the batch dequeue publishes a single
+// cursor release/acquire pair for the whole run of frames, and the processed
+// outputs are enqueued toward LVRM the same way, the amortization the
+// paper's Section 3.5 queues exist to enable. With max = 1 this is the
+// paper's VRI loop: one control event or one frame per quantum. The caller
+// (testbed or live runtime) owns charging the returned cost and pacing.
 func (a *VRIAdapter) StepBatch(now int64, max int, onControl func(*ControlEvent)) StepBatchResult {
 	var res StepBatchResult
 	if VRIState(a.state.Load()) != VRIRunning {
 		return res
 	}
-	a.pinRoutes()
-	for {
+	// Pin the engine's FIB generation: every frame in the quantum resolves
+	// against one routing epoch regardless of concurrent publishes.
+	if a.pinner != nil {
+		a.routeGen.Store(a.pinner.PinRoutes())
+	}
+	if max < 1 {
+		max = 1
+	}
+	for res.Control < max {
 		ev, ok := a.Control.In.Dequeue()
 		if !ok {
 			break
@@ -351,8 +297,8 @@ func (a *VRIAdapter) StepBatch(now int64, max int, onControl func(*ControlEvent)
 		res.Control++
 		res.Cost += ControlHandleCost
 	}
-	if max < 1 {
-		max = 1
+	if res.Control > 0 {
+		return res
 	}
 	if cap(a.batchIn) < max {
 		a.batchIn = make([]*packet.Frame, max)
@@ -373,12 +319,15 @@ func (a *VRIAdapter) StepBatch(now int64, max int, onControl func(*ControlEvent)
 	if n == 0 {
 		return res
 	}
-	// Section 3.6's service-rate rule, batch form: every frame that had a
-	// successor behind it — later in this batch or still queued — came off
-	// a backed-up queue, so it measures capacity. The whole batch shares
-	// one timestamp, so the gap since the previous completion is spread
-	// across the backed-up completions (ObserveN) rather than observed as
-	// zero-length gaps; a batch that drains the queue ends the busy period.
+	// Section 3.6's service-rate rule: the gap between consecutive
+	// completions measures the service rate only while the queue stays
+	// backed up, so the estimate is the VRI's capacity and not an echo of
+	// the arrival rate. Every frame that had a successor behind it — later
+	// in this batch or still queued — came off a backed-up queue, so it
+	// measures capacity. The whole batch shares one timestamp, so the gap
+	// since the previous completion is spread across the backed-up
+	// completions (ObserveN) rather than observed as zero-length gaps; a
+	// batch that drains the queue ends the busy period.
 	backed := n - 1
 	if a.PendingData() > 0 {
 		backed = n
@@ -463,10 +412,10 @@ func NewLVRMAdapter(vri *VRIAdapter, clock func() int64) *LVRMAdapter {
 }
 
 // FromLVRM polls the next inbound data frame, observing the service rate
-// under the Section 3.6 rule Step follows: the completion gap only measures
-// capacity while the queue stays backed up, so a dequeue that drains the
-// queue breaks the estimate instead of echoing the arrival rate under light
-// load.
+// under the Section 3.6 rule StepBatch follows: the completion gap only
+// measures capacity while the queue stays backed up, so a dequeue that
+// drains the queue breaks the estimate instead of echoing the arrival rate
+// under light load.
 func (l *LVRMAdapter) FromLVRM() (*packet.Frame, bool) {
 	f, ok := l.vri.Data.In.Dequeue()
 	if ok {

@@ -44,6 +44,16 @@ func run(t *testing.T, id string) *Result {
 	return res
 }
 
+// slow skips a shape test that takes seconds of virtual-time simulation when
+// the run asked for the short tier (go test -short ./...: the inner loop; CI
+// and tier-1 run everything).
+func slow(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("slow shape test: run without -short")
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"1a", "1a-cpu", "1b", "1c", "1d", "1e",
@@ -72,6 +82,7 @@ func TestRegistryComplete(t *testing.T) {
 // TestExp1aShape: native ≈ LVRM/PF_RING at all sizes; raw socket ~50% lower
 // at 84 B; Click lowest of the LVRM variants; QEMU-KVM worst overall.
 func TestExp1aShape(t *testing.T) {
+	slow(t)
 	res := run(t, "1a")
 	native := colIndex(t, res, "native-linux (Kfps)")
 	raw := colIndex(t, res, "lvrm-c++-rawsocket (Kfps)")
@@ -160,6 +171,7 @@ func TestExp1bShape(t *testing.T) {
 // TestExp1cShape: C++ VR ≈ 3.7 Mfps at 84 B and ≈ 11 Gbps at 1538 B; Click
 // VR far below; C++ rate decreases with frame size.
 func TestExp1cShape(t *testing.T) {
+	slow(t)
 	res := run(t, "1c")
 	cpp := colIndex(t, res, "c++-vr (Kfps)")
 	gbps := colIndex(t, res, "c++-vr (Gbps)")
@@ -213,6 +225,7 @@ func TestExp1eShape(t *testing.T) {
 // TestExp2aShape: sibling ≥ non-sibling > default > same for the C++ VR;
 // Click's variants converge.
 func TestExp2aShape(t *testing.T) {
+	slow(t)
 	res := run(t, "2a")
 	cpp := colIndex(t, res, "c++-vr (Kfps)")
 	click := colIndex(t, res, "click-vr (Kfps)")
@@ -241,6 +254,7 @@ func TestExp2aShape(t *testing.T) {
 // TestExp2bShape: throughput ≈ ideal 60c staircase for c ≤ 6, flat at the
 // offered rate after, and the over-subscribed 8th core must not help.
 func TestExp2bShape(t *testing.T) {
+	slow(t)
 	res := run(t, "2b")
 	ideal, cpp := colIndex(t, res, "ideal (Kfps)"), colIndex(t, res, "c++-vr (Kfps)")
 	click := colIndex(t, res, "click-vr (Kfps)")
@@ -260,6 +274,7 @@ func TestExp2bShape(t *testing.T) {
 
 // TestExp2cShape: the allocation reaches 6 cores at peak and returns to 1.
 func TestExp2cShape(t *testing.T) {
+	slow(t)
 	res := run(t, "2c")
 	coresCol := colIndex(t, res, "cores")
 	maxCores, last := 0.0, 0.0
@@ -286,6 +301,7 @@ func TestExp2cShape(t *testing.T) {
 // TestExp2cLatShape: allocations ≤ 900 µs, deallocations ≤ 700 µs, and
 // allocations cost more than deallocations.
 func TestExp2cLatShape(t *testing.T) {
+	slow(t)
 	res := run(t, "2c-lat")
 	kind := colIndex(t, res, "event")
 	lat := colIndex(t, res, "latency (µs)")
@@ -322,6 +338,7 @@ func TestExp2cLatShape(t *testing.T) {
 
 // TestExp2dShape: both VRs reach 3 cores, at different times.
 func TestExp2dShape(t *testing.T) {
+	slow(t)
 	res := run(t, "2d")
 	c1, c2 := colIndex(t, res, "vr1 cores"), colIndex(t, res, "vr2 cores")
 	max1, max2 := 0.0, 0.0
@@ -352,6 +369,7 @@ func TestExp2dShape(t *testing.T) {
 // TestExp2eShape: the slower VR ends with more cores, roughly in the 2:1
 // service-time ratio.
 func TestExp2eShape(t *testing.T) {
+	slow(t)
 	res := run(t, "2e")
 	c1 := colIndex(t, res, "vr1 cores (slow, 1x)")
 	c2 := colIndex(t, res, "vr2 cores (fast, 2x)")
@@ -402,6 +420,7 @@ func TestExp3bShape(t *testing.T) {
 // TestExp3cShape: every mechanism lands in the high-Mbps band just below
 // line rate; Jain above 0.6 for all (the paper's long runs reach 0.9+).
 func TestExp3cShape(t *testing.T) {
+	slow(t)
 	agg := run(t, "3c")
 	aggCol := colIndex(t, agg, "aggregate goodput (Mbps)")
 	for i, row := range agg.Rows {
@@ -429,6 +448,7 @@ func TestExp3cShape(t *testing.T) {
 // TestExp4Shape: aggregates just below 1 Gbps at every flow count; the time
 // series plateaus.
 func TestExp4Shape(t *testing.T) {
+	slow(t)
 	res := run(t, "4")
 	for i := range res.Rows {
 		for c := 1; c < len(res.Columns); c++ {
@@ -476,6 +496,7 @@ func TestExp4Shape(t *testing.T) {
 // TestAblationSocketShape: pfring-v1.0 (receive-only upgrade) lands between
 // the raw socket and full PF_RING at small frames; all converge at 1538 B.
 func TestAblationSocketShape(t *testing.T) {
+	slow(t)
 	res := run(t, "a1")
 	raw := colIndex(t, res, "rawsocket (Kfps)")
 	v10 := colIndex(t, res, "pfring-v1.0 (Kfps)")
@@ -493,6 +514,7 @@ func TestAblationSocketShape(t *testing.T) {
 // TestAblationEstimateShape: the refreshed-on-read discipline recovers all
 // capacity after a burst; the literal update-on-dispatch rule delivers less.
 func TestAblationEstimateShape(t *testing.T) {
+	slow(t)
 	res := run(t, "a2")
 	col := colIndex(t, res, "delivered (Kfps)")
 	fresh, stale := cell(t, res, 0, col), cell(t, res, 1, col)
@@ -540,16 +562,23 @@ func TestWriteCSV(t *testing.T) {
 // TestDeterministicReplay: the same experiment with the same seed yields
 // byte-identical tables.
 func TestDeterministicReplay(t *testing.T) {
-	a, err := Run("2c", Config{Seed: 5})
+	id := "2c"
+	if testing.Short() {
+		id = "3b" // also seeded (random balancing), a tenth of the time
+	}
+	a, err := Run(id, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("2c", Config{Seed: 5})
+	b, err := Run(id, Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Table() != b.Table() {
 		t.Error("same seed produced different tables")
+	}
+	if testing.Short() {
+		return
 	}
 	c, err := Run("2a", Config{Seed: 6})
 	if err != nil {

@@ -5,7 +5,7 @@ package ipc
 // instead of one per element. The SPSC ring implements it natively —
 // amortizing the release/acquire pair that Section 3.5 pays per frame — and
 // the package-level EnqueueBatch/DequeueBatch helpers fall back to scalar
-// loops for the mutex, channel, and FastForward variants.
+// loops for the mutex variant.
 //
 // Both operations keep the scalar FIFO contract: a batch is an atomic-cursor
 // optimization, not a transactional unit. EnqueueBatch accepts the longest

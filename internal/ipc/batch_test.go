@@ -115,14 +115,12 @@ func TestBatchClearsSlotsForGC(t *testing.T) {
 
 // TestBatchHelperFallback exercises the generic EnqueueBatch/DequeueBatch
 // helpers over every queue variant: the SPSC takes its native path, the
-// mutex/channel/FastForward variants fall back to scalar loops, and all must
+// mutex variant falls back to scalar loops, and both must
 // agree on FIFO order and partial-batch behavior.
 func TestBatchHelperFallback(t *testing.T) {
 	queues := map[string]Queue[*int]{
-		"lock-free":   New[*int](LockFree, 8),
-		"locked":      New[*int](Locked, 8),
-		"channel":     New[*int](Channel, 8),
-		"fastforward": NewFastForwardQueue[int](8),
+		"lock-free": New[*int](LockFree, 8),
+		"locked":    New[*int](Locked, 8),
 	}
 	vals := make([]*int, 12)
 	for i := range vals {

@@ -9,11 +9,9 @@ import (
 // implements Closer, keyed by name.
 func closableQueues(capacity int) map[string]Queue[*int] {
 	return map[string]Queue[*int]{
-		"spsc":        NewSPSC[*int](capacity),
-		"mpsc":        NewMPSC[*int](capacity),
-		"mutex":       NewMutexQueue[*int](capacity),
-		"chan":        NewChanQueue[*int](capacity),
-		"fastforward": NewFastForwardQueue[int](capacity),
+		"spsc":  NewSPSC[*int](capacity),
+		"mpsc":  NewMPSC[*int](capacity),
+		"mutex": NewMutexQueue[*int](capacity),
 	}
 }
 

@@ -5,7 +5,7 @@ import "testing"
 // TestDropCounting fills each queue kind past capacity and checks the
 // rejected enqueues are counted and reachable through DropsOf.
 func TestDropCounting(t *testing.T) {
-	for _, kind := range []Kind{LockFree, Locked, Channel} {
+	for _, kind := range []Kind{LockFree, Locked} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			q := New[int](kind, 4)
@@ -35,24 +35,6 @@ func TestDropCounting(t *testing.T) {
 				t.Errorf("DropsOf after refill = %d, want %d", d, rejected)
 			}
 		})
-	}
-}
-
-// TestDropCountingFastForward covers the pointer-element FastForward ring,
-// which sits outside the Kind enum.
-func TestDropCountingFastForward(t *testing.T) {
-	q := NewFastForwardQueue[int](4)
-	v := 7
-	for i := 0; i < q.Cap(); i++ {
-		if !q.Enqueue(&v) {
-			t.Fatalf("enqueue %d rejected below capacity", i)
-		}
-	}
-	if q.Enqueue(&v) {
-		t.Fatal("enqueue accepted above capacity")
-	}
-	if d := DropsOf(q); d != 1 {
-		t.Errorf("DropsOf = %d, want 1", d)
 	}
 }
 

@@ -7,13 +7,13 @@
 // The default implementation is a lock-free single-producer/single-consumer
 // ring buffer in the style of Lamport (1977): producer and consumer may run
 // concurrently as long as they never touch the same entry, coordinated only
-// through two atomic cursors. A FastForward-style cache-friendly ring, a
-// mutex-based queue and a channel-based queue are provided as
-// interchangeable variants, mirroring the paper's extensible design where
-// improved queue implementations can be dropped in. MPSC is the
-// multi-producer/single-consumer ring the flow-sharded dispatch path uses:
-// several ingest shards enqueue to one VRI, coordinated by a CAS on the
-// producer cursor, with full-queue rejections counted in Drops.
+// through two atomic cursors. A mutex-based queue — the lock-based baseline
+// the paper measures it against — is the interchangeable variant, mirroring
+// the paper's extensible design where improved queue implementations can be
+// dropped in. MPSC is the multi-producer/single-consumer ring the
+// flow-sharded dispatch path uses: several ingest shards enqueue to one VRI,
+// coordinated by a CAS on the producer cursor, with full-queue rejections
+// counted in Drops.
 //
 // Queues are closeable for graceful shutdown: Close makes further Enqueues
 // fail fast (and be counted) while Dequeue keeps draining the residue, so a
@@ -122,8 +122,6 @@ const (
 	// Locked is a mutex-guarded ring buffer (the lock-based baseline the
 	// paper compares against).
 	Locked
-	// Channel adapts a buffered Go channel to the Queue interface.
-	Channel
 	// MultiProducer is a Vyukov-style bounded MPSC ring: many producers,
 	// one consumer. The flow-sharded dispatch path uses it for VRI data-in
 	// queues, where several ingest goroutines may enqueue concurrently.
@@ -137,8 +135,6 @@ func (k Kind) String() string {
 		return "lock-free"
 	case Locked:
 		return "locked"
-	case Channel:
-		return "channel"
 	case MultiProducer:
 		return "mpsc"
 	default:
@@ -153,8 +149,6 @@ func New[T any](kind Kind, capacity int) Queue[T] {
 	switch kind {
 	case Locked:
 		return NewMutexQueue[T](capacity)
-	case Channel:
-		return NewChanQueue[T](capacity)
 	case MultiProducer:
 		return NewMPSC[T](capacity)
 	default:

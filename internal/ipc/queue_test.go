@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 )
 
-func kinds() []Kind { return []Kind{LockFree, Locked, Channel} }
+func kinds() []Kind { return []Kind{LockFree, Locked} }
 
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{LockFree: "lock-free", Locked: "locked", Channel: "channel", Kind(99): "unknown"}
+	want := map[Kind]string{LockFree: "lock-free", Locked: "locked", MultiProducer: "mpsc", Kind(99): "unknown"}
 	for k, s := range want {
 		if got := k.String(); got != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, s)
@@ -297,15 +297,6 @@ func BenchmarkSPSCEnqueueDequeue(b *testing.B) {
 
 func BenchmarkMutexEnqueueDequeue(b *testing.B) {
 	q := NewMutexQueue[int](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Enqueue(i)
-		q.Dequeue()
-	}
-}
-
-func BenchmarkChanEnqueueDequeue(b *testing.B) {
-	q := NewChanQueue[int](1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Enqueue(i)

@@ -1,9 +1,6 @@
 package ipc
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // MutexQueue is a mutex-guarded ring buffer: the lock-based synchronization
 // baseline of Section 3.5, in which only one process can access the queue at
@@ -94,75 +91,7 @@ func (q *MutexQueue[T]) Reopen() {
 	q.mu.Unlock()
 }
 
-// ChanQueue adapts a buffered Go channel to the Queue interface. It exists to
-// show the extensibility seam and to benchmark the runtime's native queue
-// against the hand-rolled rings.
-type ChanQueue[T any] struct {
-	ch     chan T
-	drops  atomic.Int64
-	closed atomic.Bool
-}
-
-// NewChanQueue returns an empty channel-backed queue. The capacity is used
-// as-is (channels do not need power-of-two sizes).
-func NewChanQueue[T any](capacity int) *ChanQueue[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ChanQueue[T]{ch: make(chan T, capacity)}
-}
-
-// Enqueue appends v and reports whether there was room. After Close it
-// rejects unconditionally (counted as a drop). The underlying channel is
-// never close()d — Dequeue keeps draining the residue.
-func (q *ChanQueue[T]) Enqueue(v T) bool {
-	if q.closed.Load() {
-		q.drops.Add(1)
-		return false
-	}
-	select {
-	case q.ch <- v:
-		return true
-	default:
-		q.drops.Add(1)
-		return false
-	}
-}
-
-// Dequeue removes and returns the oldest element, if any.
-func (q *ChanQueue[T]) Dequeue() (T, bool) {
-	select {
-	case v := <-q.ch:
-		return v, true
-	default:
-		var zero T
-		return zero, false
-	}
-}
-
-// Len reports the current number of queued elements.
-func (q *ChanQueue[T]) Len() int { return len(q.ch) }
-
-// Cap reports the fixed capacity.
-func (q *ChanQueue[T]) Cap() int { return cap(q.ch) }
-
-// Drops reports how many enqueues were rejected because the channel was full
-// or the queue closed.
-func (q *ChanQueue[T]) Drops() int64 { return q.drops.Load() }
-
-// Close stops admissions: subsequent enqueues fail fast while dequeues drain
-// the residue.
-func (q *ChanQueue[T]) Close() { q.closed.Store(true) }
-
-// Closed reports whether the queue has been closed for enqueue.
-func (q *ChanQueue[T]) Closed() bool { return q.closed.Load() }
-
-// Reopen clears the closed flag so enqueues are admitted again.
-func (q *ChanQueue[T]) Reopen() { q.closed.Store(false) }
-
 var (
 	_ Queue[int] = (*MutexQueue[int])(nil)
-	_ Queue[int] = (*ChanQueue[int])(nil)
 	_ Closer     = (*MutexQueue[int])(nil)
-	_ Closer     = (*ChanQueue[int])(nil)
 )

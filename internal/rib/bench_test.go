@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lvrm/internal/packet"
+	"lvrm/internal/route"
 )
 
 // benchFIB builds a FIB with a realistic mixed-length route set.
@@ -14,7 +15,7 @@ func benchFIB(b *testing.B, routes int) *Gen {
 	mustApplyB(b, r, add("0.0.0.0", 0, 0, SrcStatic, 1))
 	for i := 1; i < routes; i++ {
 		bits := uint8(8 + rng()%25) // /8../32
-		p := packet.IP(rng()) & packet.IP(maskU32(bits))
+		p := route.Mask(packet.IP(rng()), bits)
 		if err := r.Apply(Event{Prefix: p, Bits: bits, OutIf: uint16(i & 0x7f), Src: SrcBGP, Distance: 20}); err != nil {
 			b.Fatal(err)
 		}

@@ -2,10 +2,10 @@ package rib
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"lvrm/internal/packet"
+	"lvrm/internal/route"
 )
 
 // Route is the data-plane view of a best-path route: what a VRI needs to
@@ -24,188 +24,39 @@ func (r Route) String() string {
 	return fmt.Sprintf("%v/%d -> if%d via %v (src=%d dist=%d)", r.Prefix, r.Bits, r.OutIf, r.NextHop, r.Src, r.Distance)
 }
 
-// fnode is one node of the immutable path-compressed binary trie. prefix
-// holds the full path from the root, left-aligned and masked to bits; a node
-// carries a route when a published prefix terminates exactly here, and
-// otherwise exists only as a branch point. Nodes are never mutated after
-// publication — updates copy the spine from the root down to the change.
-type fnode struct {
-	prefix uint32
-	bits   uint8
-	route  *Route
-	child  [2]*fnode
-}
-
-// Gen is one published FIB generation: an immutable snapshot the data path
-// reads lock-free. All methods are safe for unlimited concurrent readers.
+// Gen is one published FIB generation: an immutable route.Trie snapshot plus
+// its generation number, which the data path reads lock-free. All methods
+// are safe for unlimited concurrent readers.
 type Gen struct {
-	root   *fnode
-	seq    uint64
-	routes int
+	trie route.Trie[Route]
+	seq  uint64
 }
 
 // Generation returns the monotonic generation number of this snapshot.
 func (g *Gen) Generation() uint64 { return g.seq }
 
 // Len returns the number of routes in this snapshot.
-func (g *Gen) Len() int { return g.routes }
+func (g *Gen) Len() int { return g.trie.Len() }
 
 // Lookup returns the longest-prefix-match route for dst. It is
 // allocation-free and never blocks: the snapshot is immutable.
-func (g *Gen) Lookup(dst packet.IP) (Route, bool) {
-	var best *Route
-	d := uint32(dst)
-	n := g.root
-	for n != nil {
-		if n.bits > 0 && (d^n.prefix)>>(32-n.bits) != 0 {
-			break // dst diverges from this node's path
-		}
-		if n.route != nil {
-			best = n.route
-		}
-		if n.bits == 32 {
-			break
-		}
-		n = n.child[(d>>(31-n.bits))&1]
-	}
-	if best == nil {
-		return Route{}, false
-	}
-	return *best, true
-}
+func (g *Gen) Lookup(dst packet.IP) (Route, bool) { return g.trie.Lookup(dst) }
 
 // Routes returns all routes in the snapshot in trie (prefix) order.
 func (g *Gen) Routes() []Route {
-	out := make([]Route, 0, g.routes)
-	var walk func(*fnode)
-	walk = func(n *fnode) {
-		if n == nil {
-			return
-		}
-		if n.route != nil {
-			out = append(out, *n.route)
-		}
-		walk(n.child[0])
-		walk(n.child[1])
-	}
-	walk(g.root)
+	out := make([]Route, 0, g.trie.Len())
+	g.trie.Walk(func(r Route) { out = append(out, r) })
 	return out
-}
-
-// insert returns the root of a trie equal to n with prefix/bits -> r added
-// (or replaced). Only the nodes along the modified spine are cloned; the
-// rest of the trie is shared with the previous generation. p must be masked
-// to b bits. At most two fresh structural nodes are allocated (a leaf and,
-// when paths diverge mid-edge, one split node); the rest are spine copies.
-func insert(n *fnode, p uint32, b uint8, r *Route) *fnode {
-	if n == nil {
-		return &fnode{prefix: p, bits: b, route: r}
-	}
-	cpl := commonPrefixLen(n.prefix, p, minU8(n.bits, b))
-	if cpl == n.bits {
-		// p lies on or below this node's path.
-		if b == n.bits {
-			c := *n
-			c.route = r
-			return &c
-		}
-		bit := (p >> (31 - n.bits)) & 1
-		c := *n
-		c.child[bit] = insert(n.child[bit], p, b, r)
-		return &c
-	}
-	if cpl == b {
-		// p is a strict prefix of this node's path: new node above n.
-		nn := &fnode{prefix: p, bits: b, route: r}
-		nn.child[(n.prefix>>(31-b))&1] = n
-		return nn
-	}
-	// Paths diverge mid-edge: split at the common prefix.
-	sp := &fnode{prefix: p & maskU32(cpl), bits: cpl}
-	sp.child[(n.prefix>>(31-cpl))&1] = n
-	sp.child[(p>>(31-cpl))&1] = &fnode{prefix: p, bits: b, route: r}
-	return sp
-}
-
-// remove returns the root of a trie equal to n with the route at exactly
-// prefix/bits deleted, reporting whether it existed. Route-less nodes with
-// at most one child are compressed away (a child's prefix already encodes
-// the full path from the root) so the trie stays minimal.
-func remove(n *fnode, p uint32, b uint8) (*fnode, bool) {
-	if n == nil || b < n.bits {
-		return n, false
-	}
-	if commonPrefixLen(n.prefix, p, n.bits) < n.bits {
-		return n, false // p is not under this node
-	}
-	if b == n.bits {
-		// Exact node: n.prefix == p since both are masked to b bits.
-		if n.route == nil {
-			return n, false
-		}
-		switch {
-		case n.child[0] == nil && n.child[1] == nil:
-			return nil, true
-		case n.child[0] == nil:
-			return n.child[1], true
-		case n.child[1] == nil:
-			return n.child[0], true
-		}
-		c := *n
-		c.route = nil
-		return &c, true
-	}
-	bit := (p >> (31 - n.bits)) & 1
-	nc, ok := remove(n.child[bit], p, b)
-	if !ok {
-		return n, false
-	}
-	c := *n
-	c.child[bit] = nc
-	if c.route == nil {
-		switch {
-		case c.child[0] == nil && c.child[1] == nil:
-			return nil, true
-		case c.child[0] == nil:
-			return c.child[1], true
-		case c.child[1] == nil:
-			return c.child[0], true
-		}
-	}
-	return &c, true
-}
-
-func commonPrefixLen(a, b uint32, max uint8) uint8 {
-	if x := a ^ b; x != 0 {
-		if l := uint8(bits.LeadingZeros32(x)); l < max {
-			return l
-		}
-	}
-	return max
-}
-
-func maskU32(b uint8) uint32 {
-	if b == 0 {
-		return 0
-	}
-	return ^uint32(0) << (32 - b)
-}
-
-func minU8(a, b uint8) uint8 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // FIB is the epoch-swapped forwarding table: a single atomic pointer to the
 // current immutable generation. Readers call Snapshot once per scheduling
 // quantum and do every lookup in that batch against the pinned generation;
-// the RIB publishes new generations by building a fresh trie (sharing all
-// unmodified subtrees) and swapping the pointer. Readers never block and
-// take no locks; writers never wait for readers.
+// the RIB publishes new generations by deriving a trie from the current one
+// (sharing all unmodified subtrees) and swapping the pointer. Readers never
+// block and take no locks; writers never wait for readers.
 type FIB struct {
-	cur atomic.Pointer[Gen]
+	cur atomic.Pointer[Gen] // stored only by the owning RIB, under its mutex
 }
 
 // NewFIB returns a FIB holding an empty generation 0.
@@ -224,8 +75,4 @@ func (f *FIB) Snapshot() *Gen { return f.cur.Load() }
 func (f *FIB) Generation() uint64 { return f.cur.Load().seq }
 
 // Len returns the number of routes in the current generation.
-func (f *FIB) Len() int { return f.cur.Load().routes }
-
-// publish installs g as the current generation. Only the owning RIB calls
-// this, under its mutex.
-func (f *FIB) publish(g *Gen) { f.cur.Store(g) }
+func (f *FIB) Len() int { return f.cur.Load().Len() }

@@ -6,6 +6,7 @@ import (
 
 	"lvrm/internal/packet"
 	"lvrm/internal/route"
+	"lvrm/internal/route/routetest"
 )
 
 func mustApply(t *testing.T, r *RIB, evs ...Event) {
@@ -66,54 +67,53 @@ func TestFIBMissWithoutDefault(t *testing.T) {
 	}
 }
 
-// TestFIBAgainstReference torture-tests the compressed trie against the
-// route.Table reference implementation with randomized insert/withdraw
-// streams, checking LPM equivalence at every step.
+// TestFIBAgainstReference torture-tests the RIB-to-FIB pipeline against the
+// linear-scan oracle with randomized insert/withdraw streams, checking LPM
+// equivalence, the route count and the Routes order at every publish.
 func TestFIBAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	r := New(Options{})
-	ref := &route.Table{}
-	live := make(map[uint64]Event)
-
-	randPrefix := func() (packet.IP, uint8) {
-		bits := uint8(rng.Intn(33))
-		p := packet.IP(rng.Uint32()) & packet.IP(maskU32(bits))
-		return p, bits
-	}
+	live := routetest.Oracle[Event]{}
 
 	for step := 0; step < 4000; step++ {
-		p, bits := randPrefix()
-		k := key(p, bits)
+		bits := uint8(rng.Intn(33))
+		p := route.Mask(packet.IP(rng.Uint32()), bits)
+		k := routetest.Prefix{IP: p, Bits: int(bits)}
 		if ev, ok := live[k]; ok && rng.Intn(2) == 0 {
 			mustApply(t, r, Event{Withdraw: true, Prefix: p, Bits: bits, Src: ev.Src})
-			if !ref.Delete(p, int(bits)) {
-				t.Fatalf("step %d: reference delete missing %v/%d", step, p, bits)
-			}
 			delete(live, k)
 		} else if !ok {
 			ev := Event{Prefix: p, Bits: bits, OutIf: uint16(rng.Intn(100)), NextHop: packet.IP(rng.Uint32()), Src: SrcStatic, Distance: 1}
 			mustApply(t, r, ev)
-			if err := ref.Insert(p, int(bits), int(ev.OutIf), ev.NextHop); err != nil {
-				t.Fatal(err)
-			}
 			live[k] = ev
 		}
-		if step%64 == 0 {
-			r.Publish()
-			g := r.FIB().Snapshot()
-			if g.Len() != ref.Len() {
-				t.Fatalf("step %d: fib has %d routes, reference %d", step, g.Len(), ref.Len())
+		if step%64 != 0 {
+			continue
+		}
+		r.Publish()
+		g := r.FIB().Snapshot()
+		if g.Len() != len(live) {
+			t.Fatalf("step %d: fib has %d routes, oracle %d", step, g.Len(), len(live))
+		}
+		for probe := 0; probe < 64; probe++ {
+			dst := packet.IP(rng.Uint32())
+			got, ok := g.Lookup(dst)
+			want, hit := live.Lookup(dst)
+			if ok != hit {
+				t.Fatalf("step %d: Lookup(%v) hit=%v, oracle hit=%v", step, dst, ok, hit)
 			}
-			for probe := 0; probe < 64; probe++ {
-				dst := packet.IP(rng.Uint32())
-				got, ok := g.Lookup(dst)
-				want, err := ref.Lookup(dst)
-				if ok != (err == nil) {
-					t.Fatalf("step %d: Lookup(%v) hit=%v, reference err=%v", step, dst, ok, err)
-				}
-				if ok && (got.Prefix != want.Prefix || got.Bits != uint8(want.Bits) || got.OutIf != want.OutIf || got.NextHop != want.NextHop) {
-					t.Fatalf("step %d: Lookup(%v) = %+v, reference %+v", step, dst, got, want)
-				}
+			if ok && (got.Prefix != want.Prefix || got.Bits != want.Bits || got.OutIf != int(want.OutIf) || got.NextHop != want.NextHop) {
+				t.Fatalf("step %d: Lookup(%v) = %+v, oracle %+v", step, dst, got, want)
+			}
+		}
+		routes := g.Routes()
+		if len(routes) != len(live) {
+			t.Fatalf("step %d: Routes() has %d entries, oracle %d", step, len(routes), len(live))
+		}
+		for i := 1; i < len(routes); i++ {
+			a, b := routes[i-1], routes[i]
+			if a.Prefix > b.Prefix || (a.Prefix == b.Prefix && a.Bits >= b.Bits) {
+				t.Fatalf("step %d: Routes() out of trie order: %v before %v", step, a, b)
 			}
 		}
 	}
@@ -148,46 +148,6 @@ func TestFIBSnapshotImmutable(t *testing.T) {
 	if old.Generation()+1 != cur.Generation() {
 		t.Fatalf("generations: old %d cur %d", old.Generation(), cur.Generation())
 	}
-}
-
-// TestFIBSpineSharing checks clone-on-write: publishing a change under one
-// subtree must not clone unrelated subtrees.
-func TestFIBSpineSharing(t *testing.T) {
-	r := New(Options{})
-	mustApply(t, r,
-		add("10.2.0.0", 16, 1, SrcStatic, 1),
-		add("192.168.0.0", 16, 2, SrcStatic, 1),
-	)
-	r.Publish()
-	g1 := r.FIB().Snapshot()
-	sub1 := findNode(g1.root, uint32(packet.MustParseIP("192.168.0.0")), 16)
-	if sub1 == nil {
-		t.Fatal("192.168.0.0/16 node not found")
-	}
-
-	mustApply(t, r, add("10.2.3.0", 24, 3, SrcStatic, 1))
-	r.Publish()
-	g2 := r.FIB().Snapshot()
-	sub2 := findNode(g2.root, uint32(packet.MustParseIP("192.168.0.0")), 16)
-	if sub1 != sub2 {
-		t.Fatal("unrelated subtree was cloned on publish")
-	}
-}
-
-func findNode(n *fnode, p uint32, bits uint8) *fnode {
-	for n != nil {
-		if n.bits >= bits {
-			if n.bits == bits && n.prefix == p {
-				return n
-			}
-			return nil
-		}
-		if (p^n.prefix)>>(32-n.bits) != 0 && n.bits > 0 {
-			return nil
-		}
-		n = n.child[(p>>(31-n.bits))&1]
-	}
-	return nil
 }
 
 func TestFIBLookupAllocFree(t *testing.T) {

@@ -9,13 +9,14 @@
 //   - The RIB side is mutex-guarded and unhurried: feeds call Apply from any
 //     goroutine; candidates accumulate per (prefix, source); dirty prefixes
 //     batch until Publish (or an automatic flush at MaxBatch pending).
-//   - The FIB side is a read-optimized path-compressed binary trie that is
-//     never mutated after publication. Publish clones only the spine of
-//     modified prefixes (all untouched subtrees are shared structurally) and
-//     installs the new generation with a single atomic pointer swap.
+//   - The FIB side is a route.Trie — the repository's one path-compressed
+//     binary trie, immutable by construction. Publish derives the next trie
+//     from the current one (only the spine of each modified prefix is
+//     copied, all untouched subtrees are shared) and installs the new
+//     generation with a single atomic pointer swap.
 //
 // Readers pin a generation once per scheduling quantum (see core's
-// Step/StepBatch) and do every lookup in that batch against the pinned
+// StepBatch) and do every lookup in that batch against the pinned
 // snapshot, so a frame batch always sees one consistent routing epoch.
 package rib
 
@@ -96,11 +97,8 @@ func New(o Options) *RIB {
 // data path (vr.BasicConfig.FIB); it stays valid for the RIB's lifetime.
 func (r *RIB) FIB() *FIB { return r.fib }
 
-func key(p packet.IP, b uint8) uint64   { return uint64(p)<<8 | uint64(b) }
-func keyParts(k uint64) (uint32, uint8) { return uint32(k >> 8), uint8(k) }
-func maskedPrefix(p packet.IP, b uint8) packet.IP {
-	return p & packet.IP(maskU32(b))
-}
+func key(p packet.IP, b uint8) uint64      { return uint64(p)<<8 | uint64(b) }
+func keyParts(k uint64) (packet.IP, uint8) { return packet.IP(k >> 8), uint8(k) }
 
 // Apply ingests one event from a protocol feed. Adds replace the same
 // source's previous candidate for the prefix; withdraws remove it. The best
@@ -111,7 +109,7 @@ func (r *RIB) Apply(e Event) error {
 		r.rejected.Add(1)
 		return fmt.Errorf("rib: invalid prefix length %d", e.Bits)
 	}
-	p := maskedPrefix(e.Prefix, e.Bits)
+	p := route.Mask(e.Prefix, e.Bits)
 	k := key(p, e.Bits)
 
 	r.mu.Lock()
@@ -233,30 +231,24 @@ func (r *RIB) publishLocked() int {
 		return 0
 	}
 	g := r.fib.Snapshot()
-	root, routes := g.root, g.routes
+	trie := g.trie
 	now := r.clock()
 	changed := 0
 	for k, since := range r.dirty {
 		p, b := keyParts(k)
 		ps := r.prefixes[k]
-		want := ps.best(packet.IP(p), b)
+		want := ps.best(p, b)
 		switch {
 		case want == nil && ps.pub == nil:
 			// flap canceled; nothing to do
 		case want != nil && ps.pub != nil && *want == *ps.pub:
 			// flap canceled back to the published value
-		case want == nil:
-			if nr, ok := remove(root, p, b); ok {
-				root, routes = nr, routes-1
-			}
-			ps.pub = nil
-			changed++
-			r.publishLat.Observe(now - since)
 		default:
-			if ps.pub == nil {
-				routes++
+			if want == nil {
+				trie, _ = trie.Without(p, b)
+			} else {
+				trie = trie.With(p, b, want)
 			}
-			root = insert(root, p, b, want)
 			ps.pub = want
 			changed++
 			r.publishLat.Observe(now - since)
@@ -269,7 +261,7 @@ func (r *RIB) publishLocked() int {
 	if changed == 0 {
 		return 0
 	}
-	r.fib.publish(&Gen{root: root, seq: g.seq + 1, routes: routes})
+	r.fib.cur.Store(&Gen{trie: trie, seq: g.seq + 1})
 	r.publishes.Add(1)
 	r.changes.Add(int64(changed))
 	return changed
@@ -295,7 +287,7 @@ func (r *RIB) Stats() Stats {
 	r.mu.Unlock()
 	g := r.fib.Snapshot()
 	return Stats{
-		Routes:      g.routes,
+		Routes:      g.Len(),
 		Prefixes:    prefixes,
 		Pending:     pending,
 		Generation:  g.seq,

@@ -40,7 +40,7 @@ func FuzzParseMapFile(f *testing.F) {
 			if e.Bits < 0 || e.Bits > 32 {
 				t.Fatalf("accepted invalid prefix length: %+v", e)
 			}
-			if uint32(e.Prefix)&^prefixMask(e.Bits) != 0 {
+			if Mask(e.Prefix, uint8(e.Bits)) != e.Prefix {
 				t.Fatalf("host bits not masked: %+v", e)
 			}
 			// The route's own network address must resolve to a route at

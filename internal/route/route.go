@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	mathbits "math/bits"
 	"strconv"
 	"strings"
 
@@ -27,205 +26,67 @@ type Entry struct {
 // ErrNoRoute is returned by Lookup when no prefix covers the destination.
 var ErrNoRoute = errors.New("route: no route to host")
 
-// Table is a longest-prefix-match IPv4 routing table backed by a
-// path-compressed binary trie: a node exists only where a route terminates
-// or two routes' paths diverge, so an Insert allocates at most one entry
-// plus two nodes (a leaf and, when paths split mid-edge, one branch point)
-// instead of one node per prefix bit. The zero value is an empty table
-// ready for use.
+// Table is a longest-prefix-match IPv4 routing table: a mutable handle on
+// an immutable Trie value. Insert and Delete swap in the trie the change
+// produces, copying the spine down to the changed prefix — a handful of
+// small allocations more than writing nodes in place, accepted because
+// static tables hold a handful of routes while every VRI spawn Clones one.
+// The zero value is an empty table ready for use. Like any plain Go value
+// it needs external synchronisation when one goroutine writes it while
+// another reads; each VRI owns its own.
 type Table struct {
-	root *node
-	n    int
-}
-
-// node carries the full path from the root in prefix (left-aligned, masked
-// to bits). entry is non-nil when a route terminates exactly here.
-type node struct {
-	prefix uint32
-	bits   uint8
-	entry  *Entry
-	child  [2]*node
+	trie Trie[Entry]
 }
 
 // Len returns the number of routes in the table.
-func (t *Table) Len() int { return t.n }
+func (t *Table) Len() int { return t.trie.Len() }
 
 // Insert adds or replaces the route for prefix/bits.
 func (t *Table) Insert(prefix packet.IP, bits int, outIf int, nextHop packet.IP) error {
 	if bits < 0 || bits > 32 {
 		return fmt.Errorf("route: invalid prefix length %d", bits)
 	}
-	p := uint32(prefix) & prefixMask(bits)
-	e := &Entry{Prefix: packet.IP(p), Bits: bits, OutIf: outIf, NextHop: nextHop}
 	b := uint8(bits)
-
-	link := &t.root
-	for {
-		n := *link
-		if n == nil {
-			*link = &node{prefix: p, bits: b, entry: e}
-			t.n++
-			return nil
-		}
-		cpl := commonPrefixLen(n.prefix, p, minBits(n.bits, b))
-		switch {
-		case cpl == n.bits && b == n.bits:
-			// Exact node: replace (or set) the route.
-			if n.entry == nil {
-				t.n++
-			}
-			n.entry = e
-			return nil
-		case cpl == n.bits:
-			// p extends this node's path: descend.
-			link = &n.child[(p>>(31-n.bits))&1]
-		case cpl == b:
-			// p is a strict prefix of this node's path: new node above n.
-			nn := &node{prefix: p, bits: b, entry: e}
-			nn.child[(n.prefix>>(31-b))&1] = n
-			*link = nn
-			t.n++
-			return nil
-		default:
-			// Paths diverge mid-edge: split at the common prefix.
-			sp := &node{prefix: p & prefixMask(int(cpl)), bits: cpl}
-			sp.child[(n.prefix>>(31-cpl))&1] = n
-			sp.child[(p>>(31-cpl))&1] = &node{prefix: p, bits: b, entry: e}
-			*link = sp
-			t.n++
-			return nil
-		}
-	}
+	t.trie = t.trie.With(prefix, b, &Entry{Prefix: Mask(prefix, b), Bits: bits, OutIf: outIf, NextHop: nextHop})
+	return nil
 }
 
 // Delete removes the route for exactly prefix/bits, reporting whether it
-// existed. Entry-less nodes left with at most one child are compressed
-// away so the trie stays minimal.
+// existed.
 func (t *Table) Delete(prefix packet.IP, bits int) bool {
 	if bits < 0 || bits > 32 {
 		return false
 	}
-	p := uint32(prefix) & prefixMask(bits)
-	b := uint8(bits)
-
-	link := &t.root
-	for {
-		n := *link
-		if n == nil || b < n.bits {
-			return false
-		}
-		if commonPrefixLen(n.prefix, p, n.bits) < n.bits {
-			return false
-		}
-		if b == n.bits {
-			// Exact node (prefixes agree on all b bits and both are masked).
-			if n.entry == nil {
-				return false
-			}
-			n.entry = nil
-			t.n--
-			compact(link)
-			return true
-		}
-		link = &n.child[(p>>(31-n.bits))&1]
-	}
-}
-
-// compact collapses the deleted node itself when it has at most one child
-// (a child's prefix already encodes the full path). An ancestor branch
-// point that loses a subtree is left in place — like the previous
-// implementation's dangling nodes it stays correct (its prefix test still
-// matches) and route churn in a virtual router is low enough not to care.
-func compact(link **node) {
-	n := *link
-	if n == nil || n.entry != nil {
-		return
-	}
-	switch {
-	case n.child[0] == nil && n.child[1] == nil:
-		*link = nil
-	case n.child[0] == nil:
-		*link = n.child[1]
-	case n.child[1] == nil:
-		*link = n.child[0]
-	}
+	var ok bool
+	t.trie, ok = t.trie.Without(prefix, uint8(bits))
+	return ok
 }
 
 // Lookup returns the longest-prefix-match route for dst. It is
 // allocation-free.
 func (t *Table) Lookup(dst packet.IP) (Entry, error) {
-	var best *Entry
-	d := uint32(dst)
-	n := t.root
-	for n != nil {
-		if n.bits > 0 && (d^n.prefix)>>(32-n.bits) != 0 {
-			break // dst diverges from this node's path
-		}
-		if n.entry != nil {
-			best = n.entry
-		}
-		if n.bits == 32 {
-			break
-		}
-		n = n.child[(d>>(31-n.bits))&1]
-	}
-	if best == nil {
+	e, ok := t.trie.Lookup(dst)
+	if !ok {
 		return Entry{}, ErrNoRoute
 	}
-	return *best, nil
+	return e, nil
 }
 
-func commonPrefixLen(a, b uint32, max uint8) uint8 {
-	if x := a ^ b; x != 0 {
-		if l := uint8(mathbits.LeadingZeros32(x)); l < max {
-			return l
-		}
-	}
-	return max
-}
-
-func minBits(a, b uint8) uint8 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Clone returns an independent deep copy of the table. Each VRI owns a
-// private copy of its VR's routing state (the paper's VRIs are separate
-// processes), so dynamic updates applied by one instance never race with
-// another instance's lookups.
+// Clone returns an independent table holding the same routes: the two share
+// the immutable trie as it is now and diverge on the first Insert or Delete
+// to either. Each VRI owns a private copy of its VR's routing state (the
+// paper's VRIs are separate processes), so dynamic updates applied by one
+// instance never race with another instance's lookups.
 func (t *Table) Clone() *Table {
-	out := &Table{}
-	for _, e := range t.Entries() {
-		_ = out.Insert(e.Prefix, e.Bits, e.OutIf, e.NextHop)
-	}
-	return out
+	c := *t
+	return &c
 }
 
 // Entries returns all routes in the table in trie order.
 func (t *Table) Entries() []Entry {
-	var out []Entry
-	var walk func(*node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.entry != nil {
-			out = append(out, *n.entry)
-		}
-		walk(n.child[0])
-		walk(n.child[1])
-	}
-	walk(t.root)
+	out := make([]Entry, 0, t.trie.Len())
+	t.trie.Walk(func(e Entry) { out = append(out, e) })
 	return out
-}
-
-func prefixMask(bits int) uint32 {
-	if bits == 0 {
-		return 0
-	}
-	return ^uint32(0) << (32 - uint(bits))
 }
 
 // ParseCIDR parses "a.b.c.d/len" into a prefix and length.

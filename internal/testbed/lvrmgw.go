@@ -81,9 +81,11 @@ type LVRMGatewayConfig struct {
 	// Experiment 3c).
 	ExtraDispatchCost time.Duration
 	// VRIBatch, when > 1, serves up to that many data frames per VRI
-	// scheduling quantum through StepBatch, amortizing the queue-hop cost
-	// over the batch; 0 or 1 keeps the seed's exact one-frame-per-step
-	// path, so existing experiment outputs are bit-identical.
+	// scheduling quantum, amortizing the queue-hop cost over the batch
+	// (serveBatch: the relay is charged for Out.Len() frames × OutBytes).
+	// 0 or 1 serves one item per quantum and sizes the relay from the
+	// frame about to be served (serve) — the costing every paper figure
+	// was produced with.
 	VRIBatch int
 	// FlowShards/FlowTableCap enable flow-aware sharded dispatch on the
 	// hosted monitor (core.Config.FlowShards): dispatch pins flows to VRIs
@@ -308,7 +310,7 @@ func (g *LVRMGateway) scheduleRelay(a *core.VRIAdapter, size int, placementExtra
 	ioCost := g.costs.SendCost(size)
 	total := ioCost + core.RelayCost + core.QueueHopCost + placementExtra
 	g.lvrmCore.ExecSplit(total, g.mixSplit(ioCost, total), func() {
-		if g.lvrm.RelayOneFrom(a) {
+		if g.lvrm.RelayFrom(a, 1) == 1 {
 			g.drainTx()
 		}
 	})
@@ -441,8 +443,9 @@ func (s *vriServer) kick() {
 	}
 }
 
-// serve performs one Step and charges its cost; on completion it relays the
-// output and continues while work remains.
+// serve performs one quantum of one item (StepBatch at max 1) and charges
+// its cost; on completion it relays the output and continues while work
+// remains.
 func (s *vriServer) serve() {
 	if s.stopped {
 		s.busy = false
@@ -463,12 +466,12 @@ func (s *vriServer) serve() {
 			}
 		}
 	}
-	cost, did := s.a.Step(s.g.eng.Now(), s.onControl)
-	if !did {
+	res := s.a.StepBatch(s.g.eng.Now(), 1, s.onControl)
+	if !res.Did() {
 		s.busy = false
 		return
 	}
-	cost += core.QueueHopCost
+	cost := res.Cost + core.QueueHopCost
 	if s.cross {
 		cost += CrossSocketPenalty
 	}

@@ -56,7 +56,7 @@ var (
 
 // RoutePinner is implemented by engines that resolve routes against an
 // epoch-swapped FIB (internal/rib). The VRI monitor calls PinRoutes once at
-// the top of each Step/StepBatch quantum; every frame processed in that
+// the top of each StepBatch quantum; every frame processed in that
 // quantum then sees one consistent routing generation, even while the
 // control plane publishes new ones concurrently. PinRoutes returns the
 // pinned generation number (0 when the engine has no FIB).
@@ -183,7 +183,7 @@ func (b *Basic) Process(f *packet.Frame) (time.Duration, error) {
 	case b.cfg.FIB != nil:
 		g := b.pinned
 		if g == nil {
-			// Never pinned (engine driven outside a Step quantum): fall
+			// Never pinned (engine driven outside a StepBatch quantum): fall
 			// back to the current generation per frame.
 			g = b.cfg.FIB.Snapshot()
 		}
