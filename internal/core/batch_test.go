@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"lvrm/internal/netio"
+	"lvrm/internal/obs"
 	"lvrm/internal/packet"
+	"lvrm/internal/vr"
 )
 
 // failingAdapter accepts frames on Recv like a queue adapter but fails every
@@ -288,5 +291,82 @@ func TestRuntimeBatchedLive(t *testing.T) {
 	st := l.Stats()
 	if st.Received != n || st.Sent != n {
 		t.Errorf("Stats = %+v", st)
+	}
+}
+
+// scalarOnly hides everything but vr.Engine, as a decorator outside this
+// repository's reach does (benchmark/'s probes): StepBatch must then drive the
+// engine frame by frame.
+type scalarOnly struct{ vr.Engine }
+
+// TestStepBatchEngineCapabilities: a quantum gives the same result — frames
+// out in the same order with the same bytes, processed and engine-drop
+// counters, cost, OutBytes, the dispatch-wait histogram — whether StepBatch
+// hands it to a vr.BatchEngine whole or walks a plain vr.Engine through it.
+func TestStepBatchEngineCapabilities(t *testing.T) {
+	type result struct {
+		res                 []StepBatchResult
+		out                 [][]byte
+		processed, engDrops int64
+		waitCount, waitSum  int64
+		waitBuckets         []int64
+	}
+	run := func(wrap bool) result {
+		clock := &fakeClock{}
+		l, err := New(Config{
+			Adapter: netio.NewQueueAdapter(netio.PFRing, 64), Clock: clock.fn(),
+			Obs: obs.NewRegistry(), DataQueueCap: 64,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := vrCfg(t, "vr1", "10.1.0.0", 16)
+		if wrap {
+			inner := cfg.Engine
+			cfg.Engine = func() (vr.Engine, error) {
+				e, err := inner()
+				return scalarOnly{e}, err
+			}
+		}
+		v, err := l.AddVR(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := v.VRIs()[0]
+		if (a.batcher == nil) != wrap {
+			t.Fatalf("wrapped %v, batch capability %v", wrap, a.batcher != nil)
+		}
+		var r result
+		for q := 0; q < 6; q++ {
+			// Three bursts per quantum, received at three different times: the
+			// waits coalesce into three histogram updates, not one.
+			for burst := 0; burst < 3; burst++ {
+				clock.advance(time.Duration(1+q) * 700 * time.Nanosecond)
+				for i := 0; i < 2+q; i++ {
+					dst := "10.2.0.1"
+					if (q+burst+i)%3 == 0 {
+						dst = "10.9.0.1" // no route
+					}
+					f := frameFrom(t, "10.1.0.5", dst)
+					f.Timestamp = clock.now
+					a.Data.In.Enqueue(f)
+				}
+			}
+			clock.advance(time.Microsecond)
+			r.res = append(r.res, a.StepBatch(clock.now, 64, nil))
+		}
+		for f, ok := a.Data.Out.Dequeue(); ok; f, ok = a.Data.Out.Dequeue() {
+			r.out = append(r.out, f.Buf)
+		}
+		r.processed, r.engDrops = a.Processed(), a.EngineDrops()
+		r.waitCount, r.waitSum, r.waitBuckets = v.waitHist.Count(), v.waitHist.Sum(), v.waitHist.BucketCounts()
+		return r
+	}
+	batch, scalar := run(false), run(true)
+	if !reflect.DeepEqual(batch, scalar) {
+		t.Errorf("batch engine: %+v\nscalar engine: %+v", batch, scalar)
+	}
+	if batch.engDrops == 0 || batch.processed == batch.engDrops || batch.waitCount != batch.processed {
+		t.Errorf("processed %d, engine drops %d, waits observed %d", batch.processed, batch.engDrops, batch.waitCount)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"lvrm/internal/balance"
+	"lvrm/internal/flow"
 	"lvrm/internal/netio"
 	"lvrm/internal/packet"
 	"lvrm/internal/packet/pool"
@@ -287,5 +288,170 @@ func TestDispatchWordsKeepTheirCacheLine(t *testing.T) {
 	}
 	if last-first > cacheLine {
 		t.Errorf("dispatch words span %d bytes, want <= %d", last-first, cacheLine)
+	}
+}
+
+// flowBurstOutcome is everything TestBurstEquivalenceFlow compares between
+// receive batch sizes.
+type flowBurstOutcome struct {
+	Stats      Stats
+	Flow       flow.Stats
+	Dequeued   map[int][]int // per VRI: frame indices in dequeue order
+	InDrops    int64
+	AdmitShed  int64
+	Dispatched int64
+	QueueEst   map[int]float64  // per VRI: final queue-length EWMA, compared bit for bit
+	Owed       map[int][2]int64 // per VRI: handed, settled
+	PoolOut    int64
+}
+
+// flowMix is the seeded traffic of TestBurstEquivalenceFlow: flows[i] is the
+// flow of frame i. Most frames belong to flows seen before; a new flow shows
+// up every few frames, and every other new flow has its second frame right
+// behind the first — inside the same burst unless a burst boundary falls
+// between them — so that a burst's vector pass runs ahead of the install its
+// own first frame will make.
+func flowMix(seed int64, n int) (flows []int) {
+	rng := rand.New(rand.NewSource(seed))
+	known := 0
+	for len(flows) < n {
+		if known == 0 || rng.Intn(12) == 0 {
+			flows = append(flows, known)
+			if known%2 == 0 {
+				flows = append(flows, known)
+			}
+			known++
+			continue
+		}
+		flows = append(flows, rng.Intn(known))
+	}
+	return flows[:n]
+}
+
+// runFlowBurstMix feeds the mix through a flow-dispatch LVRM with the given
+// RecvBatch, 64 frames per round under a clock that only moves between
+// rounds. The 16-slot rings are drained a little after most rounds and fully
+// after every fifth, so runs land on empty rings, on part-full ones and on
+// full ones (in-drops), and new flows meet backlogs on both sides of the
+// admission depth (sheds). A VRI is spawned after rounds 9 and 19, on drained
+// rings: every pin goes stale, and since a dequeued frame is settled here as
+// the relay would settle it, the first stale flows of the next round find
+// their VRI owing nothing and are released, the later ones are kept.
+func runFlowBurstMix(t *testing.T, flows []int, recvBatch int) flowBurstOutcome {
+	t.Helper()
+	const round = 64
+	clock := &fakeClock{}
+	p := pool.New()
+	ca := netio.NewChanAdapter(round)
+	l, err := New(Config{
+		Adapter: ca, Clock: clock.fn(), FramePool: p, AllocPeriod: time.Hour,
+		FlowShards: 8, FlowTableCap: 4096, FlowAdmitDepth: 14,
+		DataQueueCap: 16, RecvBatch: recvBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vrCfg(t, "vr1", "10.1.0.0", 16)
+	cfg.InitialVRIs = 2
+	v, err := l.AddVR(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := flowBurstOutcome{Dequeued: map[int][]int{}, QueueEst: map[int]float64{}, Owed: map[int][2]int64{}}
+	take := func(max int) {
+		for _, a := range v.VRIs() {
+			for i := 0; max < 0 || i < max; i++ {
+				f, ok := a.Data.In.Dequeue()
+				if !ok {
+					break
+				}
+				out.Dequeued[a.ID] = append(out.Dequeued[a.ID], f.In)
+				f.Release()
+				a.settled.Add(1)
+			}
+		}
+	}
+	protos := map[int]*packet.Frame{}
+	for base, r := 0, 0; base < len(flows); base, r = base+round, r+1 {
+		for i := base; i < base+round && i < len(flows); i++ {
+			if protos[flows[i]] == nil {
+				protos[flows[i]] = flowFrame(t, flows[i])
+			}
+			f := p.Copy(protos[flows[i]])
+			f.In = i // the frame's identity in the dequeue sequences
+			ca.RX <- f
+		}
+		clock.advance(time.Microsecond)
+		if got := l.RecvDispatchBatch(0); got != min(round, len(flows)-base) {
+			t.Fatalf("RecvBatch %d: round %d received %d frames", recvBatch, r, got)
+		}
+		switch {
+		case r%5 == 4:
+			take(-1)
+		case r%2 == 0:
+			take(8)
+		}
+		if r == 9 || r == 19 {
+			if _, err := l.growVR(v, clock.now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	take(-1)
+
+	out.Stats = l.Stats()
+	out.Flow, _ = v.FlowStats()
+	out.InDrops, out.AdmitShed, out.Dispatched = v.InDrops(), v.AdmissionShed(), v.Dispatched()
+	for _, a := range v.VRIs() {
+		out.QueueEst[a.ID] = a.QueueEst.Estimate()
+		out.Owed[a.ID] = [2]int64{a.handed.Load(), a.settled.Load()}
+	}
+	out.PoolOut = p.Stats().Outstanding
+	return out
+}
+
+// TestBurstEquivalenceFlow is TestBurstEquivalence for flow dispatch: one
+// burst of N is N bursts of one. The same seeded mix received one frame at a
+// time, sixteen at a time (one vector pass per burst) and sixty-four at a time
+// (four chunks per burst) comes out identical: per-VRI frame order, every
+// counter of the VR and of its flow table, handed and settled, and the
+// queue-length EWMAs bit for bit.
+func TestBurstEquivalenceFlow(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			flows := flowMix(seed, 40*64)
+			one := runFlowBurstMix(t, flows, 1)
+			for _, recvBatch := range []int{16, 64} {
+				burst := runFlowBurstMix(t, flows, recvBatch)
+				if reflect.DeepEqual(one, burst) {
+					continue
+				}
+				t.Errorf("RecvBatch 1 and %d diverge:\n  1: %+v %+v\n %2d: %+v %+v", recvBatch, one.Stats, one.Flow, recvBatch, burst.Stats, burst.Flow)
+				for id := range one.Dequeued {
+					if !reflect.DeepEqual(one.Dequeued[id], burst.Dequeued[id]) {
+						t.Errorf("  VRI %d dequeue order differs (%d vs %d frames)", id, len(one.Dequeued[id]), len(burst.Dequeued[id]))
+					}
+				}
+				t.Errorf("  in-drops %d vs %d, shed %d vs %d, dispatched %d vs %d, owed %v vs %v, queue EWMAs %v vs %v",
+					one.InDrops, burst.InDrops, one.AdmitShed, burst.AdmitShed, one.Dispatched, burst.Dispatched,
+					one.Owed, burst.Owed, one.QueueEst, burst.QueueEst)
+			}
+			// The mix must have exercised what it is there for.
+			if one.InDrops == 0 || one.AdmitShed == 0 {
+				t.Errorf("no ring-full run or no admission shed: in-drops %d, shed %d", one.InDrops, one.AdmitShed)
+			}
+			if fs := one.Flow; fs.Hits == 0 || fs.Misses == 0 || fs.Refreshes == 0 || fs.Rebalances == 0 || fs.Refusals == 0 {
+				t.Errorf("an outcome was never taken: %+v", fs)
+			}
+			if len(one.Dequeued) != 4 {
+				t.Errorf("%d VRIs were dispatched to, want 4", len(one.Dequeued))
+			}
+			if one.Stats.Received != int64(len(flows)) || one.Dispatched+one.InDrops+one.AdmitShed != int64(len(flows)) {
+				t.Errorf("frames unaccounted for: %+v, dispatched %d", one.Stats, one.Dispatched)
+			}
+			if one.PoolOut != 0 {
+				t.Errorf("pool outstanding = %d, want 0", one.PoolOut)
+			}
+		})
 	}
 }

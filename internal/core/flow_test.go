@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"lvrm/internal/ipc"
 	"lvrm/internal/netio"
@@ -267,6 +268,137 @@ func TestFlowConcurrentDispatch(t *testing.T) {
 	}
 	if want := workers * flowsPer * perFlow; total != want {
 		t.Fatalf("drained %d frames, want %d", total, want)
+	}
+}
+
+// TestFlowBurstsBesideConcurrentDispatch is the vector pass's lock-order
+// argument as a test: the monitor dispatches 16-frame bursts — each taking
+// several shard locks at once — while ingest goroutines call Dispatch, one
+// shard lock at a time, against the same four-shard table, and another
+// goroutine keeps bumping the epoch so that bursts also go through Assign.
+// Everything must finish within the deadline (no lock cycle), every frame must
+// be in a queue (conservation), and each flow — dispatched by one goroutine, in
+// sequence — must sit on one VRI in that sequence. Run under -race in CI.
+func TestFlowBurstsBesideConcurrentDispatch(t *testing.T) {
+	const (
+		workers   = 4
+		perWorker = 2000
+		bursts    = 200
+		burst     = 16
+		flowsPer  = 40 // flows per dispatching goroutine, disjoint between them
+	)
+	clock := &fakeClock{}
+	ca := netio.NewChanAdapter(burst)
+	l, err := New(Config{
+		Adapter: ca, Clock: clock.fn(), RecvBatch: burst, AllocPeriod: time.Hour,
+		FlowShards: 4, FlowTableCap: 4096, DataQueueCap: 1 << 14,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := vrCfg(t, "vr1", "10.1.0.0", 16)
+	cfg.InitialVRIs = 3
+	v, err := l.AddVR(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame i of dispatcher d belongs to flow d*flowsPer + i%flowsPer and
+	// carries (flow, i) in f.In, which dispatch never reads.
+	frame := func(d, i int) *packet.Frame {
+		flowID := d*flowsPer + i%flowsPer
+		f := flowFrame(t, flowID)
+		f.In = flowID<<20 | i
+		return f
+	}
+	frames := make([][]*packet.Frame, workers+1) // built here: flowFrame may t.Fatal
+	for d := range frames {
+		n := perWorker
+		if d == workers {
+			n = bursts * burst
+		}
+		for i := 0; i < n; i++ {
+			frames[d] = append(frames[d], frame(d, i))
+		}
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	bumped := make(chan struct{})
+	go func() {
+		defer close(bumped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				v.FlowTable().BumpEpoch()
+				runtime.Gosched()
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, f := range frames[w] {
+				if !l.Dispatch(f) {
+					t.Errorf("worker %d: dispatch rejected", w)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() { // the monitor
+		defer wg.Done()
+		for b := 0; b < bursts; b++ {
+			for _, f := range frames[workers][b*burst : (b+1)*burst] {
+				ca.RX <- f
+			}
+			if got := l.RecvDispatchBatch(0); got != burst {
+				t.Errorf("burst %d: received %d frames", b, got)
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("dispatchers did not finish: shard locks deadlocked?")
+	}
+	close(stop)
+	<-bumped
+
+	if v.InDrops() != 0 || v.AdmissionShed() != 0 {
+		t.Fatalf("in-drops %d, shed %d, want 0 (queues sized for everything)", v.InDrops(), v.AdmissionShed())
+	}
+	ownerOf := make(map[int]int) // flow -> VRI ID
+	lastSeq := make(map[int]int) // flow -> last sequence number seen
+	total := 0
+	buf := make([]*packet.Frame, 256)
+	for _, a := range v.VRIs() {
+		for n := ipc.DequeueBatch(a.Data.In, buf); n > 0; n = ipc.DequeueBatch(a.Data.In, buf) {
+			for _, f := range buf[:n] {
+				flowID, seq := f.In>>20, f.In&(1<<20-1)
+				if prev, ok := ownerOf[flowID]; ok && prev != a.ID {
+					t.Fatalf("flow %d split across VRIs %d and %d", flowID, prev, a.ID)
+				}
+				ownerOf[flowID] = a.ID
+				if last, ok := lastSeq[flowID]; ok && seq <= last {
+					t.Fatalf("flow %d: frame %d after %d (reordered)", flowID, seq, last)
+				}
+				lastSeq[flowID] = seq
+				total++
+			}
+		}
+	}
+	if want := workers*perWorker + bursts*burst; total != want {
+		t.Fatalf("drained %d frames, want %d", total, want)
+	}
+	if st, _ := v.FlowStats(); st.Refreshes == 0 {
+		t.Errorf("no burst went through Assign for a stale pin: %+v", st)
 	}
 }
 

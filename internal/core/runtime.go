@@ -328,9 +328,15 @@ func (r *Runtime) vriLoop(v *VR, a *VRIAdapter, w vriWorker, stopped chan struct
 	batch := r.lvrm.cfg.VRIBatch
 	idle := 0
 	for {
+		// Two one-case polls, not one select over both channels: a single
+		// case with default compiles to a lock-free receive attempt, while two
+		// cases go through selectgo, which locks both channels every pass.
 		select {
 		case <-w.stop:
 			return
+		default:
+		}
+		select {
 		case <-stopped:
 			return
 		default:

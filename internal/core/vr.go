@@ -276,26 +276,34 @@ func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
 	return accepted
 }
 
-// flush publishes the frames staged for a with one EnqueueBatch and returns
-// how many the ring accepted; a rejected tail is counted in inDrops and
-// released. Caller holds v.mu.
+// flush publishes the frames staged for a (handRun) and returns how many the
+// ring accepted. Caller holds v.mu.
 func (v *VR) flush(a *VRIAdapter, now int64) int {
 	n := len(v.stage)
 	if n == 0 {
 		return 0
 	}
-	a.handed.Add(int64(n))
-	ok := ipc.EnqueueBatch(a.Data.In, v.stage)
-	if rejected := n - ok; rejected > 0 {
-		a.settled.Add(int64(rejected))
-		v.inDrops.Add(int64(rejected))
-		releaseAll(v.stage[ok:])
-		a.runDepth -= rejected
-	}
+	ok := v.handRun(a, v.stage)
+	a.runDepth -= n - ok
 	clear(v.stage)
 	v.stage = v.stage[:0]
 	v.placed(a, ok, a.runDepth, now, obs.KindBalance,
 		"balancer pick; value = chosen VRI queue depth after enqueue")
+	return ok
+}
+
+// handRun hands a run of frames to a's input ring as one unit — one handed
+// count, one EnqueueBatch — and returns how many the ring took; the rejected
+// tail is settled, counted in inDrops and released.
+func (v *VR) handRun(a *VRIAdapter, run []*packet.Frame) int {
+	n := len(run)
+	a.handed.Add(int64(n))
+	ok := ipc.EnqueueBatch(a.Data.In, run)
+	if rejected := n - ok; rejected > 0 {
+		a.settled.Add(int64(rejected))
+		v.inDrops.Add(int64(rejected))
+		releaseAll(run[ok:])
+	}
 	return ok
 }
 
@@ -335,11 +343,19 @@ var flowNotes = func() (notes [flow.Overflow + 1]string) {
 // dispatchFlow is the lock-free dispatch path, one run at a time: each
 // frame's flow key — taken from its already-parsed headers — is resolved
 // against the sharded affinity table and the frame is enqueued to the pinned
-// VRI. The only lock taken is the key's shard mutex inside Assign; everything
-// else reads atomics (the VRI snapshot, queue cursors, estimator EWMAs), so
-// ingest goroutines working different shards never contend. Safe for
-// concurrent callers: the data-in queues are multi-producer when flow
-// dispatch is on (see spawnVRI).
+// VRI. The run is treated as a vector, flow.MaxBurst keys at a time: the
+// table resolves the chunk's clean hits in one pass (AssignHits: one lock per
+// distinct shard, overlapped probes), and consecutive frames bound for one
+// VRI are published together (handRun). A key that is not a clean hit is
+// resolved by Assign at its place in frame order, after everything before it
+// has been published, so keep and pick read exactly the queues and the owed
+// counts they would have read had the frames come one at a time; a run of one
+// frame is that sequence and nothing else. The only locks taken are shard
+// mutexes inside the table; everything else reads atomics (the VRI snapshot,
+// queue cursors, estimator EWMAs), so ingest goroutines working different
+// shards never contend. Safe for concurrent callers — all scratch is on the
+// stack, and the data-in queues are multi-producer when flow dispatch is on
+// (see spawnVRI).
 func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (accepted int) {
 	vris := v.vriList()
 	if len(vris) == 0 {
@@ -378,50 +394,76 @@ func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (
 		chosen = best
 		return best.ID
 	}
-	// cur is the VRI the last frame went to; depth is its queue depth, read
-	// when the run first reached it and counted locally since, and ok the
-	// frames it accepted since then, not yet folded into the VR's counters.
+	// frames[lo:g] is the run staged for cur, the VRI the last frame went to,
+	// as the loop reaches frame g; depth is cur's queue depth, read when the
+	// run reached it and counted locally since. A staged run is always a
+	// contiguous piece of frames, because a frame that is shed, or resolved by
+	// Assign, is preceded by a flush.
 	var cur *VRIAdapter
-	depth, ok := 0, 0
+	lo, depth := 0, 0
 	outcome := flow.Hit
-	for i, f := range frames {
-		chosen, established = nil, false
-		id, oc := v.flows.Assign(flow.KeyOfMeta(scratch[i].meta, f), now, keep, pick)
-		if id < 0 {
-			// Admission refused the new flow: shed the frame before it joins a
-			// backlog no VRI can clear. The arrival estimator already saw it, so
-			// the VR's offered load (and thus its claim to more cores) is intact.
-			v.admitShed.Add(1)
-			f.Release()
-			continue
-		}
-		a := chosen
-		if a == nil || a.ID != id {
-			// Hit on a pin whose VRI is not in our snapshot: teardown raced
-			// between our snapshot and Assign's epoch read. Fall back to a fresh
-			// local pick without installing it — the next frame of the flow will
-			// see the bumped epoch and rebalance through the table.
-			var found bool
-			if a, found = snapshotByID(vris, id); !found {
-				a = leastLoaded(vris)
-			}
-		}
-		if a != cur {
+	flush := func(g int) {
+		if lo < g {
+			// Figure 3.4 "queue length": occupancy observed when forwarding,
+			// once per frame — under one estimator lock hold for the run.
+			ok := v.handRun(cur, frames[lo:g])
+			cur.QueueEst.ObserveRun(depth, ok, g-lo)
+			depth += ok
+			accepted += ok
 			v.placed(cur, ok, depth, now, obs.KindFlow, flowNotes[outcome])
-			cur, depth, ok = a, a.PendingData(), 0
 		}
-		a.QueueEst.Observe(depth)
-		if !a.hand(f) {
-			v.inDrops.Add(1)
-			f.Release()
-			continue
-		}
-		depth++
-		ok++
-		accepted++
-		outcome = oc
+		lo = g
 	}
-	v.placed(cur, ok, depth, now, obs.KindFlow, flowNotes[outcome])
+	var (
+		keys [flow.MaxBurst]uint64
+		ids  [flow.MaxBurst]int32
+	)
+	for base := 0; base < len(frames); base += flow.MaxBurst {
+		chunk := frames[base:min(base+flow.MaxBurst, len(frames))]
+		for i, f := range chunk {
+			keys[i] = flow.KeyOfMeta(scratch[base+i].meta, f)
+		}
+		ids[0] = -1 // a chunk of one is Assign's: one shard lock, no vector pass
+		if len(chunk) > 1 {
+			v.flows.AssignHits(keys[:len(chunk)], ids[:len(chunk)])
+		}
+		for i, f := range chunk {
+			g := base + i
+			id, oc := int(ids[i]), flow.Hit
+			chosen, established = nil, false
+			if id < 0 {
+				flush(g)
+				if id, oc = v.flows.Assign(keys[i], now, keep, pick); id < 0 {
+					// Admission refused the new flow: shed the frame before it joins
+					// a backlog no VRI can clear. The arrival estimator already saw
+					// it, so the VR's offered load (and thus its claim to more cores)
+					// is intact.
+					v.admitShed.Add(1)
+					f.Release()
+					lo = g + 1
+					continue
+				}
+			}
+			a := chosen
+			if a == nil || a.ID != id {
+				// Hit on a pin whose VRI is not in our snapshot: teardown raced
+				// between our snapshot and the table's epoch read. Fall back to a
+				// fresh local pick without installing it — the next frame of the
+				// flow will see the bumped epoch and rebalance through the table.
+				var found bool
+				if a, found = snapshotByID(vris, id); !found {
+					flush(g)
+					a = leastLoaded(vris)
+				}
+			}
+			if a != cur {
+				flush(g)
+				cur, depth = a, a.PendingData()
+			}
+			outcome = oc
+		}
+	}
+	flush(len(frames))
 	return accepted
 }
 
@@ -515,11 +557,13 @@ func (v *VR) spawnVRI(core int, now int64, queueKind ipc.Kind, dataCap, ctlCap i
 	}
 	a.waitHist = v.waitHist
 	a.loadFn = a.runLoad // bound once; dispatch reuses it allocation-free
-	// Cache the RoutePinner assertion: StepBatch pins the engine's FIB
-	// generation once per quantum without re-asserting on the hot path.
+	// Cache the optional-capability assertions: StepBatch pins the engine's
+	// FIB generation once per quantum, and hands a batch engine the quantum,
+	// without re-asserting on the hot path.
 	if p, ok := engine.(vr.RoutePinner); ok {
 		a.pinner = p
 	}
+	a.batcher, _ = engine.(vr.BatchEngine)
 	// Starting→Running before the COW insert: the instance is never visible
 	// to dispatch in any state but Running.
 	a.markRunning()

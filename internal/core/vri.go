@@ -114,6 +114,9 @@ type VRIAdapter struct {
 	// so StepBatch pins the FIB generation without a per-quantum
 	// interface assertion. Nil when the engine has no dynamic FIB.
 	pinner vr.RoutePinner
+	// batcher is the engine's vr.BatchEngine, asserted once at spawn like
+	// pinner; when non-nil StepBatch hands it the whole quantum.
+	batcher vr.BatchEngine
 	// routeGen mirrors the last pinned generation for the scrape path
 	// (lvrm_vri_route_generation); written only by the consumer side.
 	routeGen atomic.Uint64
@@ -338,22 +341,30 @@ func (a *VRIAdapter) StepBatch(now int64, max int, onControl func(*ControlEvent)
 	if backed < n {
 		a.SvcEst.Break()
 	}
+	a.observeWaits(in[:n], now)
 	out := a.batchOut[:0]
-	for i := 0; i < n; i++ {
-		f := in[i]
+	drops := 0
+	if a.batcher != nil {
+		res.Cost += a.batcher.ProcessBatch(in[:n])
+	}
+	for i, f := range in[:n] {
 		in[i] = nil
-		if a.waitHist != nil && f.Timestamp > 0 && now >= f.Timestamp {
-			a.waitHist.Observe(now - f.Timestamp)
+		var err error
+		if a.batcher == nil {
+			var cost time.Duration
+			cost, err = a.Engine.Process(f)
+			res.Cost += cost
 		}
-		cost, err := a.Engine.Process(f)
-		res.Cost += cost
-		a.processed.Add(1)
 		if err != nil || f.Out == vr.Drop {
-			a.engDrops.Add(1)
+			drops++
 			f.Release()
 			continue
 		}
 		out = append(out, f)
+	}
+	a.processed.Add(int64(n))
+	if drops > 0 {
+		a.engDrops.Add(int64(drops))
 	}
 	res.Frames = n
 	// Sum the buffer lengths before the enqueue: once a frame is in the
@@ -378,6 +389,28 @@ func (a *VRIAdapter) StepBatch(now int64, max int, onControl func(*ControlEvent)
 	clear(out) // release references for GC; the queue owns them now
 	a.batchOut = out[:0]
 	return res
+}
+
+// observeWaits records each frame's dispatch→dequeue wait. Frames of one
+// received burst share a Timestamp and the quantum shares now, so runs of
+// equal wait — typically the whole quantum — go in as one ObserveN.
+func (a *VRIAdapter) observeWaits(frames []*packet.Frame, now int64) {
+	if a.waitHist == nil {
+		return
+	}
+	var wait int64
+	run := 0
+	for _, f := range frames {
+		if f.Timestamp <= 0 || now < f.Timestamp {
+			continue
+		}
+		if w := now - f.Timestamp; w != wait {
+			a.waitHist.ObserveN(wait, run)
+			wait, run = w, 0
+		}
+		run++
+	}
+	a.waitHist.ObserveN(wait, run)
 }
 
 // SendControl lets VRI-side code emit a control event toward another VRI;

@@ -168,6 +168,18 @@ func (q *QueueLength) Observe(length int) {
 	q.avg.Update(float64(length))
 }
 
+// ObserveRun records, under one lock hold, what n Observe calls would have for
+// a run of n frames offered to a queue that was depth deep and took the first
+// accepted of them: depth, depth+1, … for those, and the depth it was left at
+// for each frame of the rejected tail.
+func (q *QueueLength) ObserveRun(depth, accepted, n int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i := 0; i < n; i++ {
+		q.avg.Update(float64(depth + min(i, accepted)))
+	}
+}
+
 // Estimate returns the smoothed queue occupancy.
 func (q *QueueLength) Estimate() float64 {
 	q.mu.Lock()

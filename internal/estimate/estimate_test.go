@@ -182,6 +182,28 @@ func TestQueueLength(t *testing.T) {
 	}
 }
 
+// TestQueueLengthObserveRun: one ObserveRun is, to the last bit, the Observe
+// calls of a run placed frame by frame — a rising depth for the frames the
+// queue took, the depth it was left at for each it turned away.
+func TestQueueLengthObserveRun(t *testing.T) {
+	run, each := NewQueueLength(0), NewQueueLength(0)
+	for _, r := range []struct{ depth, accepted, n int }{
+		{0, 1, 1}, {3, 16, 16}, {60, 4, 16}, {64, 0, 5}, {2, 0, 0}, {7, 3, 3},
+	} {
+		run.ObserveRun(r.depth, r.accepted, r.n)
+		depth := r.depth
+		for i := 0; i < r.n; i++ {
+			each.Observe(depth)
+			if i < r.accepted {
+				depth++
+			}
+		}
+		if run.Estimate() != each.Estimate() {
+			t.Fatalf("after run %+v: ObserveRun gives %v, Observe per frame %v", r, run.Estimate(), each.Estimate())
+		}
+	}
+}
+
 func TestQueueLengthOrdering(t *testing.T) {
 	// A consistently longer queue must estimate higher than a shorter one:
 	// the property JSQ relies on.

@@ -32,6 +32,7 @@
 package flow
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -63,7 +64,7 @@ const (
 	// Hit: the key was pinned in the current epoch; the pin was returned.
 	Hit Outcome = iota
 	// Refreshed: the pin predated the current epoch but the keep callback
-	// ruled moving unsafe (or unnecessary); the pin was kept and re-stamped.
+	// ruled moving unsafe (or unnecessary); the pin was kept in the new epoch.
 	Refreshed
 	// Miss: the key was not in the table; pick chose a VRI and the
 	// assignment was installed.
@@ -105,12 +106,16 @@ func (o Outcome) String() string {
 // entry is one pinned flow. Entries live in flat per-shard slabs — no
 // pointers, so a million-entry table adds nothing to GC scan work, extending
 // the frame pool's zero-pressure discipline to the flow layer.
+//
+// An entry is 16 bytes, four to a cache line, so a probe window spans four
+// lines and a hit writes nothing: the only per-pin state besides the owner is
+// the epoch the pin was made in, 32 bits wide like the shard's counter (a pin
+// would have to sit untouched through exactly 2^32 VRI spawns and destroys
+// to be mistaken for a fresh one).
 type entry struct {
 	key   uint64 // 0 = empty slot (KeyOf never returns 0)
-	stamp int64  // last-touch time
-	epoch uint64 // shard epoch the pin was made in
+	epoch uint32 // shard epoch the pin was made in
 	vri   int32
-	_     uint32 // pad to 32 bytes
 }
 
 // slab is one open-addressing table: a power-of-two entry array probed
@@ -153,11 +158,15 @@ func (b *slab) place(ent entry) bool {
 	return false
 }
 
+// fresh reports whether e is a clean hit: a pin (e may be nil) made in the
+// given shard epoch, which Assign and AssignHits both return as it stands.
+func (e *entry) fresh(epoch uint32) bool { return e != nil && e.epoch == epoch }
+
 // shard is one independent slice of the table. All slab state is guarded by
 // mu. The pad keeps hot shards off each other's cache lines.
 type shard struct {
 	mu    sync.Mutex
-	epoch atomic.Uint64 // bumped lock-free by BumpEpoch, read under mu
+	epoch atomic.Uint32 // bumped lock-free by BumpEpoch, read under mu
 
 	cur        slab // live slab; inserts land here
 	old        slab // pre-resize slab being migrated; entries == nil when idle
@@ -229,9 +238,12 @@ func NewTable(shards, shardCap int) *Table {
 }
 
 // Assign resolves key to a VRI ID, consulting and updating the affinity
-// table. now stamps the entry for staleness accounting. The callbacks run
-// while the key's shard lock is held, which serializes concurrent decisions
-// about the same flow (and its shard neighbours) — keep them cheap:
+// table; it is AssignHits for a burst of one, plus everything a hit does not
+// need. The time argument is not recorded — pins carry no timestamp, nothing
+// ever read one — and stays in the signature for the callers that pass it.
+// The callbacks run while the key's shard lock is held, which serializes
+// concurrent decisions about the same flow (and its shard neighbours) — keep
+// them cheap:
 //
 //   - keep(vri) is consulted only for a stale pin (the shard epoch moved
 //     since the pin was made). Return true to keep the flow where it is —
@@ -245,28 +257,24 @@ func NewTable(shards, shardCap int) *Table {
 // A miss whose pick succeeds is pinned unless the shard is at capacity with
 // the key's window full, in which case the pick is returned unpinned
 // (Outcome Overflow) — established flows are never evicted to admit new ones.
-func (t *Table) Assign(key uint64, now int64, keep func(vri int) bool, pick func() int) (int, Outcome) {
+func (t *Table) Assign(key uint64, _ int64, keep func(vri int) bool, pick func() int) (int, Outcome) {
 	s := &t.shards[key&t.shardMask]
 	s.mu.Lock()
 	s.advanceMigration(t, migrateStep)
 	epoch := s.epoch.Load()
 
-	e := s.cur.find(key)
-	if e == nil {
-		e = s.old.find(key)
+	e := s.find(key)
+	if e.fresh(epoch) {
+		vri := int(e.vri)
+		s.mu.Unlock()
+		t.hits.Add(1)
+		return vri, Hit
 	}
 	if e != nil {
-		vri := int(e.vri)
-		if e.epoch == epoch {
-			e.stamp = now
-			s.mu.Unlock()
-			t.hits.Add(1)
-			return vri, Hit
-		}
 		// Stale pin: the VRI set changed since this flow was pinned.
+		vri := int(e.vri)
 		if keep(vri) {
 			e.epoch = epoch
-			e.stamp = now
 			s.mu.Unlock()
 			t.refreshes.Add(1)
 			return vri, Refreshed
@@ -286,7 +294,6 @@ func (t *Table) Assign(key uint64, now int64, keep func(vri int) bool, pick func
 		}
 		e.vri = int32(next)
 		e.epoch = epoch
-		e.stamp = now
 		s.mu.Unlock()
 		t.rebalances.Add(1)
 		return next, Rebalanced
@@ -299,7 +306,7 @@ func (t *Table) Assign(key uint64, now int64, keep func(vri int) bool, pick func
 		t.refusals.Add(1)
 		return vri, Refused
 	}
-	if !s.insert(t, entry{key: key, stamp: now, epoch: epoch, vri: int32(vri)}) {
+	if !s.insert(t, entry{key: key, epoch: epoch, vri: int32(vri)}) {
 		s.overflows++
 		s.mu.Unlock()
 		t.overflows.Add(1)
@@ -308,6 +315,107 @@ func (t *Table) Assign(key uint64, now int64, keep func(vri int) bool, pick func
 	s.mu.Unlock()
 	t.misses.Add(1)
 	return vri, Miss
+}
+
+// MaxBurst is the most keys one AssignHits call takes.
+const MaxBurst = 16
+
+// AssignHits is Assign's hit branch for a burst of up to MaxBurst keys: ids[i]
+// becomes the VRI keys[i] is pinned to when that pin is a clean hit (made in
+// the shard's current epoch), and -1 otherwise — a miss or a stale pin, which
+// the caller resolves with Assign, in burst order. It returns, and counts in
+// Stats.Hits, the number of clean hits. Pass plus the caller's Assign calls
+// leave the table exactly as per-key Assign calls in burst order would.
+//
+// Resolving a clean hit runs no callback and changes nothing in the table
+// beyond its step of an incremental migration, so the hits of a burst can be
+// resolved ahead of the keys that are not; those do have side effects (pick
+// reads queue depths, an insert can grow the shard) and keep their place in
+// the sequence. Within one shard the pass stops at the first key it cannot
+// resolve and leaves the shard's later keys to Assign as well, so that every
+// Assign finds the shard's migration exactly as many steps along as it would
+// have been.
+//
+// Every distinct shard of the burst is locked once, in ascending index order:
+// all other lockers hold one shard at a time and concurrent AssignHits calls
+// climb in the same direction, so no cycle can form, whatever the shard
+// count. With the locks held, a first pass loads every key's home slot —
+// independent loads, so a burst whose pins are all out of cache waits for the
+// slowest of its misses, not their sum — and a second pass finishes each
+// probe on lines already on their way.
+func (t *Table) AssignHits(keys []uint64, ids []int32) (hits int) {
+	var order [MaxBurst]uint32 // the burst's distinct shards, ascending
+	n := 0
+	if len(t.shards) <= 64 {
+		// The usual case, without a data-dependent branch: a set bit per
+		// shard, read back lowest first.
+		var set uint64
+		for _, k := range keys {
+			set |= 1 << (k & t.shardMask)
+		}
+		for ; set != 0; set &= set - 1 {
+			order[n] = uint32(bits.TrailingZeros64(set))
+			n++
+		}
+	} else {
+		for _, k := range keys {
+			sh := uint32(k & t.shardMask)
+			i := 0
+			for i < n && order[i] < sh {
+				i++
+			}
+			if i < n && order[i] == sh {
+				continue
+			}
+			copy(order[i+1:n+1], order[i:n])
+			order[i] = sh
+			n++
+		}
+	}
+	for _, sh := range order[:n] {
+		t.shards[sh].mu.Lock()
+	}
+	var (
+		home  [MaxBurst]*entry
+		first [MaxBurst]uint64
+	)
+	for i, k := range keys {
+		b := &t.shards[k&t.shardMask].cur
+		home[i] = &b.entries[(k>>32)&b.mask]
+		first[i] = home[i].key
+	}
+	// left marks the shards whose remaining keys are left to Assign, one bit
+	// per shard index mod 64: two shards sharing a bit only send a few more
+	// keys the scalar way.
+	var left uint64
+	for i, k := range keys {
+		ids[i] = -1
+		sh := k & t.shardMask
+		if left&(1<<(sh&63)) != 0 {
+			continue
+		}
+		s := &t.shards[sh]
+		e := home[i]
+		if first[i] != k {
+			// Not in its home slot (or carried there since the first pass,
+			// which find then sees).
+			e = s.find(k)
+		}
+		if !e.fresh(s.epoch.Load()) {
+			left |= 1 << (sh & 63)
+			continue
+		}
+		ids[i] = e.vri
+		hits++
+		// The step Assign takes before its probe; after it here, as the
+		// step may be the one that carries e out of the old slab.
+		s.advanceMigration(t, migrateStep)
+	}
+	for _, sh := range order[:n] {
+		t.shards[sh].mu.Unlock()
+	}
+	t.hits.Add(int64(hits))
+	return hits
 }
 
 // insert places ent, growing the slab as needed. It reports false only when
@@ -351,7 +459,7 @@ func (s *shard) grow(t *Table) bool {
 }
 
 // advanceMigration carries up to step old-slab slots into the live slab.
-// Entries keep their key/vri/epoch/stamp; an entry whose probe window in the
+// Entries keep their key/vri/epoch; an entry whose probe window in the
 // (larger, at most half-loaded) new slab is somehow full is dropped and
 // counted as an eviction — vanishingly rare, but accounted rather than
 // silently leaked. Caller holds s.mu.
@@ -379,19 +487,28 @@ func (s *shard) advanceMigration(t *Table, step int) {
 	}
 }
 
+// find returns key's entry — in the live slab, or in the one still being
+// migrated out of — or nil. Caller holds s.mu.
+func (s *shard) find(key uint64) *entry {
+	if e := s.cur.find(key); e != nil {
+		return e
+	}
+	return s.old.find(key)
+}
+
 // Transfer is the partition-transfer primitive every bulk ownership handoff
 // routes through: it sweeps every shard and, for each flow pinned to src,
 // asks dst(key) who should own it next. Return src to keep the pin untouched,
-// a different non-negative VRI ID to re-pin the flow there (stamped with now
-// and the shard's current epoch, counted as a rebalance), or a negative value
-// to delete the pin (counted in Stats.Unpinned; the flow re-enters through
-// the miss path on its next frame). dst runs under the shard lock — keep it
-// cheap and deterministic. Transfer returns how many pins changed owner or
-// were deleted.
+// a different non-negative VRI ID to re-pin the flow there (in the shard's
+// current epoch, counted as a rebalance), or a negative value to delete the
+// pin (counted in Stats.Unpinned; the flow re-enters through the miss path on
+// its next frame). dst runs under the shard lock — keep it cheap and
+// deterministic. Transfer returns how many pins changed owner or were
+// deleted. The time argument is not recorded, as in Assign.
 //
 // Evict and MovePartition are thin parameterizations of this sweep; the
 // core migration engine (internal/core/migrate.go) calls it directly.
-func (t *Table) Transfer(src int, now int64, dst func(key uint64) int) int {
+func (t *Table) Transfer(src int, _ int64, dst func(key uint64) int) int {
 	changed := 0
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -411,7 +528,6 @@ func (t *Table) Transfer(src int, now int64, dst func(key uint64) int) int {
 				if next >= 0 {
 					e.vri = int32(next)
 					e.epoch = epoch
-					e.stamp = now
 					t.rebalances.Add(1)
 					continue
 				}
@@ -432,10 +548,9 @@ func (t *Table) Transfer(src int, now int64, dst func(key uint64) int) int {
 //
 // For each pin on vri, repick() chooses a surviving VRI while the shard lock
 // is held (keep it cheap). A non-negative result re-pins the flow there,
-// stamped with now and counted as a rebalance; a negative result (or vri
-// itself) deletes the pin, counted in Stats.Unpinned, and the flow re-enters
-// through the miss path on its next frame. Evict returns how many pins it
-// touched.
+// counted as a rebalance; a negative result (or vri itself) deletes the pin,
+// counted in Stats.Unpinned, and the flow re-enters through the miss path on
+// its next frame. Evict returns how many pins it touched.
 func (t *Table) Evict(vri int, now int64, repick func() int) int {
 	return t.Transfer(vri, now, func(uint64) int {
 		if next := repick(); next != vri {
@@ -446,16 +561,13 @@ func (t *Table) Evict(vri int, now int64, repick func() int) int {
 }
 
 // PinOf reports which VRI key is currently pinned to, without touching
-// stamps, epochs, or outcome counters. The replica split uses it to route
+// epochs or outcome counters. The replica split uses it to route
 // transplanted queue residue: after MovePartition re-pins a slice of flows,
 // each drained frame follows its flow's pin to the owning replica.
 func (t *Table) PinOf(key uint64) (vri int, ok bool) {
 	s := &t.shards[key&t.shardMask]
 	s.mu.Lock()
-	e := s.cur.find(key)
-	if e == nil {
-		e = s.old.find(key)
-	}
+	e := s.find(key)
 	if e == nil {
 		s.mu.Unlock()
 		return 0, false
@@ -467,8 +579,8 @@ func (t *Table) PinOf(key uint64) (vri int, ok bool) {
 
 // MovePartition re-pins to dst each flow pinned to src for which
 // shouldMove(key) returns true — the bulk flow-partition handoff a replica
-// split performs. Moved pins are stamped with now and the shard's current
-// epoch (so they read as fresh Hits afterwards) and counted as rebalances.
+// split performs. Moved pins take the shard's current epoch (so they read as
+// fresh Hits afterwards) and are counted as rebalances.
 // shouldMove runs under the shard lock; keep it cheap and deterministic.
 // Returns how many pins moved.
 func (t *Table) MovePartition(src, dst int, now int64, shouldMove func(key uint64) bool) int {

@@ -25,12 +25,20 @@ type BatchQueue[T any] interface {
 // queue's native batch operation when it has one and falling back to scalar
 // Enqueue calls otherwise. It returns the number of elements accepted.
 //
+// The two rings are picked out by their concrete types, not through
+// BatchQueue: an argument to an interface method escapes, and flow dispatch
+// publishes pieces of the caller's own burst, which LVRM.Dispatch keeps on
+// its stack — the hit path must not allocate.
+//
 // Drop accounting differs slightly between the two paths: a native batch
 // counts every rejected element, while the scalar fallback stops at the
 // first rejection (counting one drop), since on a full queue retrying the
 // remainder could reorder elements past a concurrent consumer.
 func EnqueueBatch[T any](q Queue[T], vs []T) int {
-	if b, ok := q.(BatchQueue[T]); ok {
+	switch b := q.(type) {
+	case *SPSC[T]:
+		return b.EnqueueBatch(vs)
+	case *MPSC[T]:
 		return b.EnqueueBatch(vs)
 	}
 	for i, v := range vs {

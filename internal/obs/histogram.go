@@ -48,8 +48,12 @@ func NewHistogram(bounds []int64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the value v — what n Observe(v) calls
+// leave behind, for three atomic adds instead of 3n.
+func (h *Histogram) ObserveN(v int64, n int) {
+	if h == nil || n <= 0 {
 		return
 	}
 	// Buckets are few (≲ 16): a linear scan beats binary search on branch
@@ -58,9 +62,9 @@ func (h *Histogram) Observe(v int64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
+	h.counts[i].Add(int64(n))
+	h.sum.Add(v * int64(n))
+	h.count.Add(int64(n))
 }
 
 // Count returns the number of observations.

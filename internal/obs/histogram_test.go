@@ -79,3 +79,30 @@ func TestDefaultLatencyBucketsAscending(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramObserveN: ObserveN(v, n) leaves exactly what n Observe(v)
+// calls leave — buckets, sum, count and so the rendered series — and does
+// nothing for n <= 0 or on a nil histogram.
+func TestHistogramObserveN(t *testing.T) {
+	one, many := NewHistogram([]int64{10, 100, 1000}), NewHistogram([]int64{10, 100, 1000})
+	for _, o := range []struct {
+		v int64
+		n int
+	}{{0, 3}, {10, 1}, {11, 16}, {1000, 2}, {1001, 5}, {7, 0}, {7, -2}} {
+		for i := 0; i < o.n; i++ {
+			one.Observe(o.v)
+		}
+		many.ObserveN(o.v, o.n)
+	}
+	got, want := many.BucketCounts(), one.BucketCounts()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("bucket %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+	if many.Count() != one.Count() || many.Sum() != one.Sum() || many.Count() != 27 {
+		t.Errorf("count %d sum %d, want %d and %d", many.Count(), many.Sum(), one.Count(), one.Sum())
+	}
+	var none *Histogram
+	none.ObserveN(5, 5)
+}

@@ -1,10 +1,12 @@
 package rib
 
 import (
+	"math/rand"
 	"testing"
 
 	"lvrm/internal/packet"
 	"lvrm/internal/route"
+	"lvrm/internal/route/routetest"
 )
 
 // benchFIB builds a FIB with a realistic mixed-length route set.
@@ -71,5 +73,50 @@ func BenchmarkRIBApply(b *testing.B) {
 		if err := r.Apply(ev); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// edgeGen publishes routetest.EdgeFIB as one FIB generation, with 64 Ki
+// destinations under 10.2.0.0/16 to look up in it.
+func edgeGen(b *testing.B) (*Gen, []packet.IP) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	r := New(Options{})
+	for _, p := range routetest.EdgeFIB(rng) {
+		mustApplyB(b, r, Event{Prefix: p.IP, Bits: uint8(p.Bits), OutIf: uint16(p.Bits), Src: SrcStatic, Distance: 1})
+	}
+	r.Publish()
+	dsts := make([]packet.IP, 1<<16)
+	for i := range dsts {
+		dsts[i] = routetest.EdgeDst(rng)
+	}
+	return r.FIB().Snapshot(), dsts
+}
+
+var lookupSink int
+
+// BenchmarkGenLookup is BenchmarkGenLookupBatch's partner on the same table
+// and destinations. Both are in the CI 0-alloc gate.
+func BenchmarkGenLookup(b *testing.B) {
+	g, dsts := edgeGen(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt, _ := g.Lookup(dsts[i&(len(dsts)-1)])
+		lookupSink += rt.OutIf
+	}
+}
+
+// BenchmarkGenLookupBatch resolves sixteen destinations per call against the
+// one generation; ns/op is per destination.
+func BenchmarkGenLookupBatch(b *testing.B) {
+	g, dsts := edgeGen(b)
+	out := make([]*Route, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(out) {
+		at := i & (len(dsts) - 1)
+		g.LookupBatch(dsts[at:at+len(out)], out)
+		lookupSink += out[0].OutIf
 	}
 }

@@ -95,8 +95,12 @@ func TestFIBAgainstReference(t *testing.T) {
 		if g.Len() != len(live) {
 			t.Fatalf("step %d: fib has %d routes, oracle %d", step, g.Len(), len(live))
 		}
-		for probe := 0; probe < 64; probe++ {
-			dst := packet.IP(rng.Uint32())
+		dsts, batch := make([]packet.IP, 64), make([]*Route, 64)
+		for i := range dsts {
+			dsts[i] = packet.IP(rng.Uint32())
+		}
+		g.LookupBatch(dsts, batch)
+		for i, dst := range dsts {
 			got, ok := g.Lookup(dst)
 			want, hit := live.Lookup(dst)
 			if ok != hit {
@@ -104,6 +108,9 @@ func TestFIBAgainstReference(t *testing.T) {
 			}
 			if ok && (got.Prefix != want.Prefix || got.Bits != want.Bits || got.OutIf != int(want.OutIf) || got.NextHop != want.NextHop) {
 				t.Fatalf("step %d: Lookup(%v) = %+v, oracle %+v", step, dst, got, want)
+			}
+			if (batch[i] != nil) != ok || (ok && *batch[i] != got) {
+				t.Fatalf("step %d: LookupBatch[%d](%v) = %v, Lookup (%+v, %v)", step, i, dst, batch[i], got, ok)
 			}
 		}
 		routes := g.Routes()

@@ -72,6 +72,11 @@ func (t *Table) Lookup(dst packet.IP) (Entry, error) {
 	return e, nil
 }
 
+// LookupBatch resolves a vector of destinations in one interleaved walk (see
+// Trie.LookupBatch): out[i] is the route for dsts[i], nil when there is none.
+// The entries are the table's own; callers must not write through them.
+func (t *Table) LookupBatch(dsts []packet.IP, out []*Entry) { t.trie.LookupBatch(dsts, out) }
+
 // Clone returns an independent table holding the same routes: the two share
 // the immutable trie as it is now and diverge on the first Insert or Delete
 // to either. Each VRI owns a private copy of its VR's routing state (the

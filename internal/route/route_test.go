@@ -242,10 +242,17 @@ func checkAgainstOracle(t *testing.T, what string, rng *rand.Rand, tbl *Table, w
 	if tbl.Len() != len(want) {
 		t.Fatalf("%s: Len %d, oracle %d", what, tbl.Len(), len(want))
 	}
-	for probe := 0; probe < 32; probe++ {
-		dst := packet.IP(rng.Uint32())
+	dsts, batch := make([]packet.IP, 32), make([]*Entry, 32)
+	for i := range dsts {
+		dsts[i] = packet.IP(rng.Uint32())
+	}
+	tbl.LookupBatch(dsts, batch)
+	for i, dst := range dsts {
 		w, hit := want.Lookup(dst)
 		got, err := tbl.Lookup(dst)
+		if (batch[i] != nil) != hit || (hit && *batch[i] != w) {
+			t.Fatalf("%s: LookupBatch[%d](%v) = %v, want (%+v, %v)", what, i, dst, batch[i], w, hit)
+		}
 		if !hit {
 			if !errors.Is(err, ErrNoRoute) {
 				t.Fatalf("%s: Lookup(%v) = (%+v, %v), want miss", what, dst, got, err)

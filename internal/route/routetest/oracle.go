@@ -1,7 +1,8 @@
-// Package routetest holds the reference implementation the longest-prefix-
-// match property tests compare route.Trie and its wrappers (route.Table,
-// rib.Gen) against: a map of prefixes answered by linear scan, sharing no
-// code with the trie.
+// Package routetest holds what the tests of route.Trie and its wrappers
+// (route.Table, rib.Gen, the vr engines) share: the reference implementation
+// the longest-prefix-match property tests compare them against — a map of
+// prefixes answered by linear scan, sharing no code with the trie — and the
+// table shape their lookup benchmarks are run on.
 package routetest
 
 import "lvrm/internal/packet"

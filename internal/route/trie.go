@@ -41,29 +41,80 @@ func Mask(prefix packet.IP, bits uint8) packet.IP {
 // Len returns the number of prefixes in the trie.
 func (t Trie[V]) Len() int { return t.n }
 
+// step visits n on the walk towards d: it returns the value of the prefix
+// that terminates at n, if one does and covers d, and the node the walk
+// visits next — nil when it ends here, because d diverges from n's path, n
+// is a host route, or there is nothing below on d's side.
+func (n *node[V]) step(d uint32) (val *V, next *node[V]) {
+	if n.bits > 0 && (d^n.prefix)>>(32-n.bits) != 0 {
+		return nil, nil
+	}
+	if n.bits == 32 {
+		return n.val, nil
+	}
+	return n.val, n.child[(d>>(31-n.bits))&1]
+}
+
 // Lookup returns the value of the longest prefix covering dst. It is
 // allocation-free and never blocks.
 func (t Trie[V]) Lookup(dst packet.IP) (V, bool) {
 	var best *V
-	d := uint32(dst)
-	n := t.root
-	for n != nil {
-		if n.bits > 0 && (d^n.prefix)>>(32-n.bits) != 0 {
-			break // dst diverges from this node's path
+	for n := t.root; n != nil; {
+		var val *V
+		if val, n = n.step(uint32(dst)); val != nil {
+			best = val
 		}
-		if n.val != nil {
-			best = n.val
-		}
-		if n.bits == 32 {
-			break
-		}
-		n = n.child[(d>>(31-n.bits))&1]
 	}
 	if best == nil {
 		var zero V
 		return zero, false
 	}
 	return *best, true
+}
+
+// lanes is how many lookups LookupBatch walks side by side.
+const lanes = 16
+
+// LookupBatch is Lookup for a vector of destinations: out[i] becomes the
+// value of the longest prefix covering dsts[i] — the trie's own copy, not to
+// be written through — or nil when none does. out must be at least as long
+// as dsts.
+//
+// The walk is level-synchronous: up to lanes lookups advance one node per
+// round, and a lookup that has ended gives up its lane. One lookup is a chain
+// of dependent node loads, each a likely cache miss in a table of any size;
+// side by side, a round's loads are independent of each other, so the lanes
+// wait for their misses together instead of in turn.
+func (t Trie[V]) LookupBatch(dsts []packet.IP, out []*V) {
+	for base := 0; base < len(dsts); base += lanes {
+		var (
+			at  [lanes]*node[V] // the node each live lane visits next
+			idx [lanes]int      // the destination each live lane serves
+		)
+		live := 0
+		for i := base; i < len(dsts) && i < base+lanes; i++ {
+			out[i] = nil
+			if t.root != nil {
+				at[live], idx[live] = t.root, i
+				live++
+			}
+		}
+		for live > 0 {
+			kept := 0
+			for l := 0; l < live; l++ {
+				i := idx[l]
+				val, next := at[l].step(uint32(dsts[i]))
+				if val != nil {
+					out[i] = val
+				}
+				if next != nil {
+					at[kept], idx[kept] = next, i
+					kept++
+				}
+			}
+			live = kept
+		}
+	}
 }
 
 // With returns a trie equal to t with prefix/bits mapped to *v (added or

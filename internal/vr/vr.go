@@ -64,6 +64,24 @@ type RoutePinner interface {
 	PinRoutes() uint64
 }
 
+// BatchEngine is an optional capability of an Engine: processing a whole
+// scheduling quantum in one call, so that work the frames have in common —
+// above all the route lookups' cache misses — is shared or overlapped. The
+// VRI monitor asserts it once at spawn and, when the engine has it, calls
+// ProcessBatch for the quantum instead of Process per frame; an engine
+// without it (Click, or any decorator that wraps Engine alone) is driven
+// frame by frame as before. It is a separate interface because Engine has
+// implementers a change here cannot reach — decorators that wrap an engine to
+// time it or to damage a frame implement Engine alone — and a new method on
+// Engine would break every one of them.
+type BatchEngine interface {
+	Engine
+	// ProcessBatch handles every frame in place exactly as Process would, in
+	// order, and returns their summed simulated cost. A drop is reported
+	// the one way the caller already reads it: f.Out == Drop.
+	ProcessBatch(frames []*packet.Frame) time.Duration
+}
+
 // BasicConfig configures the minimal forwarder.
 type BasicConfig struct {
 	// Routes is the static route table (from the VR's map file).
@@ -107,6 +125,14 @@ type Basic struct {
 	pinned    *rib.Gen // FIB generation pinned for the current quantum
 	forwarded int64
 	dropped   int64
+
+	// ProcessBatch's scratch, grown to the quantum's size on first use: the
+	// admitted frames awaiting a route, their destinations, and the batch
+	// lookup's results from whichever table the engine routes by.
+	pend      []*packet.Frame
+	dsts      []packet.IP
+	fibOut    []*rib.Route
+	staticOut []*route.Entry
 }
 
 // NewBasic builds a minimal forwarder. A nil route table is allowed; every
@@ -137,43 +163,10 @@ func BasicFactory(cfg BasicConfig) Factory {
 // Process implements the minimal routing of Section 3.7: validate, decrement
 // TTL, longest-prefix-match, rewrite MACs, pick the output interface.
 func (b *Basic) Process(f *packet.Frame) (time.Duration, error) {
-	cost := b.cfg.BaseCost +
-		time.Duration(float64(len(f.Buf))*b.cfg.PerByteCost) +
-		b.cfg.DummyLoad
-	fail := func(err error) (time.Duration, error) {
-		f.Out = Drop
-		b.dropped++
+	cost := b.cost(f)
+	dst, route, err := b.admit(f)
+	if !route {
 		return cost, err
-	}
-	if len(f.Buf) < packet.EthHeaderLen {
-		return fail(ErrBadFrame)
-	}
-	if f.EtherType() != packet.EtherTypeIPv4 {
-		if b.cfg.ARP != nil && f.EtherType() == packet.EtherTypeARP {
-			replied, err := HandleARP(*b.cfg.ARP, f)
-			if err != nil {
-				return fail(ErrBadFrame)
-			}
-			if replied {
-				b.forwarded++
-				return cost, nil
-			}
-			b.dropped++
-			return cost, nil // learned/ignored, not an error
-		}
-		return fail(ErrNotIPv4)
-	}
-	ipb := f.Buf[packet.EthHeaderLen:]
-	h, _, err := packet.ParseIPv4(ipb)
-	if err != nil {
-		return fail(ErrBadFrame)
-	}
-	alive, err := packet.DecTTL(ipb)
-	if err != nil {
-		return fail(ErrBadFrame)
-	}
-	if !alive {
-		return fail(ErrTTLDead)
 	}
 	var (
 		outIf   int
@@ -181,26 +174,160 @@ func (b *Basic) Process(f *packet.Frame) (time.Duration, error) {
 	)
 	switch {
 	case b.cfg.FIB != nil:
-		g := b.pinned
-		if g == nil {
-			// Never pinned (engine driven outside a StepBatch quantum): fall
-			// back to the current generation per frame.
-			g = b.cfg.FIB.Snapshot()
-		}
-		rt, ok := g.Lookup(h.Dst)
+		rt, ok := b.generation().Lookup(dst)
 		if !ok {
-			return fail(ErrNoRoute)
+			return cost, b.drop(f, ErrNoRoute)
 		}
 		outIf, nextHop = rt.OutIf, rt.NextHop
 	case b.cfg.Routes != nil:
-		e, err := b.cfg.Routes.Lookup(h.Dst)
+		e, err := b.cfg.Routes.Lookup(dst)
 		if err != nil {
-			return fail(ErrNoRoute)
+			return cost, b.drop(f, ErrNoRoute)
 		}
 		outIf, nextHop = e.OutIf, e.NextHop
 	default:
-		return fail(ErrNoRoute)
+		return cost, b.drop(f, ErrNoRoute)
 	}
+	b.forward(f, dst, outIf, nextHop)
+	return cost, nil
+}
+
+// ProcessBatch implements BatchEngine: Process for every frame of a quantum,
+// with the route lookups of the quantum done together. Every frame is
+// validated first (admit), the destinations of those that need a route are
+// resolved in one interleaved walk of one table — the generation pinned for
+// the quantum, or the static table — and then each is rewritten (forward) or
+// dropped. Frames, counters and summed cost come out as from per-frame
+// Process calls: a lookup has no side effect, so moving it changes nothing,
+// and the one step that has — an ARP frame teaching the cache that forward's
+// NextHopMAC may read — keeps its place, the frames ahead of it being
+// finished before it is handled.
+func (b *Basic) ProcessBatch(frames []*packet.Frame) time.Duration {
+	var total time.Duration
+	for _, f := range frames {
+		total += b.cost(f)
+		if b.cfg.ARP != nil && len(f.Buf) >= packet.EthHeaderLen && f.EtherType() == packet.EtherTypeARP {
+			b.routePending()
+		}
+		if dst, route, _ := b.admit(f); route {
+			b.pend = append(b.pend, f)
+			b.dsts = append(b.dsts, dst)
+		}
+	}
+	b.routePending()
+	return total
+}
+
+// routePending resolves and finishes the frames ProcessBatch has admitted so
+// far, leaving the scratch slices empty and holding no reference.
+func (b *Basic) routePending() {
+	n := len(b.pend)
+	if n == 0 {
+		return
+	}
+	switch {
+	case b.cfg.FIB != nil:
+		if cap(b.fibOut) < n {
+			b.fibOut = make([]*rib.Route, n)
+		}
+		out := b.fibOut[:n]
+		b.generation().LookupBatch(b.dsts, out)
+		for i, rt := range out {
+			if rt == nil {
+				b.drop(b.pend[i], ErrNoRoute)
+				continue
+			}
+			b.forward(b.pend[i], b.dsts[i], rt.OutIf, rt.NextHop)
+		}
+		clear(out)
+	case b.cfg.Routes != nil:
+		if cap(b.staticOut) < n {
+			b.staticOut = make([]*route.Entry, n)
+		}
+		out := b.staticOut[:n]
+		b.cfg.Routes.LookupBatch(b.dsts, out)
+		for i, e := range out {
+			if e == nil {
+				b.drop(b.pend[i], ErrNoRoute)
+				continue
+			}
+			b.forward(b.pend[i], b.dsts[i], e.OutIf, e.NextHop)
+		}
+		clear(out)
+	default:
+		for _, f := range b.pend {
+			b.drop(f, ErrNoRoute)
+		}
+	}
+	clear(b.pend)
+	b.pend, b.dsts = b.pend[:0], b.dsts[:0]
+}
+
+// cost is the simulated CPU cost of handling f, whatever becomes of it.
+func (b *Basic) cost(f *packet.Frame) time.Duration {
+	return b.cfg.BaseCost +
+		time.Duration(float64(len(f.Buf))*b.cfg.PerByteCost) +
+		b.cfg.DummyLoad
+}
+
+// drop marks f dropped for the given reason and returns it.
+func (b *Basic) drop(f *packet.Frame, err error) error {
+	f.Out = Drop
+	b.dropped++
+	return err
+}
+
+// admit is everything Process does before the route lookup: validate the
+// frame, interpret ARP, decrement the TTL. route reports that f is a live
+// IPv4 frame to be forwarded towards dst; otherwise f is finished — dropped,
+// or turned into an ARP reply — and err is what Process returns for it.
+func (b *Basic) admit(f *packet.Frame) (dst packet.IP, route bool, err error) {
+	if len(f.Buf) < packet.EthHeaderLen {
+		return 0, false, b.drop(f, ErrBadFrame)
+	}
+	if f.EtherType() != packet.EtherTypeIPv4 {
+		if b.cfg.ARP != nil && f.EtherType() == packet.EtherTypeARP {
+			replied, err := HandleARP(*b.cfg.ARP, f)
+			if err != nil {
+				return 0, false, b.drop(f, ErrBadFrame)
+			}
+			if replied {
+				b.forwarded++
+				return 0, false, nil
+			}
+			b.dropped++
+			return 0, false, nil // learned/ignored, not an error
+		}
+		return 0, false, b.drop(f, ErrNotIPv4)
+	}
+	ipb := f.Buf[packet.EthHeaderLen:]
+	h, _, err := packet.ParseIPv4(ipb)
+	if err != nil {
+		return 0, false, b.drop(f, ErrBadFrame)
+	}
+	alive, err := packet.DecTTL(ipb)
+	if err != nil {
+		return 0, false, b.drop(f, ErrBadFrame)
+	}
+	if !alive {
+		return 0, false, b.drop(f, ErrTTLDead)
+	}
+	return h.Dst, true, nil
+}
+
+// generation returns the FIB generation to resolve against: the one pinned
+// for the quantum, or — never pinned, the engine being driven outside a
+// StepBatch quantum — the current one.
+func (b *Basic) generation() *rib.Gen {
+	if b.pinned != nil {
+		return b.pinned
+	}
+	return b.cfg.FIB.Snapshot()
+}
+
+// forward is everything Process does after the route lookup: set the output
+// interface and rewrite the MACs for the hop.
+func (b *Basic) forward(f *packet.Frame, dst packet.IP, outIf int, nextHop packet.IP) {
 	f.Out = outIf
 	if mac, ok := b.cfg.IfMAC[outIf]; ok {
 		f.SetSrcMAC(mac)
@@ -208,14 +335,13 @@ func (b *Basic) Process(f *packet.Frame) (time.Duration, error) {
 	if b.cfg.NextHopMAC != nil {
 		hop := nextHop
 		if hop == 0 {
-			hop = h.Dst
+			hop = dst
 		}
 		if mac, ok := b.cfg.NextHopMAC(hop); ok {
 			f.SetDstMAC(mac)
 		}
 	}
 	b.forwarded++
-	return cost, nil
 }
 
 // PinRoutes pins the FIB's current generation for the frames that follow,
@@ -238,5 +364,6 @@ func (b *Basic) Stats() (forwarded, dropped int64) { return b.forwarded, b.dropp
 
 var (
 	_ Engine      = (*Basic)(nil)
+	_ BatchEngine = (*Basic)(nil)
 	_ RoutePinner = (*Basic)(nil)
 )
