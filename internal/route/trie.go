@@ -41,28 +41,29 @@ func Mask(prefix packet.IP, bits uint8) packet.IP {
 // Len returns the number of prefixes in the trie.
 func (t Trie[V]) Len() int { return t.n }
 
-// step visits n on the walk towards d: it returns the value of the prefix
-// that terminates at n, if one does and covers d, and the node the walk
-// visits next — nil when it ends here, because d diverges from n's path, n
-// is a host route, or there is nothing below on d's side.
-func (n *node[V]) step(d uint32) (val *V, next *node[V]) {
-	if n.bits > 0 && (d^n.prefix)>>(32-n.bits) != 0 {
-		return nil, nil
-	}
+// covers reports whether d lies under n's path, so that a walk towards d
+// that has reached n goes on through it.
+func (n *node[V]) covers(d uint32) bool {
+	return n.bits == 0 || (d^n.prefix)>>(32-n.bits) == 0
+}
+
+// next returns the node a walk towards d visits after n, which covers d: nil
+// when n is a host route or has nothing below on d's side.
+func (n *node[V]) next(d uint32) *node[V] {
 	if n.bits == 32 {
-		return n.val, nil
+		return nil
 	}
-	return n.val, n.child[(d>>(31-n.bits))&1]
+	return n.child[(d>>(31-n.bits))&1]
 }
 
 // Lookup returns the value of the longest prefix covering dst. It is
 // allocation-free and never blocks.
 func (t Trie[V]) Lookup(dst packet.IP) (V, bool) {
 	var best *V
-	for n := t.root; n != nil; {
-		var val *V
-		if val, n = n.step(uint32(dst)); val != nil {
-			best = val
+	d := uint32(dst)
+	for n := t.root; n != nil && n.covers(d); n = n.next(d) {
+		if n.val != nil {
+			best = n.val
 		}
 	}
 	if best == nil {
@@ -102,13 +103,16 @@ func (t Trie[V]) LookupBatch(dsts []packet.IP, out []*V) {
 		for live > 0 {
 			kept := 0
 			for l := 0; l < live; l++ {
-				i := idx[l]
-				val, next := at[l].step(uint32(dsts[i]))
-				if val != nil {
-					out[i] = val
+				n, i := at[l], idx[l]
+				d := uint32(dsts[i])
+				if !n.covers(d) {
+					continue
 				}
-				if next != nil {
-					at[kept], idx[kept] = next, i
+				if n.val != nil {
+					out[i] = n.val
+				}
+				if n = n.next(d); n != nil {
+					at[kept], idx[kept] = n, i
 					kept++
 				}
 			}
