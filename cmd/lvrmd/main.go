@@ -27,7 +27,8 @@
 // generator stops, the monitor switches to relay-only mode, and lvrmd waits
 // up to -drain-timeout for every in-flight frame to settle before printing a
 // frame-conservation report. Exit code 0 means a clean drain (every frame
-// accounted); 3 means the deadline passed and the residue was force-released.
+// accounted); 3 means the deadline passed with frames still inside the VRIs,
+// which the report counts.
 //
 // With -http, lvrmd serves the operator endpoints (see OBSERVABILITY.md):
 //
@@ -436,42 +437,13 @@ func run() int {
 				break
 			}
 		}
-		// On a forced stop the VRI queues still hold frames: release them
-		// under an explicit count so nothing leaks silently.
-		var forced int64
-		if !clean {
-			for _, v := range lvrm.VRs() {
-				for _, a := range v.VRIs() {
-					for {
-						f, ok := a.Data.In.Dequeue()
-						if !ok {
-							break
-						}
-						f.Release()
-						forced++
-					}
-					for {
-						f, ok := a.Data.Out.Dequeue()
-						if !ok {
-							break
-						}
-						f.Release()
-						forced++
-					}
-				}
-			}
-		}
-
+		// The ledger is the conservation report. On a forced stop the VRIs
+		// still hold frames — staged, queued or finished — and they show as
+		// its InFlight rather than going missing.
 		st := lvrm.Stats()
-		var inDrops, engDrops, outDrops int64
-		var drain core.DrainStats
+		led := st.Ledger
 		var mig core.MigrationTotals
 		for _, v := range lvrm.VRs() {
-			inDrops += v.InDrops()
-			d := v.DrainStats()
-			drain.Migrated += d.Migrated
-			drain.Relayed += d.Relayed
-			drain.Dropped += d.Dropped
 			m := v.Migrations()
 			mig.Drains += m.Drains
 			mig.Splits += m.Splits
@@ -479,21 +451,12 @@ func run() int {
 			mig.Moves += m.Moves
 			mig.FramesMoved += m.FramesMoved
 			mig.PinsFlipped += m.PinsFlipped
-			r := v.Retired()
-			engDrops += r.EngineDrops
-			outDrops += r.OutDrops
-			for _, a := range v.VRIs() {
-				engDrops += a.EngineDrops()
-				outDrops += a.OutDrops()
-			}
 		}
 		fmt.Printf("shutdown: received=%d sent=%d send_errors=%d unclassified=%d in_drops=%d admit_shed=%d engine_drops=%d out_drops=%d drain_migrated=%d drain_dropped=%d vris_retired=%d\n",
-			st.Received, st.Sent, st.SendErrors, st.Unclassified, inDrops,
-			st.FlowAdmitShed, engDrops, outDrops, drain.Migrated, drain.Dropped, st.VRIsRetired)
+			led.Received, led.Sent, led.SendErrors, led.Unclassified, led.InDrops,
+			led.AdmitShed, led.EngineDrops, led.OutDrops, mig.FramesMoved, led.DrainDropped, st.VRIsRetired)
 		fmt.Printf("migrations: drains=%d splits=%d folds=%d moves=%d frames_moved=%d pins_flipped=%d\n",
 			mig.Drains, mig.Splits, mig.Folds, mig.Moves, mig.FramesMoved, mig.PinsFlipped)
-		unaccounted := st.Received - (st.Sent + st.SendErrors + st.Unclassified +
-			inDrops + st.FlowAdmitShed + drain.Dropped + engDrops + outDrops + forced)
 		if framePool != nil {
 			ps := framePool.Stats()
 			fmt.Printf("pool: outstanding=%d recycled=%d\n", ps.Outstanding, ps.Recycles)
@@ -508,11 +471,11 @@ func run() int {
 			fmt.Println()
 		}
 		if !clean {
-			fmt.Fprintf(os.Stderr, "forced shutdown: drain missed the %v deadline; released %d undrained frames\n",
-				*drainTO, forced)
+			fmt.Fprintf(os.Stderr, "forced shutdown: drain missed the %v deadline; %d frames left undrained in the VRIs\n",
+				*drainTO, led.InFlight)
 			return 3
 		}
-		if unaccounted != 0 {
+		if unaccounted := led.Residual(); unaccounted != 0 {
 			fmt.Fprintf(os.Stderr, "forced shutdown: %d frames unaccounted after drain\n", unaccounted)
 			return 3
 		}

@@ -199,23 +199,15 @@ func runElephant(c Config, per float64, maxReplicas int, loadFactor, lowFactor f
 	r.sent = sender.Sent()
 	v := rig.GW.LVRM().VRs()[0]
 	_, r.splits, r.folds = v.Replicas()
-	st := rig.GW.LVRM().Stats()
-	ret := v.Retired()
-	engDrops, outDrops := ret.EngineDrops, ret.OutDrops
-	for _, a := range v.VRIs() {
-		engDrops += a.EngineDrops()
-		outDrops += a.OutDrops()
-		r.leftover += int64(a.PendingData()) + int64(a.Data.Out.Len())
-	}
-	r.lost = rig.GW.RxDrops() + st.Unclassified + v.InDrops() + st.FlowAdmitShed +
-		engDrops + outDrops + st.SendErrors + st.DrainDropped
 	// Gateway-boundary conservation: every frame the monitor received is
 	// forwarded, in a counted drop bucket, or still queued — anything else
 	// was blackholed by a transplant and fails the run.
-	r.unaccounted = st.Received - st.Sent - (r.lost - rig.GW.RxDrops()) - r.leftover
+	led := rig.GW.LVRM().Ledger()
+	r.leftover, r.unaccounted = led.InFlight, led.Residual()
+	r.lost = rig.GW.RxDrops() + led.Dropped()
 	if r.unaccounted != 0 {
 		return nil, fmt.Errorf("bench: elephant-vr max-replicas=%d blackholed %d frames (received=%d sent=%d lost=%d leftover=%d)",
-			maxReplicas, r.unaccounted, st.Received, st.Sent, r.lost, r.leftover)
+			maxReplicas, r.unaccounted, led.Received, led.Sent, r.lost, r.leftover)
 	}
 	if r.reorders > 0 {
 		return nil, fmt.Errorf("bench: elephant-vr max-replicas=%d reordered %d frames within flows",

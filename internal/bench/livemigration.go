@@ -195,21 +195,11 @@ func liveMigration() Scenario {
 			// Conservation across every move: each received frame is forwarded
 			// or in a counted drop bucket, nothing is queued after the quiet
 			// tail, and no flow was ever reordered.
-			st := l.Stats()
-			ret := v.Retired()
-			engDrops, outDrops := ret.EngineDrops, ret.OutDrops
-			leftover := int64(0)
-			for _, a := range v.VRIs() {
-				engDrops += a.EngineDrops()
-				outDrops += a.OutDrops()
-				leftover += int64(a.PendingData()) + int64(a.Data.Out.Len())
-			}
-			lost := st.Unclassified + v.InDrops() + st.FlowAdmitShed +
-				engDrops + outDrops + st.SendErrors + st.DrainDropped
-			unaccounted := st.Received - st.Sent - lost - leftover
+			led := l.Ledger()
+			lost, leftover, unaccounted := led.Dropped(), led.InFlight, led.Residual()
 			if unaccounted != 0 {
 				return nil, fmt.Errorf("bench: live-migration blackholed %d frames (received=%d sent=%d lost=%d leftover=%d)",
-					unaccounted, st.Received, st.Sent, lost, leftover)
+					unaccounted, led.Received, led.Sent, lost, leftover)
 			}
 			if lost != 0 {
 				return nil, fmt.Errorf("bench: live-migration lost %d frames across %d moves", lost, moved)

@@ -417,7 +417,7 @@ func churnUnderLoad() Scenario {
 				"delivered_kfps":  kfps(delivered, dur),
 				"delivered_ratio": ratio(delivered, sender.Sent()),
 				"retired_vris":    float64(stats.VRIsRetired),
-				"drain_migrated":  float64(stats.DrainMigrated),
+				"drain_migrated":  float64(v.Migrations().FramesMoved),
 				"alloc_events":    float64(stats.AllocationCount),
 				"in_drop_ratio":   ratio(v.InDrops(), sender.Sent()),
 			}, nil

@@ -72,8 +72,8 @@ func TestAdmissionShedsNewFlowsOnly(t *testing.T) {
 	if got := v.AdmissionShed(); got != 1 {
 		t.Fatalf("AdmissionShed = %d, want 1", got)
 	}
-	if got := l.Stats().FlowAdmitShed; got != 1 {
-		t.Fatalf("Stats.FlowAdmitShed = %d, want 1", got)
+	if got := l.Stats().AdmitShed; got != 1 {
+		t.Fatalf("Stats.AdmitShed = %d, want 1", got)
 	}
 	fs, _ := v.FlowStats()
 	if fs.Refusals != 1 {

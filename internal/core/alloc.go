@@ -10,7 +10,7 @@ import (
 
 // This file is the VR monitor's core-allocation pass (Figure 3.2): decide
 // per VR whether to grow or shrink, spawn VRIs onto the best free cores, and
-// tear instances down through the lifecycle's drain-then-handoff.
+// tear instances down through the lifecycle's drain-then-handoff (retire).
 
 // AllocEvent records one core allocation or deallocation, for the reaction
 // time figures of Experiment 2c.
@@ -79,47 +79,56 @@ func (l *LVRM) spawnOn(v *VR, now int64, coreID int) (*VRIAdapter, error) {
 	return a, nil
 }
 
-// shrinkVR destroys the VRI on the VR's worst bound core and releases the
-// core, via the full lifecycle sequence: detach (Draining, queues closed,
-// off the dispatch list), join the worker through OnDestroy, hand the queue
-// residue to the survivors (drainVRI), release the core, Stopped.
+// shrinkVR retires the VRI on the VR's worst bound core — the highest-numbered
+// one, any core off LVRM's socket ranking worse than every core on it — and
+// hands its partition and residue to the survivors (retire, MigrateDrain).
 func (l *LVRM) shrinkVR(v *VR) (*VRIAdapter, error) {
-	worst := -1
-	var worstRank = -1
+	var worst *VRIAdapter
+	worstRank := -1
 	for _, a := range v.vriList() {
 		rank := a.Core
 		if !l.cfg.Topology.SameSocket(a.Core, l.cfg.LVRMCore) {
 			rank += l.cfg.Topology.Total()
 		}
 		if rank > worstRank {
-			worst, worstRank = a.Core, rank
+			worst, worstRank = a, rank
 		}
 	}
-	if worst < 0 {
+	if worst == nil {
 		return nil, fmt.Errorf("core: VR %s has no VRIs to shrink", v.cfg.Name)
 	}
-	a, err := v.destroyVRI(worst)
-	if err != nil {
-		return nil, err
+	_, err := l.retire(v, worst, migration{kind: MigrateDrain})
+	return worst, err
+}
+
+// record is the one place a VRI-set transition becomes an AllocEvent: it
+// appends the event to the monitor's history and does the counter, reaction
+// histogram and trace bookkeeping. kind says which way the VR's allocation
+// went — obs.KindAlloc for a grow or a split, obs.KindDealloc for a shrink or
+// a fold, obs.KindMigrate for a live move, which trades one core for another
+// and so bumps neither allocation counter. a is the instance the event is
+// about (spawned, retired, or a move's shadow); latency is the modeled
+// reaction time.
+func (l *LVRM) record(v *VR, now int64, kind obs.Kind, a *VRIAdapter, latency time.Duration, note string) AllocEvent {
+	ev := AllocEvent{
+		At: now, VR: v.ID, Grow: kind != obs.KindDealloc, Core: a.Core, Cores: v.Cores(),
+		Latency: latency,
 	}
-	// Join the worker before the hand-off: OnDestroy must stop AND wait for
-	// the instance's goroutine, so the monitor becomes the queues' only
-	// remaining consumer (the SPSC/MPSC rings allow exactly one).
-	if l.OnDestroy != nil {
-		l.OnDestroy(v, a)
+	l.allocMu.Lock()
+	l.allocEvents = append(l.allocEvents, ev)
+	l.allocMu.Unlock()
+	switch kind {
+	case obs.KindAlloc:
+		l.ins.allocGrow.Inc()
+	case obs.KindDealloc:
+		l.ins.allocShrink.Inc()
 	}
-	l.drainVRI(v, a)
-	if worst != l.allocator.LVRMCore() {
-		if err := l.allocator.Release(worst); err != nil {
-			return nil, err
-		}
-	}
-	l.ins.vriDestroys.Inc()
+	l.ins.allocReaction.Observe(int64(latency))
 	l.ins.tracer.Record(obs.Event{
-		At: l.cfg.Clock(), Kind: obs.KindDestroy, VR: v.ID, VRI: a.ID, Core: a.Core,
-		Note: v.cfg.Name,
+		At: now, Kind: kind, VR: v.ID, VRI: a.ID, Core: a.Core,
+		Value: float64(latency), Note: note,
 	})
-	return a, nil
+	return ev
 }
 
 // MaybeAllocate runs one core-allocation pass if at least AllocPeriod has
@@ -151,7 +160,9 @@ func (l *LVRM) Allocate(now int64) []AllocEvent {
 		// controller, not its allocation policy: Grow/Shrink trade whole
 		// VRIs between VRs, which would fight the partition transplant.
 		if v.replicated() {
-			events = append(events, l.replicaPass(v, now, iterCost)...)
+			if ev, err := l.replicaPass(v, now, iterCost); err == nil {
+				events = append(events, ev)
+			}
 			continue
 		}
 		s := alloc.Snapshot{
@@ -161,45 +172,18 @@ func (l *LVRM) Allocate(now int64) []AllocEvent {
 			FreeCores:         l.allocator.FreeCount(),
 			MaxCores:          v.cfg.MaxVRIs,
 		}
+		// A transition that fails (no free core after all, nothing to
+		// shrink) holds the VR where it is.
 		switch v.cfg.Policy.Decide(s) {
 		case alloc.Grow:
-			a, err := l.growVR(v, now)
-			if err != nil {
-				continue // no free core after all: hold
+			if a, err := l.growVR(v, now); err == nil {
+				events = append(events, l.record(v, now, obs.KindAlloc, a, iterCost+l.cfg.SpawnCost, v.cfg.Name))
 			}
-			ev := AllocEvent{
-				At: now, VR: v.ID, Grow: true, Core: a.Core, Cores: v.Cores(),
-				Latency: iterCost + l.cfg.SpawnCost,
-			}
-			events = append(events, ev)
-			l.ins.allocGrow.Inc()
-			l.ins.allocReaction.Observe(int64(ev.Latency))
-			l.ins.tracer.Record(obs.Event{
-				At: now, Kind: obs.KindAlloc, VR: v.ID, VRI: a.ID, Core: a.Core,
-				Value: float64(ev.Latency), Note: v.cfg.Name,
-			})
 		case alloc.Shrink:
-			a, err := l.shrinkVR(v)
-			if err != nil {
-				continue
+			if a, err := l.shrinkVR(v); err == nil {
+				events = append(events, l.record(v, now, obs.KindDealloc, a, iterCost+l.cfg.DestroyCost, v.cfg.Name))
 			}
-			ev := AllocEvent{
-				At: now, VR: v.ID, Grow: false, Core: a.Core, Cores: v.Cores(),
-				Latency: iterCost + l.cfg.DestroyCost,
-			}
-			events = append(events, ev)
-			l.ins.allocShrink.Inc()
-			l.ins.allocReaction.Observe(int64(ev.Latency))
-			l.ins.tracer.Record(obs.Event{
-				At: now, Kind: obs.KindDealloc, VR: v.ID, VRI: a.ID, Core: a.Core,
-				Value: float64(ev.Latency), Note: v.cfg.Name,
-			})
 		}
-	}
-	if len(events) > 0 {
-		l.allocMu.Lock()
-		l.allocEvents = append(l.allocEvents, events...)
-		l.allocMu.Unlock()
 	}
 	return events
 }

@@ -313,7 +313,7 @@ func (l *LVRM) AddVR(cfg VRConfig) (*VR, error) {
 		cfg.Balancer = balance.NewJSQ()
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = alloc.NewFixed(maxInt(cfg.InitialVRIs, 1))
+		cfg.Policy = alloc.NewFixed(max(cfg.InitialVRIs, 1))
 	}
 	if cfg.InitialVRIs < 1 {
 		cfg.InitialVRIs = 1
@@ -365,27 +365,81 @@ func (l *LVRM) AddVR(cfg VRConfig) (*VR, error) {
 	return v, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// Ledger says where every frame the monitor ever received is: each terminal
+// bucket once, by name, plus the frames still inside live VRIs. It is the one
+// statement of frame conservation — the shutdown report, /status, the
+// benchmark scenarios and the soak tests all read it instead of re-deriving
+// the sum. The counters are sampled one by one, so under live traffic a
+// snapshot can be off by the frames that moved meanwhile; once the pipeline
+// is quiesced it is exact.
+type Ledger struct {
+	Received     int64 `json:"received"`     // frames captured from the adapter
+	Sent         int64 `json:"sent"`         // frames forwarded to the adapter
+	SendErrors   int64 `json:"send_errors"`  // consumed from a VRI queue but lost in Adapter.Send
+	Unclassified int64 `json:"unclassified"` // no VR claimed them
+	InDrops      int64 `json:"in_drops"`     // refused by a full or closing VRI input queue
+	AdmitShed    int64 `json:"admit_shed"`   // new-flow frames shed by load-aware admission
+	// EngineDrops and OutDrops sum over every VRI the monitor has run,
+	// retired and live: frames the engine dropped (no route, TTL, ...) and
+	// frames a full outgoing queue refused.
+	EngineDrops int64 `json:"engine_drops"`
+	OutDrops    int64 `json:"out_drops"`
+	// DrainDropped is migration residue released because no destination
+	// could take it.
+	DrainDropped int64 `json:"drain_dropped"`
+	// InFlight is Σ (handed − settled) over the live VRIs: frames staged,
+	// queued, inside a quantum, or finished and waiting for the relay. A
+	// retired VRI owes nothing — retire settled all it held.
+	InFlight int64 `json:"in_flight"`
 }
 
-// Stats summarizes LVRM-level counters.
+// Dropped sums the drop buckets: the received frames that will never be sent.
+func (g Ledger) Dropped() int64 {
+	return g.SendErrors + g.Unclassified + g.InDrops + g.AdmitShed +
+		g.EngineDrops + g.OutDrops + g.DrainDropped
+}
+
+// Residual is received minus sent, dropped and in flight: the frames the
+// monitor has lost track of. Anything but zero after quiesce is a
+// conservation bug.
+func (g Ledger) Residual() int64 {
+	return g.Received - g.Sent - g.Dropped() - g.InFlight
+}
+
+// Ledger returns the frame ledger. It is safe to call from any goroutine
+// while the runtime processes traffic.
+func (l *LVRM) Ledger() Ledger {
+	g := Ledger{
+		Received:     l.received.Load(),
+		Sent:         l.sent.Load(),
+		SendErrors:   l.sendErrs.Load(),
+		Unclassified: l.unclassified.Load(),
+	}
+	for _, v := range l.vrList() {
+		g.InDrops += v.inDrops.Load()
+		g.AdmitShed += v.admitShed.Load()
+		g.EngineDrops += v.retiredEngDrops.Load()
+		g.OutDrops += v.retiredOutDrops.Load()
+		g.DrainDropped += v.drainDropped.Load()
+		for _, a := range v.vriList() {
+			g.EngineDrops += a.engDrops.Load()
+			g.OutDrops += a.outDrops.Load()
+			settled := a.settled.Load() // first, as in owes: never reads low
+			g.InFlight += a.handed.Load() - settled
+		}
+	}
+	return g
+}
+
+// Stats summarizes LVRM-level counters: the frame ledger (its fields read as
+// Stats.Received, Stats.SendErrors, ...) plus control-event and VRI-set
+// totals.
 type Stats struct {
-	Received        int64 // frames captured from the adapter
-	Sent            int64 // frames forwarded to the adapter
-	SendErrors      int64 // frames consumed from a VRI queue but lost in Adapter.Send
-	Unclassified    int64 // frames no VR claimed
-	FlowAdmitShed   int64 // new-flow frames shed by load-aware admission
+	Ledger          `json:"ledger"`
 	ControlRelayed  int64
 	ControlDropped  int64
 	VRIsLive        int
 	VRIsRetired     int64 // VRIs destroyed through the drain lifecycle
-	DrainMigrated   int64 // data-in residue handed to surviving VRIs at teardown
-	DrainRelayed    int64 // data-out residue relayed to the adapter at teardown
-	DrainDropped    int64 // teardown residue released with no survivor to take it
 	AllocationCount int
 }
 
@@ -393,31 +447,20 @@ type Stats struct {
 // from any goroutine while the runtime processes traffic.
 func (l *LVRM) Stats() Stats {
 	live := 0
-	var retired, migrated, relayed, dropped, shed int64
+	var retired int64
 	for _, v := range l.vrList() {
 		live += v.Cores()
 		retired += v.retiredVRIs.Load()
-		migrated += v.migFrames.Load()
-		relayed += v.drainRelayed.Load()
-		dropped += v.drainDropped.Load()
-		shed += v.admitShed.Load()
 	}
 	l.allocMu.Lock()
 	allocs := len(l.allocEvents)
 	l.allocMu.Unlock()
 	return Stats{
-		Received:        l.received.Load(),
-		Sent:            l.sent.Load(),
-		SendErrors:      l.sendErrs.Load(),
-		Unclassified:    l.unclassified.Load(),
-		FlowAdmitShed:   shed,
+		Ledger:          l.Ledger(),
 		ControlRelayed:  l.ctlRelayed.Load(),
 		ControlDropped:  l.ctlDropped.Load(),
 		VRIsLive:        live,
 		VRIsRetired:     retired,
-		DrainMigrated:   migrated,
-		DrainRelayed:    relayed,
-		DrainDropped:    dropped,
 		AllocationCount: allocs,
 	}
 }

@@ -266,7 +266,7 @@ func (l *LVRM) deliverControl(ev *ControlEvent) bool {
 	if ev.DstVR < 0 || ev.DstVR >= len(vrs) {
 		return false
 	}
-	dst, ok := vrs[ev.DstVR].vriByID(ev.DstVRI)
+	dst, ok := snapshotByID(vrs[ev.DstVR].vriList(), ev.DstVRI)
 	if !ok {
 		return false
 	}

@@ -37,6 +37,7 @@
 // Starting → Running → Draining → Stopped — so destroying an instance under
 // live traffic is a drain, not an abort: admissions close first, then the
 // queue residue is migrated to surviving VRIs, relayed, or counted as
-// dropped (DrainStats); Stats.VRIsRetired and the drain counters make the
-// accounting visible, and frame-conservation tests hold the monitor to it.
+// dropped. Every such transition is one retire, and LVRM.Ledger names every
+// place a received frame can be; frame-conservation tests hold the monitor
+// to a zero Ledger.Residual.
 package core

@@ -172,7 +172,7 @@ func TestFlowOrderingAcrossEpochs(t *testing.T) {
 
 	// Destroying the pinned VRI bumps the epoch again; the flow re-balances
 	// onto a surviving VRI and stays ordered there.
-	if _, err := v.destroyVRI(pinned.Core); err != nil {
+	if err := v.destroyVRI(pinned); err != nil {
 		t.Fatal(err)
 	}
 	dispatchA(5)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"lvrm/internal/ipc"
 	"lvrm/internal/obs"
@@ -80,51 +81,42 @@ func (a *VRIAdapter) beginDrain() bool { return a.transition(VRIRunning, VRIDrai
 // markStopped completes the lifecycle after the drain hand-off.
 func (a *VRIAdapter) markStopped() bool { return a.transition(VRIDraining, VRIStopped) }
 
-// destroyVRI detaches the VRI bound to core (Figure 3.2's "destroy VRI
-// adapter"): move it Running→Draining, close its inbound queues so racing
-// dispatchers fail fast (counted, frame released by the dispatcher), drop it
-// from the copy-on-write list, and mark every flow pin stale. The returned
-// adapter is left in Draining with its residue intact — the LVRM layer owns
-// the hand-off (the migration engine, via drainVRI / foldVR / moveVRI);
-// flows pinned to the dead instance re-balance lazily through the table on
-// their next frame unless the engine sweeps them eagerly first.
-func (v *VR) destroyVRI(core int) (*VRIAdapter, error) {
+// destroyVRI detaches a from the VR (Figure 3.2's "destroy VRI adapter"):
+// move it Running→Draining, close its inbound queues so racing dispatchers
+// fail fast (counted, frame released by the dispatcher), drop it from the
+// copy-on-write list, and mark every flow pin stale. The adapter is left in
+// Draining with its residue intact — retire, the one caller, owns the
+// hand-off; flows pinned to the dead instance re-balance lazily through the
+// table on their next frame unless the engine sweeps them eagerly first.
+func (v *VR) destroyVRI(a *VRIAdapter) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	cur := v.vriList()
-	for i, a := range cur {
-		if a.Core == core {
-			if !a.beginDrain() {
-				return nil, fmt.Errorf("core: VRI %d/%d on core %d is %v, not running",
-					v.ID, a.ID, core, a.State())
-			}
-			// Close admissions before the instance leaves the list: a
-			// dispatcher holding an older snapshot must fail fast instead of
-			// parking frames on a queue nobody will ever service.
-			ipc.Close(a.Data.In)
-			ipc.Close(a.Control.In)
-			next := make([]*VRIAdapter, 0, len(cur)-1)
-			next = append(next, cur[:i]...)
-			next = append(next, cur[i+1:]...)
-			v.vris.Store(&next)
-			if v.flows != nil {
-				v.flows.BumpEpoch()
-			}
-			return a, nil
-		}
+	i := slices.Index(cur, a)
+	if i < 0 || !a.beginDrain() {
+		return fmt.Errorf("core: VRI %d/%d on core %d is %v, not a running instance of VR %s",
+			v.ID, a.ID, a.Core, a.State(), v.cfg.Name)
 	}
-	return nil, fmt.Errorf("core: VR %s has no VRI on core %d", v.cfg.Name, core)
+	// Close admissions before the instance leaves the list: a dispatcher
+	// holding an older snapshot must fail fast instead of parking frames on
+	// a queue nobody will ever service.
+	ipc.Close(a.Data.In)
+	ipc.Close(a.Control.In)
+	next := make([]*VRIAdapter, 0, len(cur)-1)
+	next = append(next, cur[:i]...)
+	next = append(next, cur[i+1:]...)
+	v.vris.Store(&next)
+	if v.flows != nil {
+		v.flows.BumpEpoch()
+	}
+	return nil
 }
 
-// DrainStats is the VR's cumulative hand-off accounting, aggregated across
-// every migration the engine has run for it (teardown drains, splits, folds
-// and live moves — migrate.go folds each MigrationReport in). Every frame
-// that sat in a source's queues appears in exactly one bucket, which is what
-// lets the churn tests prove conservation.
+// DrainStats is where a VR's migrated-away queue residue went besides a
+// destination's data-in side (that is MigrationTotals.FramesMoved),
+// aggregated across every migration the engine has run for it — migrate.go
+// folds each MigrationReport in.
 type DrainStats struct {
-	// Migrated data-in frames were re-enqueued or staged on destination
-	// VRIs.
-	Migrated int64 `json:"migrated"`
 	// Relayed data-out frames were forwarded to the socket adapter (they
 	// also count in Stats.Sent/SendErrors like any relayed frame).
 	Relayed int64 `json:"relayed"`
@@ -136,20 +128,16 @@ type DrainStats struct {
 	// CtlDropped control events were addressed to the dead instance or to
 	// destinations that no longer exist.
 	CtlDropped int64 `json:"ctl_dropped"`
-	// Pins is how many flow-table pins changed owner or were unpinned.
-	Pins int64 `json:"pins"`
 }
 
 // DrainStats returns the VR's cumulative hand-off accounting across every
 // migration the engine has run for it.
 func (v *VR) DrainStats() DrainStats {
 	return DrainStats{
-		Migrated:   v.migFrames.Load(),
 		Relayed:    v.drainRelayed.Load(),
 		Dropped:    v.drainDropped.Load(),
 		CtlMoved:   v.drainCtlMoved.Load(),
 		CtlDropped: v.drainCtlDropped.Load(),
-		Pins:       v.migPins.Load(),
 	}
 }
 
@@ -175,51 +163,76 @@ func (v *VR) Retired() RetiredStats {
 	}
 }
 
-// migrateFrame hands one drained frame to a survivor, preferring the least
-// loaded instance and falling back to any queue with room. It returns the
-// survivor that took ownership, if any.
-func migrateFrame(survivors []*VRIAdapter, f *packet.Frame) (*VRIAdapter, bool) {
+// migrateFrame hands one drained frame to a survivor's ring, preferring the
+// least loaded instance and falling back to any queue with room. It returns
+// the survivor that took ownership, nil when none could.
+func migrateFrame(survivors []*VRIAdapter, f *packet.Frame) *VRIAdapter {
 	if len(survivors) == 0 {
-		return nil, false
+		return nil
 	}
 	if s := leastLoaded(survivors); s.hand(f) {
-		return s, true
+		return s
 	}
 	for _, s := range survivors {
 		if s.hand(f) {
-			return s, true
+			return s
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// drainVRI performs the hand-off for a detached, Draining instance and moves
-// it to Stopped, via one MigrateDrain invocation of the migration engine
-// (migrate.go): the dead instance's flow pins re-point to the least-loaded
-// survivors (or unpin when none remain), its data-in residue migrates to
-// their rings in queued order, its data-out residue relays to the socket
-// adapter, and its control residue is delivered or dropped under a named
-// counter. The caller must guarantee the monitor is the instance's only
-// remaining consumer — in the live runtime the worker goroutine is joined
-// first (Runtime.stopVRI), in the testbed everything is single-threaded.
-func (l *LVRM) drainVRI(v *VR, a *VRIAdapter) MigrationReport {
-	start := l.cfg.Clock()
-	rep := l.migratePartition(v, migration{
-		kind: MigrateDrain, src: a, survivors: v.vriList(), pauseStart: start,
-	})
-	l.finishDrain(v, a, &rep, start)
-	return rep
-}
-
-// settleResidue settles a detached instance's non-data-in residue — the
-// shared tail of every detaching migration (teardown drain, replica fold,
-// live move):
+// retire is the one transition that takes a VRI out of its VR (Figure 3.2's
+// "destroy VRI adapter" arm); a policy shrink, a replica fold and a live move
+// differ only in m, which says where src's partition goes:
 //
-//  2. Finished outbound residue relays to the adapter (sendBatch counts
-//     sent/sendErrs like the live relay path).
-//  3. Outbound control residue is delivered; failures are counted drops.
-//  4. Inbound control residue was addressed to a dead instance; it drops,
-//     counted.
+//  1. Pause m.dst's consumer, if the migration has a single destination
+//     (fold, move): the residue is staged onto it, and staging needs the
+//     monitor to be its sole consumer. A shrink (MigrateDrain) hands the
+//     residue to the survivors' rings and pauses nobody.
+//  2. Detach src (destroyVRI: Draining, in-queues closed, off the dispatch
+//     list) and join its consumer through OnDestroy — the hook must stop AND
+//     wait for the instance's goroutine, so the monitor becomes the queues'
+//     only remaining consumer (the SPSC/MPSC rings allow exactly one).
+//  3. One engine invocation (migratePartition): flip src's pins, transplant
+//     its data-in residue in order, relay its data-out residue, deliver or
+//     drop its control residue, each under a named counter.
+//  4. Fold src's counters into the VR's retired totals and close its state
+//     machine at Stopped (finishDrain), release its core unless that is
+//     LVRM's own, count and trace the destroy, resume m.dst.
+//
+// Must run monitor-serialized, like every migration.
+func (l *LVRM) retire(v *VR, src *VRIAdapter, m migration) (MigrationReport, error) {
+	m.src, m.pauseStart = src, l.cfg.Clock()
+	if m.dst != nil {
+		l.pauseVRI(v, m.dst)
+		defer l.resumeVRI(v, m.dst)
+	}
+	if err := v.destroyVRI(src); err != nil {
+		return MigrationReport{}, err
+	}
+	if l.OnDestroy != nil {
+		l.OnDestroy(v, src)
+	}
+	rep := l.migratePartition(v, m)
+	l.finishDrain(v, src, &rep, m.pauseStart)
+	if src.Core != l.allocator.LVRMCore() {
+		if err := l.allocator.Release(src.Core); err != nil {
+			return rep, err
+		}
+	}
+	l.ins.vriDestroys.Inc()
+	l.ins.tracer.Record(obs.Event{
+		At: l.cfg.Clock(), Kind: obs.KindDestroy, VR: v.ID, VRI: src.ID, Core: src.Core,
+		Note: v.cfg.Name,
+	})
+	return rep, nil
+}
+
+// settleResidue settles a detached instance's non-data-in residue: finished
+// outbound frames relay to the adapter (sendBatch counts sent/sendErrs like
+// the live relay path), outbound control events are delivered or dropped
+// under a counter, and inbound control events, addressed to a dead instance,
+// drop, counted.
 func (l *LVRM) settleResidue(a *VRIAdapter, rep *MigrationReport) {
 	for {
 		n := l.RelayFrom(a, l.cfg.RelayBatch)

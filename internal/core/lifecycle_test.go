@@ -80,18 +80,22 @@ func TestVRILifecycleTransitions(t *testing.T) {
 	if got := a.State(); got != VRIRunning {
 		t.Fatalf("fresh VRI state = %v, want running", got)
 	}
-	got, err := v.destroyVRI(a.Core)
-	if err != nil || got != a {
-		t.Fatalf("destroyVRI = %v, %v", got, err)
+	// OnDestroy runs between the detach and the hand-off.
+	l.OnDestroy = func(_ *VR, got *VRIAdapter) {
+		if got != a {
+			t.Errorf("OnDestroy got VRI %d, want %d", got.ID, a.ID)
+		}
+		if s := a.State(); s != VRIDraining {
+			t.Errorf("state after detach = %v, want draining", s)
+		}
+		// The instance is off the list, so a second destroy of it fails.
+		if err := v.destroyVRI(a); err == nil {
+			t.Error("second destroyVRI of the same VRI succeeded")
+		}
 	}
-	if s := a.State(); s != VRIDraining {
-		t.Fatalf("state after detach = %v, want draining", s)
+	if _, err := l.retire(v, a, migration{kind: MigrateDrain}); err != nil {
+		t.Fatal(err)
 	}
-	// The instance is off the list, so a second destroy of the core fails.
-	if _, err := v.destroyVRI(a.Core); err == nil {
-		t.Error("second destroyVRI of the same core succeeded")
-	}
-	l.drainVRI(v, a)
 	if s := a.State(); s != VRIStopped {
 		t.Fatalf("state after drain = %v, want stopped", s)
 	}
@@ -143,12 +147,12 @@ func TestDestroyWithBackedUpQueueConservesFrames(t *testing.T) {
 	if queued == 0 {
 		t.Fatal("test is vacuous: destroyed VRI had an empty queue")
 	}
-	d := v.DrainStats()
-	if d.Migrated+d.Dropped != queued {
+	d, migrated := v.DrainStats(), v.Migrations().FramesMoved
+	if migrated+d.Dropped != queued {
 		t.Errorf("drain accounted %d+%d frames, destroyed queue held %d",
-			d.Migrated, d.Dropped, queued)
+			migrated, d.Dropped, queued)
 	}
-	if d.Migrated == 0 {
+	if migrated == 0 {
 		t.Error("no frames migrated despite a live survivor")
 	}
 	if r := v.Retired(); r.VRIs != 1 {
@@ -186,9 +190,8 @@ func TestDestroyWithoutSurvivorReleasesCounted(t *testing.T) {
 	if _, err := l.shrinkVR(v); err != nil {
 		t.Fatal(err)
 	}
-	d := v.DrainStats()
-	if d.Dropped != n || d.Migrated != 0 {
-		t.Errorf("drain stats = %+v, want %d dropped and 0 migrated", d, n)
+	if d, m := v.DrainStats(), v.Migrations(); d.Dropped != n || m.FramesMoved != 0 {
+		t.Errorf("drain stats = %+v, migrations = %+v, want %d dropped and 0 migrated", d, m, n)
 	}
 	if st := l.Stats(); st.DrainDropped != n {
 		t.Errorf("Stats.DrainDropped = %d, want %d", st.DrainDropped, n)
@@ -426,23 +429,14 @@ func TestChurnConservationUnderLiveTraffic(t *testing.T) {
 		break
 	}
 
-	// Frame conservation: every ingested frame is exactly one of sent,
-	// send-errored, unclassified, dropped at dispatch, dropped during a
-	// drain, or dropped by a live or retired engine/relay.
-	st := l.Stats()
-	var engDrops, outDrops int64
-	for _, a := range v.VRIs() {
-		engDrops += a.EngineDrops()
-		outDrops += a.OutDrops()
+	// Frame conservation: every ingested frame is in exactly one ledger
+	// bucket, and after the quiesce none is still in flight.
+	st := l.Ledger()
+	if st.Residual() != 0 || st.InFlight != 0 {
+		t.Errorf("conservation violated: residual %d, in flight %d\nledger=%+v",
+			st.Residual(), st.InFlight, st)
 	}
-	ret := v.Retired()
-	d := v.DrainStats()
-	accounted := st.Sent + st.SendErrors + st.Unclassified + v.InDrops() +
-		d.Dropped + engDrops + outDrops + ret.EngineDrops + ret.OutDrops
-	if accounted != st.Received {
-		t.Errorf("conservation violated: received %d, accounted %d\nstats=%+v\ndrain=%+v\nretired=%+v",
-			st.Received, accounted, st, d, ret)
-	}
+	d, m := v.DrainStats(), v.Migrations()
 	if txGot != st.Sent {
 		t.Errorf("TX delivered %d frames, Stats.Sent = %d", txGot, st.Sent)
 	}
@@ -451,7 +445,7 @@ func TestChurnConservationUnderLiveTraffic(t *testing.T) {
 	}
 	lat := summarize(l.ins.drainDur)
 	t.Logf("soak: fed=%d retired=%d migrated=%d drainDropped=%d relayed=%d pins=%d drain_ns{p50=%.0f p99=%.0f}",
-		fed, retired, d.Migrated, d.Dropped, d.Relayed, d.Pins, lat.P50, lat.P99)
+		fed, retired, m.FramesMoved, d.Dropped, d.Relayed, m.PinsFlipped, lat.P50, lat.P99)
 }
 
 // waitFor polls cond until it holds or the deadline passes.

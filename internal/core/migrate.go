@@ -13,10 +13,10 @@ import (
 // This file is the migration engine: the ONE primitive every flow hand-off
 // between VRIs routes through. Before it existed the codebase carried three
 // divergent implementations of "move flows + queue residue between VRIs" —
-// the teardown drain (lifecycle.go), the replica split/fold transplants
-// (replicate.go), and the rebalance-on-death sweep — each with its own
-// ordering proof and counters. They are now parameterizations of one
-// monitor-serialized operation:
+// the teardown drain, the replica split/fold transplants (replicate.go), and
+// the rebalance-on-death sweep — each with its own ordering proof and
+// counters. They are now parameterizations of one monitor-serialized
+// operation:
 //
 //	select partition → flip pins → transplant residue in order → fold
 //	counters into a MigrationReport
@@ -138,22 +138,20 @@ func (v *VR) Migrations() MigrationTotals {
 // migration describes one partition hand-off for migratePartition.
 type migration struct {
 	kind MigrationKind
-	// src is the instance losing the partition. For drain/fold/move it is
-	// detached (Draining, in-queues closed, off the dispatch list, its
-	// consumer joined); for split it is live but paused with its in-ring
-	// closed.
+	// src is the instance losing the partition. For drain/fold/move retire
+	// fills it in, detached (Draining, in-queues closed, off the dispatch
+	// list, its consumer joined); for split it is live but paused with its
+	// in-ring closed.
 	src *VRIAdapter
 	// dst is the instance gaining the partition; nil for MigrateDrain,
-	// whose destinations are the survivors. Its consumer must be paused
-	// (staging appends require the monitor to be the sole consumer).
+	// whose destinations are the VR's remaining VRIs. Its consumer must be
+	// paused (staging appends require the monitor to be the sole consumer).
 	dst *VRIAdapter
-	// survivors is MigrateDrain's destination set.
-	survivors []*VRIAdapter
-	// shouldMove selects which src flows move (MigrateSplit); nil moves
-	// the whole partition.
+	// shouldMove selects which src flows move (MigrateSplit only; every
+	// other kind moves the whole partition).
 	shouldMove func(key uint64) bool
-	// pauseStart is when the caller began pausing consumers (clock ns);
-	// the report's Pause is measured from it.
+	// pauseStart is when the caller began pausing consumers (clock ns; retire
+	// fills it in); the report's Pause is measured from it.
 	pauseStart int64
 }
 
@@ -167,32 +165,25 @@ func (l *LVRM) migratePartition(v *VR, m migration) MigrationReport {
 	if m.dst != nil {
 		rep.DstVRI = m.dst.ID
 	}
-	now := l.cfg.Clock()
+	// MigrateDrain's destinations: a detached src is already off the list.
+	survivors := v.vriList()
 
 	// 1. Flip pins. The pin is the ownership transfer: dispatch consults it
 	// under the shard lock, so from here on every new frame of a moved flow
 	// lands on the destination's ring — behind the residue staged in step 2.
 	if v.flows != nil {
-		var dst func(key uint64) int
-		switch m.kind {
-		case MigrateDrain:
-			dst = func(uint64) int {
-				if len(m.survivors) == 0 {
+		rep.Pins = int64(v.flows.Transfer(m.src.ID, func(key uint64) int {
+			switch {
+			case m.kind == MigrateDrain: // the least-loaded survivor, or unpin
+				if len(survivors) == 0 {
 					return -1
 				}
-				return leastLoaded(m.survivors).ID
-			}
-		case MigrateSplit:
-			dst = func(key uint64) int {
-				if m.shouldMove(key) {
-					return m.dst.ID
-				}
+				return leastLoaded(survivors).ID
+			case m.kind == MigrateSplit && !m.shouldMove(key): // this flow stays
 				return m.src.ID
 			}
-		default: // fold, move: the whole partition follows dst
-			dst = func(uint64) int { return m.dst.ID }
-		}
-		rep.Pins = int64(v.flows.Transfer(m.src.ID, now, dst))
+			return m.dst.ID // fold, move, and the moved half of a split
+		}))
 	}
 
 	// 2. Transplant the data-in residue in queued order: staging first (it
@@ -211,31 +202,28 @@ func (l *LVRM) migratePartition(v *VR, m migration) MigrationReport {
 		residue = append(residue, f)
 	}
 	for _, f := range residue {
-		switch m.kind {
-		case MigrateDrain:
-			if s, ok := migrateFrame(m.survivors, f); ok {
-				s.migIn.Add(1)
-				rep.Moved++
-			} else {
-				rep.Dropped++
-				f.Release()
-			}
-		case MigrateSplit:
-			if pin, ok := v.flows.PinOf(flow.KeyOf(f)); ok && pin == m.dst.ID {
-				m.dst.stagePre(f)
-				m.dst.handed.Add(1)
-				m.dst.migIn.Add(1)
-				rep.Moved++
-			} else {
+		if m.kind == MigrateSplit {
+			if pin, ok := v.flows.PinOf(flow.KeyOf(f)); !ok || pin != m.dst.ID {
 				m.src.stagePre(f)
 				rep.Returned++
+				continue
 			}
-		default: // fold, move
-			m.dst.stagePre(f)
-			m.dst.handed.Add(1)
-			m.dst.migIn.Add(1)
-			rep.Moved++
 		}
+		to := m.dst
+		if m.kind == MigrateDrain {
+			// Nobody is paused: straight onto a survivor's ring (hand counts
+			// it), or to nobody when there is no survivor with room.
+			if to = migrateFrame(survivors, f); to == nil {
+				rep.Dropped++
+				f.Release()
+				continue
+			}
+		} else {
+			to.stagePre(f)
+			to.handed.Add(1)
+		}
+		to.migIn.Add(1)
+		rep.Moved++
 	}
 	// Whatever left the source is no longer its to deliver.
 	m.src.settled.Add(rep.Moved + rep.Dropped)
@@ -272,15 +260,11 @@ func (v *VR) addMigration(rep MigrationReport) {
 //  1. Spawn a shadow VRI on the target core through the normal spawn path
 //     (core bind, OnSpawn). The VR serves traffic on n+1 instances for the
 //     duration of the move; new flows may already pin to the shadow.
-//  2. Pause the shadow's consumer, then detach the source through the
-//     normal teardown entry (Draining, in-queues closed, off the dispatch
-//     list) and join its consumer (OnDestroy).
-//  3. One engine invocation transfers the whole partition: every source
-//     pin flips to the shadow, the residue transplants onto the shadow's
-//     staging queue in order, and the source's outbound residue settles.
-//  4. The source closes at Stopped, its core is released, and the shadow
-//     resumes. The pause the data path observed is one transplant, not a
-//     drain to zero.
+//  2. Retire the source with the shadow as the one MigrateMove destination:
+//     every source pin flips to the shadow, the residue transplants onto
+//     the shadow's staging queue in order, the source's outbound residue
+//     settles, its core is released and the shadow resumes. The pause the
+//     data path observed is one transplant, not a drain to zero.
 //
 // Must run monitor-serialized (the allocation pass, LVRM.MoveVRI from the
 // testbed's goroutine, or the runtime's move queue).
@@ -302,43 +286,13 @@ func (l *LVRM) moveVRI(v *VR, src *VRIAdapter, targetCore int, iterCost time.Dur
 	if err != nil {
 		return MigrationReport{}, AllocEvent{}, err
 	}
-
-	pauseStart := l.cfg.Clock()
-	l.pauseVRI(v, dst)
-	a, err := v.destroyVRI(src.Core)
+	rep, err := l.retire(v, src, migration{kind: MigrateMove, dst: dst})
 	if err != nil {
-		l.resumeVRI(v, dst)
-		return MigrationReport{}, AllocEvent{}, err
+		return rep, AllocEvent{}, err
 	}
-	if l.OnDestroy != nil {
-		l.OnDestroy(v, a)
-	}
-
-	rep := l.migratePartition(v, migration{
-		kind: MigrateMove, src: a, dst: dst, pauseStart: pauseStart,
-	})
-	l.finishDrain(v, a, &rep, pauseStart)
-
-	if a.Core != l.allocator.LVRMCore() {
-		if err := l.allocator.Release(a.Core); err != nil {
-			l.resumeVRI(v, dst)
-			return rep, AllocEvent{}, err
-		}
-	}
-	l.ins.vriDestroys.Inc()
-	l.resumeVRI(v, dst)
-
-	ev := AllocEvent{
-		At: now, VR: v.ID, Grow: true, Core: dst.Core, Cores: v.Cores(),
-		Latency: iterCost + l.cfg.SpawnCost + l.cfg.DestroyCost,
-	}
-	l.ins.allocReaction.Observe(int64(ev.Latency))
-	l.ins.tracer.Record(obs.Event{
-		At: l.cfg.Clock(), Kind: obs.KindMigrate, VR: v.ID, VRI: dst.ID, Core: dst.Core,
-		Value: float64(rep.Pause),
-		Note: fmt.Sprintf("%s move %d(core %d)->%d(core %d) staged=%d pins=%d",
-			v.cfg.Name, a.ID, a.Core, dst.ID, dst.Core, rep.Moved, rep.Pins),
-	})
+	ev := l.record(v, now, obs.KindMigrate, dst, iterCost+l.cfg.SpawnCost+l.cfg.DestroyCost,
+		fmt.Sprintf("%s move %d(core %d)->%d(core %d) staged=%d pins=%d pause=%v",
+			v.cfg.Name, src.ID, src.Core, dst.ID, dst.Core, rep.Moved, rep.Pins, rep.Pause))
 	return rep, ev, nil
 }
 
@@ -349,28 +303,17 @@ func (l *LVRM) moveVRI(v *VR, src *VRIAdapter, targetCore int, iterCost time.Dur
 // the request to the monitor. The resulting allocation event is recorded
 // like any grow/shrink.
 func (l *LVRM) MoveVRI(vrID, vriID, targetCore int) (MigrationReport, error) {
-	var v *VR
-	for _, cand := range l.vrList() {
-		if cand.ID == vrID {
-			v = cand
-			break
-		}
-	}
-	if v == nil {
+	vrs := l.vrList()
+	if vrID < 0 || vrID >= len(vrs) {
 		return MigrationReport{}, fmt.Errorf("core: no VR with ID %d", vrID)
 	}
-	src, ok := v.vriByID(vriID)
+	v := vrs[vrID]
+	src, ok := snapshotByID(v.vriList(), vriID)
 	if !ok {
 		return MigrationReport{}, fmt.Errorf("core: VR %s has no VRI %d", v.cfg.Name, vriID)
 	}
-	rep, ev, err := l.moveVRI(v, src, targetCore, 0)
-	if err != nil {
-		return rep, err
-	}
-	l.allocMu.Lock()
-	l.allocEvents = append(l.allocEvents, ev)
-	l.allocMu.Unlock()
-	return rep, nil
+	rep, _, err := l.moveVRI(v, src, targetCore, 0)
+	return rep, err
 }
 
 // moveRequest is one queued Runtime.MoveVRI call, answered on done.

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -109,19 +110,17 @@ func TestMoveVRIRejections(t *testing.T) {
 	if _, err := l.MoveVRI(v.ID, src.ID, src.Core); err == nil {
 		t.Error("same-core move succeeded")
 	}
-	a, err := v.destroyVRI(src.Core)
-	if err != nil {
+	if _, err := l.retire(v, src, migration{kind: MigrateDrain}); err != nil {
 		t.Fatal(err)
 	}
-	l.drainVRI(v, a)
 	if _, err := l.MoveVRI(v.ID, src.ID, -1); err == nil {
 		t.Error("move of a stopped VRI succeeded")
 	}
 }
 
 // TestDrainRoutesThroughEngine asserts the teardown path is the engine:
-// drainVRI's report carries the same accounting DrainStats aggregates, and
-// the per-kind totals see exactly one drain.
+// a drain's report carries the same accounting the VR's migration totals
+// aggregate, and the per-kind totals see exactly one drain.
 func TestDrainRoutesThroughEngine(t *testing.T) {
 	clock := &fakeClock{}
 	l, v := newReplicaLVRM(t, clock, 2, 2)
@@ -133,22 +132,21 @@ func TestDrainRoutesThroughEngine(t *testing.T) {
 	if queued == 0 {
 		t.Fatal("victim holds no frames: drain test is vacuous")
 	}
-	a, err := v.destroyVRI(victim.Core)
+	rep, err := l.retire(v, victim, migration{kind: MigrateDrain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := l.drainVRI(v, a)
 	if rep.Kind != MigrateDrain {
 		t.Fatalf("kind = %v, want drain", rep.Kind)
 	}
 	if int(rep.Moved) != queued || rep.Dropped != 0 {
 		t.Fatalf("moved/dropped = %d/%d, want %d/0 (one live survivor)", rep.Moved, rep.Dropped, queued)
 	}
-	d := v.DrainStats()
-	if d.Migrated != rep.Moved || d.Pins != rep.Pins {
-		t.Fatalf("DrainStats %+v does not aggregate the report %+v", d, rep)
+	m := v.Migrations()
+	if m.FramesMoved != rep.Moved || m.PinsFlipped != rep.Pins {
+		t.Fatalf("migration totals %+v do not aggregate the report %+v", m, rep)
 	}
-	if m := v.Migrations(); m.Drains != 1 || m.Splits != 0 || m.Folds != 0 || m.Moves != 0 {
+	if m.Drains != 1 || m.Splits != 0 || m.Folds != 0 || m.Moves != 0 {
 		t.Fatalf("migration totals = %+v, want exactly one drain", m)
 	}
 	// Frames are conserved: the survivor's ring holds everything.
@@ -413,21 +411,12 @@ func TestMigrationSoak(t *testing.T) {
 		break
 	}
 
-	// Conservation across every drain/split/fold/move transplant: received
-	// equals relayed plus every named drop bucket.
-	st := l.Stats()
-	var engDrops, outDrops int64
-	for _, a := range v.VRIs() {
-		engDrops += a.EngineDrops()
-		outDrops += a.OutDrops()
-	}
-	ret := v.Retired()
-	d := v.DrainStats()
-	accounted := st.Sent + st.SendErrors + st.Unclassified + v.InDrops() + st.FlowAdmitShed +
-		d.Dropped + engDrops + outDrops + ret.EngineDrops + ret.OutDrops
-	if accounted != st.Received {
-		t.Errorf("conservation violated: received %d, accounted %d\nstats=%+v\ndrain=%+v\nretired=%+v",
-			st.Received, accounted, st, d, ret)
+	// Conservation across every drain/split/fold/move transplant: every
+	// received frame is in one ledger bucket, none still in flight.
+	st := l.Ledger()
+	if st.Residual() != 0 || st.InFlight != 0 {
+		t.Errorf("conservation violated: residual %d, in flight %d\nledger=%+v",
+			st.Residual(), st.InFlight, st)
 	}
 	if txGot != st.Sent {
 		t.Errorf("TX delivered %d frames, Stats.Sent = %d", txGot, st.Sent)
@@ -441,4 +430,112 @@ func TestMigrationSoak(t *testing.T) {
 	m := v.Migrations()
 	t.Logf("migration soak: fed=%d sent=%d moves=%d moveFails=%d totals=%+v reorders=%d",
 		fed, st.Sent, moves, moveFails, m, reorders)
+}
+
+// TestTransitionBookkeeping drives each of the five VRI-set transitions once
+// — policy grow and shrink, replica split and fold, live move — and pins
+// down what record and retire account for each: grow and split count as
+// allocations, shrink and fold as deallocations, a live move as neither;
+// every one observes a reaction time and appends an AllocEvent; and every
+// retired VRI, whichever transition retired it, counts one destroy and
+// leaves a destroy and a drain trace event.
+func TestTransitionBookkeeping(t *testing.T) {
+	clock := &fakeClock{}
+	reg, tr := obs.NewRegistry(), obs.NewTracer(256)
+	l, err := New(Config{
+		Adapter:     netio.NewQueueAdapter(netio.PFRing, 64),
+		Clock:       clock.fn(),
+		FlowShards:  4,
+		MaxReplicas: 2,
+		Obs:         reg,
+		Trace:       tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicated, err := l.AddVR(vrCfg(t, "vr1", "10.1.0.0", 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := vrCfg(t, "vr2", "10.2.0.0", 16)
+	flip.MaxReplicas, flip.Policy = 1, &flipPolicy{}
+	if _, err := l.AddVR(flip); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := l.splitVR(replicated, clock.now, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.foldVR(replicated, clock.now, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.MoveVRI(replicated.ID, replicated.VRIs()[0].ID, -1); err != nil {
+		t.Fatal(err)
+	}
+	// vr1 now idles on one replica, so these two passes only flip vr2.
+	if evs := l.Allocate(clock.now); len(evs) != 1 || !evs[0].Grow {
+		t.Fatalf("first pass = %+v, want one grow", evs)
+	}
+	if evs := l.Allocate(clock.now); len(evs) != 1 || evs[0].Grow {
+		t.Fatalf("second pass = %+v, want one shrink", evs)
+	}
+
+	var grows []bool
+	for _, ev := range l.AllocEvents() {
+		grows = append(grows, ev.Grow)
+	}
+	if want := []bool{true, false, true, true, false}; !reflect.DeepEqual(grows, want) {
+		t.Errorf("AllocEvents grow flags = %v, want %v (split, fold, move, grow, shrink)", grows, want)
+	}
+	if g, s := l.ins.allocGrow.Value(), l.ins.allocShrink.Value(); g != 2 || s != 2 {
+		t.Errorf("alloc grow/shrink counters = %d/%d, want 2/2 (a move bumps neither)", g, s)
+	}
+	if c := l.ins.allocReaction.Count(); c != 5 {
+		t.Errorf("reaction samples = %d, want 5", c)
+	}
+	if d := l.ins.vriDestroys.Value(); d != 3 {
+		t.Errorf("destroy counter = %d, want 3 (fold, move, shrink)", d)
+	}
+	kinds := map[obs.Kind]int{}
+	for _, ev := range tr.Events() {
+		kinds[ev.Kind]++
+	}
+	for kind, want := range map[obs.Kind]int{
+		obs.KindAlloc: 2, obs.KindDealloc: 2, obs.KindMigrate: 1,
+		obs.KindDestroy: 3, obs.KindDrain: 3,
+	} {
+		if kinds[kind] != want {
+			t.Errorf("trace holds %d %v events, want %d (all kinds: %v)", kinds[kind], kind, want, kinds)
+		}
+	}
+	if m := replicated.Migrations(); m.Splits != 1 || m.Folds != 1 || m.Moves != 1 || m.Drains != 0 {
+		t.Errorf("vr1 migration totals = %+v, want one split, fold and move", m)
+	}
+}
+
+// TestFromLVRMServesStagedResidueFirst: frames a split, fold or move staged
+// onto a VRI predate everything in its ring, so the Section 3.6 API must hand
+// them out first — and must drain them at all, or the VRI owes frames forever.
+func TestFromLVRMServesStagedResidueFirst(t *testing.T) {
+	clock := &fakeClock{}
+	_, v := newReplicaLVRM(t, clock, 1, 2)
+	a := v.VRIs()[0]
+	staged1, staged2, queued := flowFrame(t, 1), flowFrame(t, 1), flowFrame(t, 1)
+	a.stagePre(staged1)
+	a.stagePre(staged2)
+	if !a.hand(queued) {
+		t.Fatal("ring refused a frame")
+	}
+	api := NewLVRMAdapter(a, clock.fn())
+	for i, want := range []*packet.Frame{staged1, staged2, queued} {
+		if got, ok := api.FromLVRM(); !ok || got != want {
+			t.Fatalf("FromLVRM #%d returned (%p, %v), want %p: staged residue must come out first, in order", i, got, ok, want)
+		}
+	}
+	if _, ok := api.FromLVRM(); ok {
+		t.Error("FromLVRM returned a fourth frame")
+	}
+	if got := a.PendingData(); got != 0 {
+		t.Errorf("PendingData = %d after draining through FromLVRM, want 0", got)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -36,11 +37,15 @@ import (
 // and resumes them after (OnResume; the goroutine re-creation publishes
 // the staged frames).
 
+// errHold is replicaPass's "no transition this pass".
+var errHold = errors.New("core: replica set holds")
+
 // replicaPass is the allocation pass for one replicated VR: sample the
 // replica-aware load view, ask the split/fold controller, and execute the
 // decision. It replaces the VR's alloc.Policy — Grow/Shrink trade whole
-// VRIs between VRs, which is the wrong move for a replica set.
-func (l *LVRM) replicaPass(v *VR, now int64, iterCost time.Duration) []AllocEvent {
+// VRIs between VRs, which is the wrong move for a replica set. Any error
+// (errHold, no free core, an engine failure) leaves the set as it is.
+func (l *LVRM) replicaPass(v *VR, now int64, iterCost time.Duration) (AllocEvent, error) {
 	vris := v.vriList()
 	load := balance.VRLoad{
 		ArrivalFPS: v.arrival.Estimate(),
@@ -59,44 +64,34 @@ func (l *LVRM) replicaPass(v *VR, now int64, iterCost time.Duration) []AllocEven
 	}
 	switch v.splitCtl.Decide(now, load) {
 	case balance.SplitReplica:
-		if len(vris) >= v.maxReplicas {
-			return nil
+		if len(vris) < v.maxReplicas {
+			return l.splitVR(v, now, iterCost)
 		}
-		ev, err := l.splitVR(v, now, iterCost)
-		if err != nil {
-			return nil // no free core (or engine failure): hold
-		}
-		return []AllocEvent{ev}
 	case balance.FoldReplica:
-		if len(vris) <= 1 {
-			return nil
-		}
-		ev, err := l.foldVR(v, now, iterCost)
-		if err != nil {
-			return nil
-		}
-		return []AllocEvent{ev}
+		return l.foldVR(v, now, iterCost)
 	case balance.MoveReplica:
 		// At the replica ceiling a hot VR cannot add capacity, but it can
 		// still improve placement: relocate the hottest replica live when a
 		// strictly better core exists. The improvement guard is what keeps
 		// a lateral move from ping-ponging a replica between equal cores.
-		src := vris[0]
-		for _, a := range vris[1:] {
-			if a.PendingData() > src.PendingData() {
-				src = a
-			}
+		if src := byDepth(vris, true); l.moveImproves(src) {
+			_, ev, err := l.moveVRI(v, src, -1, iterCost)
+			return ev, err
 		}
-		if !l.moveImproves(src) {
-			return nil
-		}
-		_, ev, err := l.moveVRI(v, src, -1, iterCost)
-		if err != nil {
-			return nil
-		}
-		return []AllocEvent{ev}
 	}
-	return nil
+	return AllocEvent{}, errHold
+}
+
+// byDepth returns the replica with the deepest pending backlog (staged +
+// ring), or with deepest false the shallowest; the earliest wins a tie.
+func byDepth(vris []*VRIAdapter, deepest bool) *VRIAdapter {
+	best := vris[0]
+	for _, a := range vris[1:] {
+		if d, b := a.PendingData(), best.PendingData(); (deepest && d > b) || (!deepest && d < b) {
+			best = a
+		}
+	}
+	return best
 }
 
 // moveImproves reports whether relocating the replica to the allocator's
@@ -133,13 +128,7 @@ func (l *LVRM) moveImproves(src *VRIAdapter) bool {
 //  5. Reopen src's ring, resume both consumers. dst's staged frames drain
 //     before anything dispatch now enqueues to dst's ring.
 func (l *LVRM) splitVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, error) {
-	vris := v.vriList()
-	src := vris[0]
-	for _, a := range vris[1:] {
-		if a.PendingData() > src.PendingData() {
-			src = a
-		}
-	}
+	src := byDepth(v.vriList(), true)
 	dst, err := l.growVR(v, now)
 	if err != nil {
 		return AllocEvent{}, err
@@ -167,45 +156,22 @@ func (l *LVRM) splitVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, er
 	l.resumeVRI(v, dst)
 
 	v.splits.Add(1)
-	ev := AllocEvent{
-		At: now, VR: v.ID, Grow: true, Core: dst.Core, Cores: v.Cores(),
-		Latency: iterCost + l.cfg.SpawnCost,
-	}
-	l.ins.allocGrow.Inc()
-	l.ins.allocReaction.Observe(int64(ev.Latency))
-	l.ins.tracer.Record(obs.Event{
-		At: now, Kind: obs.KindAlloc, VR: v.ID, VRI: dst.ID, Core: dst.Core,
-		Value: float64(ev.Latency),
-		Note:  fmt.Sprintf("%s split %d->%d staged=%d", v.cfg.Name, src.ID, dst.ID, rep.Moved),
-	})
-	return ev, nil
+	return l.record(v, now, obs.KindAlloc, dst, iterCost+l.cfg.SpawnCost,
+		fmt.Sprintf("%s split %d->%d staged=%d", v.cfg.Name, src.ID, dst.ID, rep.Moved)), nil
 }
 
-// foldVR retires the coldest replica and merges its flow partition into
-// the least-loaded survivor, via one MigrateFold invocation of the engine.
-// The protocol:
-//
-//  1. src = coldest replica, dst = least-loaded survivor; pause dst.
-//  2. Detach src through the normal teardown entry (Draining, in-queues
-//     closed, off the dispatch list, epoch bumped) and join its consumer
-//     (OnDestroy), making the monitor the sole owner of its residue.
-//  3. The engine re-pins ALL src flows to dst FIRST (from here on dispatch
-//     enqueues those flows to dst's ring — strictly after the residue
-//     about to be staged), transplants src's staged + ring residue onto
-//     dst's staging queue in order, and settles src's outbound/control
-//     residue exactly like a teardown.
-//  4. Release src's core, resume dst.
+// foldVR retires the coldest replica and merges its flow partition into the
+// least-loaded survivor: retire with one MigrateFold destination. The engine
+// re-pins ALL src flows to dst FIRST — from there on dispatch enqueues those
+// flows to dst's ring, strictly after the residue about to be staged — and
+// then transplants src's staged + ring residue onto dst's staging queue in
+// order.
 func (l *LVRM) foldVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, error) {
 	vris := v.vriList()
 	if len(vris) < 2 {
 		return AllocEvent{}, fmt.Errorf("core: VR %s has no replica to fold", v.cfg.Name)
 	}
-	src := vris[0]
-	for _, a := range vris[1:] {
-		if a.PendingData() < src.PendingData() {
-			src = a
-		}
-	}
+	src := byDepth(vris, false)
 	rest := make([]*VRIAdapter, 0, len(vris)-1)
 	for _, a := range vris {
 		if a != src {
@@ -213,46 +179,13 @@ func (l *LVRM) foldVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, err
 		}
 	}
 	dst := leastLoaded(rest)
-
-	pauseStart := l.cfg.Clock()
-	l.pauseVRI(v, dst)
-	a, err := v.destroyVRI(src.Core)
+	rep, err := l.retire(v, src, migration{kind: MigrateFold, dst: dst})
 	if err != nil {
-		l.resumeVRI(v, dst)
 		return AllocEvent{}, err
 	}
-	if l.OnDestroy != nil {
-		l.OnDestroy(v, a)
-	}
-
-	start := l.cfg.Clock()
-	rep := l.migratePartition(v, migration{
-		kind: MigrateFold, src: a, dst: dst, pauseStart: pauseStart,
-	})
-	l.finishDrain(v, a, &rep, start)
-
-	if a.Core != l.allocator.LVRMCore() {
-		if err := l.allocator.Release(a.Core); err != nil {
-			l.resumeVRI(v, dst)
-			return AllocEvent{}, err
-		}
-	}
-	l.ins.vriDestroys.Inc()
-	l.resumeVRI(v, dst)
-
 	v.folds.Add(1)
-	ev := AllocEvent{
-		At: now, VR: v.ID, Grow: false, Core: a.Core, Cores: v.Cores(),
-		Latency: iterCost + l.cfg.DestroyCost,
-	}
-	l.ins.allocShrink.Inc()
-	l.ins.allocReaction.Observe(int64(ev.Latency))
-	l.ins.tracer.Record(obs.Event{
-		At: now, Kind: obs.KindDealloc, VR: v.ID, VRI: a.ID, Core: a.Core,
-		Value: float64(ev.Latency),
-		Note:  fmt.Sprintf("%s fold %d->%d staged=%d", v.cfg.Name, a.ID, dst.ID, rep.Moved),
-	})
-	return ev, nil
+	return l.record(v, now, obs.KindDealloc, src, iterCost+l.cfg.DestroyCost,
+		fmt.Sprintf("%s fold %d->%d staged=%d", v.cfg.Name, src.ID, dst.ID, rep.Moved)), nil
 }
 
 // pauseVRI stops and joins the instance's consumer via the OnPause hook.

@@ -175,9 +175,8 @@ func TestFoldVRMergesResidue(t *testing.T) {
 	if r := v.Retired(); r.VRIs != 1 {
 		t.Fatalf("retired VRIs = %d, want 1", r.VRIs)
 	}
-	d := v.DrainStats()
-	if d.Migrated == 0 || d.Pins == 0 {
-		t.Fatalf("drain stats = %+v, want migrated residue and flipped pins", d)
+	if m := v.Migrations(); m.FramesMoved == 0 || m.PinsFlipped == 0 {
+		t.Fatalf("migration totals = %+v, want migrated residue and flipped pins", m)
 	}
 	survivor := v.VRIs()[0]
 	if got := survivor.PendingData(); got != nFlows*perFlow {
@@ -496,7 +495,7 @@ func runReplicaSoak(t *testing.T, wantFold bool) {
 		if foldsOf() < 1 {
 			t.Fatal("load collapsed but the replica set never folded")
 		}
-		if d := v.DrainStats(); d.Pins == 0 {
+		if v.Migrations().PinsFlipped == 0 {
 			t.Error("fold flipped no pins: the merge was vacuous")
 		}
 	}
@@ -517,21 +516,12 @@ func runReplicaSoak(t *testing.T, wantFold bool) {
 		break
 	}
 
-	// Conservation across every split/fold transplant: received equals
-	// relayed plus every named drop bucket.
-	st := l.Stats()
-	var engDrops, outDrops int64
-	for _, a := range v.VRIs() {
-		engDrops += a.EngineDrops()
-		outDrops += a.OutDrops()
-	}
-	ret := v.Retired()
-	d := v.DrainStats()
-	accounted := st.Sent + st.SendErrors + st.Unclassified + v.InDrops() + st.FlowAdmitShed +
-		d.Dropped + engDrops + outDrops + ret.EngineDrops + ret.OutDrops
-	if accounted != st.Received {
-		t.Errorf("conservation violated: received %d, accounted %d\nstats=%+v\ndrain=%+v\nretired=%+v",
-			st.Received, accounted, st, d, ret)
+	// Conservation across every split/fold transplant: every received frame
+	// is in one ledger bucket, none still in flight.
+	st := l.Ledger()
+	if st.Residual() != 0 || st.InFlight != 0 {
+		t.Errorf("conservation violated: residual %d, in flight %d\nledger=%+v",
+			st.Residual(), st.InFlight, st)
 	}
 	if txGot != st.Sent {
 		t.Errorf("TX delivered %d frames, Stats.Sent = %d", txGot, st.Sent)
@@ -543,8 +533,9 @@ func runReplicaSoak(t *testing.T, wantFold bool) {
 		t.Errorf("pool outstanding = %d after replica soak, want 0 (leak)", ps.Outstanding)
 	}
 	n, splits, folds := v.Replicas()
+	m := v.Migrations()
 	t.Logf("replica soak: fed=%d sent=%d replicas=%d splits=%d folds=%d migrated=%d pins=%d reorders=%d",
-		fed, st.Sent, n, splits, folds, d.Migrated, d.Pins, reorders)
+		fed, st.Sent, n, splits, folds, m.FramesMoved, m.PinsFlipped, reorders)
 }
 
 // TestReplicaSplitUnderLoad proves a live split loses and reorders nothing.

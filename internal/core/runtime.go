@@ -152,8 +152,8 @@ func (r *Runtime) Stop() {
 // halt all goroutines, and — on the clean path — run one final
 // single-threaded sweep to settle anything that was mid-step when the
 // monitor halted. The VRIs stay Running throughout, so Start can resume the
-// runtime afterwards. On timeout the residue stays queued, and the caller
-// decides (lvrmd force-releases it and exits non-zero).
+// runtime afterwards. On timeout the residue stays queued — Ledger().InFlight
+// counts it — and the caller decides (lvrmd reports it and exits non-zero).
 func (r *Runtime) StopWithin(d time.Duration) bool {
 	r.mu.Lock()
 	if !r.started || r.stopping {

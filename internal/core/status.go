@@ -55,8 +55,9 @@ type VRStatus struct {
 	// DispatchWait summarizes the dispatch-to-dequeue wait histogram
 	// (zero-valued when observability is disabled).
 	DispatchWait LatencySummary `json:"dispatch_wait_ns"`
-	// Drain is the VR's cumulative hand-off accounting: where queue residue
-	// went, summed over every migration-engine invocation.
+	// Drain is where migrated-away queue residue went besides a destination
+	// VRI (that is Migrations.FramesMoved), summed over every
+	// migration-engine invocation.
 	Drain DrainStats `json:"drain"`
 	// Migrations counts the engine's invocations per kind plus the frames
 	// and pins it has moved for this VR.

@@ -64,13 +64,10 @@ type VR struct {
 	// once at AddVR so classification is one AND and one compare per VR.
 	srcNet, srcMask uint32
 
-	// targets and stage are dispatchLocked's scratch slices, reused under mu
-	// so the hot path does not allocate: the balance.Target list of the run,
-	// and the frames picked for one VRI that the next flush publishes.
-	// Balancers must not retain targets past Pick (none of the shipped ones
-	// do).
+	// targets is dispatchLocked's scratch slice, reused under mu so the hot
+	// path does not allocate: the balance.Target list of the run. Balancers
+	// must not retain targets past Pick (none of the shipped ones do).
 	targets []balance.Target
-	stage   []*packet.Frame
 
 	// arrival estimates the VR's traffic load for core allocation.
 	arrival *estimate.ArrivalRate
@@ -108,7 +105,7 @@ type VR struct {
 
 	// Drain accounting: where migrated VRIs' queue residue went besides a
 	// destination's data-in side (that is migFrames), summed over every
-	// migration (see lifecycle.go's DrainStats).
+	// migration (DrainStats; drainDropped is also a Ledger bucket).
 	drainRelayed    atomic.Int64
 	drainDropped    atomic.Int64
 	drainCtlMoved   atomic.Int64
@@ -236,8 +233,10 @@ func (v *VR) refuse(frames []*packet.Frame) int {
 // order. Each VRI's queue depth is read once at the start of the run and
 // counted locally from there (runDepth), so a pick sees the frames placed
 // before it in the same run without re-reading the ring cursor the VRI's core
-// keeps writing. Consecutive frames for one VRI are staged and published with
-// a single EnqueueBatch.
+// keeps writing. Consecutive frames for one VRI are published with a single
+// EnqueueBatch: frames[lo:g] is the run staged for cur as the loop reaches
+// frame g — always a contiguous piece of the burst, because a change of VRI,
+// and a full ring, are both preceded by a flush.
 func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
 	v.mu.Lock()
 	vris := v.vriList()
@@ -253,40 +252,39 @@ func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
 		v.targets = append(v.targets, balance.Target{ID: a.ID, Load: a.loadFn})
 	}
 	var cur *VRIAdapter
-	for _, f := range frames {
+	lo := 0
+	for g, f := range frames {
 		a := vris[v.cfg.Balancer.Pick(v.targets, f)]
 		if a != cur {
-			accepted += v.flush(cur, now)
-			cur = a
+			accepted += v.flush(cur, frames[lo:g], now)
+			cur, lo = a, g
 		}
 		// Figure 3.4 "queue length": observe occupancy when forwarding.
 		a.QueueEst.Observe(a.runDepth)
-		v.stage = append(v.stage, f)
 		a.runDepth++
 		if a.runRoom > 0 {
 			a.runRoom--
 		} else {
 			// The ring was full when the run began: try now, so that the
 			// next pick sees the real outcome rather than a guess.
-			accepted += v.flush(a, now)
+			accepted += v.flush(a, frames[lo:g+1], now)
+			lo = g + 1
 		}
 	}
-	accepted += v.flush(cur, now)
+	accepted += v.flush(cur, frames[lo:], now)
 	v.mu.Unlock()
 	return accepted
 }
 
-// flush publishes the frames staged for a (handRun) and returns how many the
-// ring accepted. Caller holds v.mu.
-func (v *VR) flush(a *VRIAdapter, now int64) int {
-	n := len(v.stage)
+// flush publishes run, the frames staged for a (handRun), and returns how
+// many the ring accepted. Caller holds v.mu.
+func (v *VR) flush(a *VRIAdapter, run []*packet.Frame, now int64) int {
+	n := len(run)
 	if n == 0 {
 		return 0
 	}
-	ok := v.handRun(a, v.stage)
+	ok := v.handRun(a, run)
 	a.runDepth -= n - ok
-	clear(v.stage)
-	v.stage = v.stage[:0]
 	v.placed(a, ok, a.runDepth, now, obs.KindBalance,
 		"balancer pick; value = chosen VRI queue depth after enqueue")
 	return ok
@@ -511,16 +509,6 @@ func (v *VR) FlowStats() (flow.Stats, bool) {
 
 // FlowTable exposes the VR's affinity table (nil when flow dispatch is off).
 func (v *VR) FlowTable() *flow.Table { return v.flows }
-
-// vriByID returns the VRI adapter with the given ID.
-func (v *VR) vriByID(id int) (*VRIAdapter, bool) {
-	for _, a := range v.vriList() {
-		if a.ID == id {
-			return a, true
-		}
-	}
-	return nil, false
-}
 
 // spawnVRI creates a new VRI adapter bound to core (Figure 3.2's "create
 // VRI adapter"): create the queue pairs, bind the core, build the engine,

@@ -253,8 +253,8 @@ func (a *VRIAdapter) owes() bool {
 
 // StepBatchResult reports what one StepBatch call did: the simulated CPU
 // cost of the work, how many control events and data frames were consumed,
-// and the buffer bytes enqueued toward LVRM (the testbed sizes the batched
-// relay's transmit cost from OutBytes).
+// and the buffer bytes enqueued toward LVRM (what a relay of the whole
+// quantum would transmit).
 type StepBatchResult struct {
 	Cost     time.Duration
 	Control  int
@@ -444,15 +444,19 @@ func NewLVRMAdapter(vri *VRIAdapter, clock func() int64) *LVRMAdapter {
 	return &LVRMAdapter{vri: vri, clock: clock}
 }
 
-// FromLVRM polls the next inbound data frame, observing the service rate
-// under the Section 3.6 rule StepBatch follows: the completion gap only
-// measures capacity while the queue stays backed up, so a dequeue that
-// drains the queue breaks the estimate instead of echoing the arrival rate
-// under light load.
+// FromLVRM polls the next inbound data frame — staged transplant residue
+// first, as in StepBatch, because it predates everything in the ring —
+// observing the service rate under the Section 3.6 rule StepBatch follows:
+// the completion gap only measures capacity while the queue stays backed up,
+// so a dequeue that drains the queue breaks the estimate instead of echoing
+// the arrival rate under light load.
 func (l *LVRMAdapter) FromLVRM() (*packet.Frame, bool) {
-	f, ok := l.vri.Data.In.Dequeue()
+	f, ok := l.vri.takePre()
+	if !ok {
+		f, ok = l.vri.Data.In.Dequeue()
+	}
 	if ok {
-		if l.vri.Data.In.Len() > 0 {
+		if l.vri.PendingData() > 0 {
 			l.vri.SvcEst.Observe(l.clock())
 		} else {
 			l.vri.SvcEst.Break()

@@ -76,68 +76,73 @@ func (e *EWMA) Valid() bool { return e.valid }
 // Reset forgets all history.
 func (e *EWMA) Reset() { e.avg, e.valid = 0, false }
 
-// ArrivalRate estimates a frame arrival rate (frames/second) from the EWMA
-// of inter-arrival times, per the "arrival time" routine of Figure 3.4.
-type ArrivalRate struct {
+// gapRate is the core ArrivalRate and ServiceRate share: the EWMA of the gap
+// between consecutive event timestamps, inverted to a rate in events/second.
+type gapRate struct {
 	mu       sync.Mutex
 	gap      EWMA
 	prev     int64
 	havePrev bool
 }
 
-// NewArrivalRate returns an arrival-rate estimator with the given EWMA
-// weight (0 selects DefaultWeight).
-func NewArrivalRate(weight float64) *ArrivalRate {
-	return &ArrivalRate{gap: EWMA{Weight: weight}}
-}
+// Observe records one event at virtual time now (ns); it is ObserveN(now, 1).
+func (g *gapRate) Observe(now int64) { g.ObserveN(now, 1) }
 
-// Observe records a frame arrival at virtual time now (ns).
-func (a *ArrivalRate) Observe(now int64) { a.ObserveN(now, 1) }
-
-// ObserveN records n frame arrivals that share the timestamp now (ns) — a
-// received burst, stamped with one clock read. The gap since the previous
-// observation is attributed evenly across the n arrivals, so the estimate
-// stays a per-frame rate: n plain Observe(now) calls would record one real
-// gap and discard n-1 zero gaps, reporting the burst rate instead.
-func (a *ArrivalRate) ObserveN(now int64, n int) {
+// ObserveN records n events that share the timestamp now (ns) — a received
+// burst stamped with one clock read, or a run of frames completing within one
+// scheduling quantum. The gap since the previous observation is attributed
+// evenly across the n events, so the estimate stays a per-frame rate: n plain
+// Observe(now) calls would record one real gap and discard n-1 zero gaps,
+// reporting the burst rate instead.
+func (g *gapRate) ObserveN(now int64, n int) {
 	if n <= 0 {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.havePrev {
-		gap := float64(now-a.prev) / float64(n)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.havePrev {
+		gap := float64(now-g.prev) / float64(n)
 		if gap > 0 {
-			a.gap.Update(gap)
+			g.gap.Update(gap)
 		}
 	}
-	a.prev = now
-	a.havePrev = true
+	g.prev = now
+	g.havePrev = true
 }
 
-// Estimate returns the smoothed arrival rate in frames per second.
-func (a *ArrivalRate) Estimate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.gap.Valid() || a.gap.Value() <= 0 {
+// Estimate returns the smoothed rate in events per second.
+func (g *gapRate) Estimate() float64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.gap.Valid() || g.gap.Value() <= 0 {
 		return 0
 	}
-	return 1e9 / a.gap.Value()
+	return 1e9 / g.gap.Value()
 }
 
-// Valid reports whether at least two arrivals have been observed.
-func (a *ArrivalRate) Valid() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.gap.Valid()
+// Valid reports whether at least two events have been observed back to back.
+func (g *gapRate) Valid() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.gap.Valid()
 }
 
 // Reset forgets all history.
-func (a *ArrivalRate) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.gap.Reset()
-	a.havePrev = false
+func (g *gapRate) Reset() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.gap.Reset()
+	g.havePrev = false
+}
+
+// ArrivalRate estimates a frame arrival rate (frames/second) from the EWMA
+// of inter-arrival times, per the "arrival time" routine of Figure 3.4.
+type ArrivalRate struct{ gapRate }
+
+// NewArrivalRate returns an arrival-rate estimator with the given EWMA
+// weight (0 selects DefaultWeight).
+func NewArrivalRate(weight float64) *ArrivalRate {
+	return &ArrivalRate{gapRate{gap: EWMA{Weight: weight}}}
 }
 
 // IdleSince reports whether no arrival has been observed for at least d at
@@ -204,78 +209,12 @@ func (q *QueueLength) Reset() {
 // ServiceRate estimates a VRI's service (departure) rate in frames/second
 // from the gaps between consecutive service completions, as measured by the
 // LVRM adapter between FromLVRM calls (Section 3.6).
-type ServiceRate struct {
-	mu       sync.Mutex
-	gap      EWMA
-	prev     int64
-	havePrev bool
-}
+type ServiceRate struct{ gapRate }
 
 // NewServiceRate returns a service-rate estimator with the given EWMA weight
 // (0 selects DefaultWeight).
 func NewServiceRate(weight float64) *ServiceRate {
-	return &ServiceRate{gap: EWMA{Weight: weight}}
-}
-
-// Observe records a service completion at virtual time now (ns).
-func (s *ServiceRate) Observe(now int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.havePrev {
-		gap := float64(now - s.prev)
-		if gap > 0 {
-			s.gap.Update(gap)
-		}
-	}
-	s.prev = now
-	s.havePrev = true
-}
-
-// ObserveN records n service completions all finishing at virtual time now
-// (ns) — the batched-dequeue case, where a run of frames completes within
-// one scheduling quantum. The gap since the previous completion is
-// attributed evenly across the n completions, so the estimate stays a
-// per-frame rate instead of collapsing to a per-batch rate; ObserveN(now, 1)
-// is identical to Observe(now).
-func (s *ServiceRate) ObserveN(now int64, n int) {
-	if n <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.havePrev {
-		gap := float64(now-s.prev) / float64(n)
-		if gap > 0 {
-			s.gap.Update(gap)
-		}
-	}
-	s.prev = now
-	s.havePrev = true
-}
-
-// Estimate returns the smoothed service rate in frames per second.
-func (s *ServiceRate) Estimate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.gap.Valid() || s.gap.Value() <= 0 {
-		return 0
-	}
-	return 1e9 / s.gap.Value()
-}
-
-// Valid reports whether at least two completions have been observed.
-func (s *ServiceRate) Valid() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gap.Valid()
-}
-
-// Reset forgets all history.
-func (s *ServiceRate) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gap.Reset()
-	s.havePrev = false
+	return &ServiceRate{gapRate{gap: EWMA{Weight: weight}}}
 }
 
 // Break marks a service discontinuity: the next Observe will not form a gap

@@ -41,7 +41,7 @@ func burstStream(tb *Table, seed int64, universe, total, every, chunk int, vecto
 			tb.BumpEpoch()
 		case 1:
 			src, r := rng.Intn(4), round
-			tb.Transfer(src, int64(round), func(key uint64) int {
+			tb.Transfer(src, func(key uint64) int {
 				switch (key >> 20) % 4 {
 				case 0:
 					return (src + 1 + r%3) % 4 // move
@@ -225,7 +225,7 @@ func TestAssignHitsConcurrent(t *testing.T) {
 				case 0:
 					tb.BumpEpoch()
 				case 1:
-					tb.Transfer(g, 0, func(key uint64) int { return owner(key) }) // sweeps, changes nothing
+					tb.Transfer(g, func(key uint64) int { return owner(key) }) // sweeps, changes nothing
 				}
 			}
 		}(g)

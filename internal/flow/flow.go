@@ -176,7 +176,6 @@ type shard struct {
 
 	// Per-shard accounting, read by the Shard* accessors under mu.
 	evictions int64 // pins lost to a probe-window collision during migration
-	overflows int64 // new flows turned away at capacity
 	resizes   int64
 
 	_ [64]byte
@@ -307,7 +306,6 @@ func (t *Table) Assign(key uint64, _ int64, keep func(vri int) bool, pick func()
 		return vri, Refused
 	}
 	if !s.insert(t, entry{key: key, epoch: epoch, vri: int32(vri)}) {
-		s.overflows++
 		s.mu.Unlock()
 		t.overflows.Add(1)
 		return vri, Overflow
@@ -504,11 +502,9 @@ func (s *shard) find(key uint64) *entry {
 // pin (counted in Stats.Unpinned; the flow re-enters through the miss path on
 // its next frame). dst runs under the shard lock — keep it cheap and
 // deterministic. Transfer returns how many pins changed owner or were
-// deleted. The time argument is not recorded, as in Assign.
-//
-// Evict and MovePartition are thin parameterizations of this sweep; the
-// core migration engine (internal/core/migrate.go) calls it directly.
-func (t *Table) Transfer(src int, _ int64, dst func(key uint64) int) int {
+// deleted. The core migration engine (internal/core/migrate.go) is its one
+// caller outside tests.
+func (t *Table) Transfer(src int, dst func(key uint64) int) int {
 	changed := 0
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -541,29 +537,10 @@ func (t *Table) Transfer(src int, _ int64, dst func(key uint64) int) int {
 	return changed
 }
 
-// Evict removes or re-pins all flows assigned to the given VRI. It is the
-// eager counterpart of the lazy epoch re-validation: VRI teardown calls it
-// after the dying instance's queue is closed, so no later Assign can hand a
-// frame to a VRI that will never service it.
-//
-// For each pin on vri, repick() chooses a surviving VRI while the shard lock
-// is held (keep it cheap). A non-negative result re-pins the flow there,
-// counted as a rebalance; a negative result (or vri itself) deletes the pin,
-// counted in Stats.Unpinned, and the flow re-enters through the miss path on
-// its next frame. Evict returns how many pins it touched.
-func (t *Table) Evict(vri int, now int64, repick func() int) int {
-	return t.Transfer(vri, now, func(uint64) int {
-		if next := repick(); next != vri {
-			return next
-		}
-		return -1
-	})
-}
-
 // PinOf reports which VRI key is currently pinned to, without touching
 // epochs or outcome counters. The replica split uses it to route
-// transplanted queue residue: after MovePartition re-pins a slice of flows,
-// each drained frame follows its flow's pin to the owning replica.
+// transplanted queue residue: after Transfer re-pins a slice of flows, each
+// drained frame follows its flow's pin to the owning replica.
 func (t *Table) PinOf(key uint64) (vri int, ok bool) {
 	s := &t.shards[key&t.shardMask]
 	s.mu.Lock()
@@ -575,21 +552,6 @@ func (t *Table) PinOf(key uint64) (vri int, ok bool) {
 	vri = int(e.vri)
 	s.mu.Unlock()
 	return vri, true
-}
-
-// MovePartition re-pins to dst each flow pinned to src for which
-// shouldMove(key) returns true — the bulk flow-partition handoff a replica
-// split performs. Moved pins take the shard's current epoch (so they read as
-// fresh Hits afterwards) and are counted as rebalances.
-// shouldMove runs under the shard lock; keep it cheap and deterministic.
-// Returns how many pins moved.
-func (t *Table) MovePartition(src, dst int, now int64, shouldMove func(key uint64) bool) int {
-	return t.Transfer(src, now, func(key uint64) int {
-		if shouldMove(key) {
-			return dst
-		}
-		return src
-	})
 }
 
 // PartitionSizes counts the pinned flows each VRI currently owns, in one
@@ -672,16 +634,6 @@ func (t *Table) ShardEvictions(i int) int64 {
 	ev := s.evictions
 	s.mu.Unlock()
 	return ev
-}
-
-// ShardOverflows returns how many new flows shard i has turned away at
-// capacity.
-func (t *Table) ShardOverflows(i int) int64 {
-	s := &t.shards[i]
-	s.mu.Lock()
-	ov := s.overflows
-	s.mu.Unlock()
-	return ov
 }
 
 // Len returns the total number of pinned flows across all shards.

@@ -160,8 +160,8 @@ func TestOverflowNeverEvictsPinned(t *testing.T) {
 	if st.Evictions != 0 {
 		t.Fatalf("evictions = %d, want 0 (pinned flows are never evicted)", st.Evictions)
 	}
-	if st.Overflows != 1 || tb.ShardOverflows(0) != 1 {
-		t.Fatalf("overflows = %d/%d, want 1/1", st.Overflows, tb.ShardOverflows(0))
+	if st.Overflows != 1 {
+		t.Fatalf("overflows = %d, want 1", st.Overflows)
 	}
 	// Every established flow still hits on its original pin.
 	for i := 0; i < probeWindow; i++ {
@@ -230,7 +230,7 @@ func TestLenConservationAfterChurn(t *testing.T) {
 			tb.Assign(k, int64(round*2000+i), keep, refuse(i))
 		}
 		tb.BumpEpoch()
-		tb.Evict(round%5, int64(round), refuse(round))
+		evict(tb, round%5, refuse(round))
 	}
 	st := tb.Stats()
 	want := st.Misses - st.Unpinned - st.Evictions
@@ -279,9 +279,9 @@ func TestConcurrentChurnWithRefusingPick(t *testing.T) {
 		for i := 0; !stop.Load(); i++ {
 			tb.BumpEpoch()
 			if i%3 == 0 {
-				tb.Evict(i%4, int64(i), pickConst(-1))
+				evict(tb, i%4, pickConst(-1))
 			} else {
-				tb.Evict(i%4, int64(i), pickConst((i+1)%4))
+				evict(tb, i%4, pickConst((i+1)%4))
 			}
 		}
 	}()
@@ -413,7 +413,7 @@ func TestEvictRepinsToSurvivor(t *testing.T) {
 		tb.Assign(k<<32|k, 1, keepAlways, pickConst(2))
 	}
 
-	touched := tb.Evict(5, 2, pickConst(2))
+	touched := evict(tb, 5, pickConst(2))
 	if touched != 10 {
 		t.Fatalf("evict touched %d pins, want 10", touched)
 	}
@@ -446,7 +446,7 @@ func TestEvictDeletesWithoutSurvivor(t *testing.T) {
 		tb.Assign(k<<32|k, 1, keepAlways, pickConst(7))
 	}
 
-	touched := tb.Evict(7, 2, pickConst(-1))
+	touched := evict(tb, 7, pickConst(-1))
 	if touched != 6 {
 		t.Fatalf("evict touched %d pins, want 6", touched)
 	}
@@ -470,7 +470,7 @@ func TestEvictRepickReturningSameVRIDeletes(t *testing.T) {
 	// eviction.
 	tb := NewTable(1, 64)
 	tb.Assign(9<<32|9, 1, keepAlways, pickConst(3))
-	tb.Evict(3, 2, pickConst(3))
+	evict(tb, 3, pickConst(3))
 	if tb.Len() != 0 {
 		t.Fatalf("len = %d, want 0", tb.Len())
 	}
@@ -493,7 +493,7 @@ func TestEvictConcurrentWithAssign(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 16; i++ {
-			tb.Evict(i%4, int64(i), pickConst((i+1)%4))
+			evict(tb, i%4, pickConst((i+1)%4))
 		}
 	}()
 	wg.Wait()
@@ -538,7 +538,7 @@ func TestMovePartitionRepinsSelectedFlows(t *testing.T) {
 	}
 	before := tb.Stats()
 
-	moved := tb.MovePartition(0, 2, 5, func(key uint64) bool { return key%2 == 0 })
+	moved := movePartition(tb, 0, 2, func(key uint64) bool { return key%2 == 0 })
 	if moved != flows/2 {
 		t.Fatalf("moved %d pins, want %d", moved, flows/2)
 	}
@@ -566,7 +566,7 @@ func TestMovePartitionRepinsSelectedFlows(t *testing.T) {
 	}
 
 	// A source VRI with no pins moves nothing.
-	if n := tb.MovePartition(7, 0, 8, func(uint64) bool { return true }); n != 0 {
+	if n := movePartition(tb, 7, 0, func(uint64) bool { return true }); n != 0 {
 		t.Fatalf("MovePartition from empty source moved %d", n)
 	}
 }
@@ -575,7 +575,7 @@ func TestMovePartitionFreshensStalePins(t *testing.T) {
 	tb := NewTable(1, 64)
 	tb.Assign(11, 1, keepAlways, pickConst(0))
 	tb.BumpEpoch()
-	if n := tb.MovePartition(0, 1, 2, func(uint64) bool { return true }); n != 1 {
+	if n := movePartition(tb, 0, 1, func(uint64) bool { return true }); n != 1 {
 		t.Fatalf("moved %d, want 1", n)
 	}
 	// The move re-stamped the pin in the bumped epoch, so the flow's next

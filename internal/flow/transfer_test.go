@@ -6,10 +6,31 @@ import (
 )
 
 // Transfer is the partition-transfer primitive every bulk hand-off routes
-// through (Evict and MovePartition are wrappers); these tests pin down its
-// contract directly: src selection, the three dst outcomes (keep, re-pin,
-// delete), and the counter semantics the migration engine's conservation
-// sums are written against.
+// through; these tests pin down its contract directly: src selection, the
+// three dst outcomes (keep, re-pin, delete), and the counter semantics the
+// migration engine's conservation sums are written against.
+
+// evict and movePartition are the two shapes of Transfer the older tests were
+// written against: a teardown sweep, where repick chooses a survivor per pin
+// and a negative answer (or vri itself) deletes the pin, and a split, which
+// re-pins to dst the flows shouldMove selects.
+func evict(tb *Table, vri int, repick func() int) int {
+	return tb.Transfer(vri, func(uint64) int {
+		if next := repick(); next != vri {
+			return next
+		}
+		return -1
+	})
+}
+
+func movePartition(tb *Table, src, dst int, shouldMove func(key uint64) bool) int {
+	return tb.Transfer(src, func(key uint64) int {
+		if shouldMove(key) {
+			return dst
+		}
+		return src
+	})
+}
 
 func TestTransferRoutesPerKey(t *testing.T) {
 	tb := NewTable(4, 256)
@@ -24,7 +45,7 @@ func TestTransferRoutesPerKey(t *testing.T) {
 	// Route src=1 flows three ways: multiples of 3 stay, multiples of 3 plus
 	// one re-pin to VRI 7, the rest unpin. VRI 2's partition must be
 	// untouched — dst must never even be consulted for it.
-	changed := tb.Transfer(1, 2, func(key uint64) int {
+	changed := tb.Transfer(1, func(key uint64) int {
 		if key > 100 {
 			t.Errorf("dst consulted for key %d, which is pinned to VRI 2", key)
 		}
@@ -82,7 +103,7 @@ func TestTransferRepinSurvivesEpochBump(t *testing.T) {
 	tb := NewTable(1, 64)
 	tb.Assign(5, 1, keepAlways, pickConst(1))
 	tb.BumpEpoch() // the pin is now stale
-	if n := tb.Transfer(1, 2, func(uint64) int { return 4 }); n != 1 {
+	if n := tb.Transfer(1, func(uint64) int { return 4 }); n != 1 {
 		t.Fatalf("Transfer = %d, want 1", n)
 	}
 	// The transfer stamped the current epoch: the next Assign must be a
@@ -104,7 +125,7 @@ func TestPartitionSizes(t *testing.T) {
 			t.Errorf("partition[%d] = %d, want 3", vri, sizes[vri])
 		}
 	}
-	tb.Transfer(2, 2, func(uint64) int { return 0 })
+	tb.Transfer(2, func(uint64) int { return 0 })
 	sizes = tb.PartitionSizes()
 	if sizes[0] != 6 || sizes[2] != 0 {
 		t.Errorf("after merge partitions = %v, want 6 on 0, none on 2", sizes)
@@ -156,7 +177,7 @@ func BenchmarkMovePartition(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tick := 0
 				src, dst := i%2, (i+1)%2
-				tb.MovePartition(src, dst, int64(i), func(uint64) bool {
+				movePartition(tb, src, dst, func(uint64) bool {
 					tick++
 					return tick&1 == 1
 				})
@@ -174,7 +195,7 @@ func BenchmarkTransferMerge(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src, dst := i%2, (i+1)%2
-				tb.Transfer(src, int64(i), func(uint64) int { return dst })
+				tb.Transfer(src, func(uint64) int { return dst })
 			}
 		})
 	}

@@ -50,11 +50,11 @@ const (
 	// SameCoreSwitchCost is the per-frame process-switch overhead when
 	// LVRM and the VRI share one core.
 	SameCoreSwitchCost = 2 * time.Microsecond
-	// DefaultRecvPollDelay and DefaultVRIPollDelay model the latency of
-	// the non-blocking polling loops: a frame waits this long before the
-	// idle poller notices it (latency only; the core is not occupied).
-	DefaultRecvPollDelay = 4 * time.Microsecond
-	DefaultVRIPollDelay  = 4 * time.Microsecond
+	// RecvPollDelay and VRIPollDelay model the latency of the non-blocking
+	// polling loops: a frame waits this long before the idle poller notices
+	// it (latency only; the core is not occupied).
+	RecvPollDelay = 4 * time.Microsecond
+	VRIPollDelay  = 4 * time.Microsecond
 )
 
 // LVRMGatewayConfig configures the simulated LVRM deployment.
@@ -72,21 +72,11 @@ type LVRMGatewayConfig struct {
 	AllocPeriod time.Duration
 	// Affinity is the VRI placement mode (Experiment 2a).
 	Affinity AffinityMode
-	// RecvPollDelay/VRIPollDelay override the polling latencies (0 =
-	// defaults).
-	RecvPollDelay, VRIPollDelay time.Duration
 	// ExtraDispatchCost adds per-frame monitor-core cost to the dispatch
 	// path, e.g. the flow-based balancer's connection tracking (hash
 	// table lookups plus the times() call the paper measures in
 	// Experiment 3c).
 	ExtraDispatchCost time.Duration
-	// VRIBatch, when > 1, serves up to that many data frames per VRI
-	// scheduling quantum, amortizing the queue-hop cost over the batch
-	// (serveBatch: the relay is charged for Out.Len() frames × OutBytes).
-	// 0 or 1 serves one item per quantum and sizes the relay from the
-	// frame about to be served (serve) — the costing every paper figure
-	// was produced with.
-	VRIBatch int
 	// FlowShards/FlowTableCap enable flow-aware sharded dispatch on the
 	// hosted monitor (core.Config.FlowShards): dispatch pins flows to VRIs
 	// through the sharded affinity table instead of running a balancer
@@ -139,12 +129,6 @@ type LVRMGateway struct {
 
 // NewLVRMGateway builds the gateway. Add VRs with AddVR before traffic.
 func NewLVRMGateway(cfg LVRMGatewayConfig) (*LVRMGateway, error) {
-	if cfg.RecvPollDelay == 0 {
-		cfg.RecvPollDelay = DefaultRecvPollDelay
-	}
-	if cfg.VRIPollDelay == 0 {
-		cfg.VRIPollDelay = DefaultVRIPollDelay
-	}
 	if cfg.DataQueueCap == 0 {
 		cfg.DataQueueCap = 4096
 	}
@@ -230,7 +214,7 @@ func (g *LVRMGateway) Arrive(f *packet.Frame, in int) {
 		return
 	}
 	size := len(f.Buf)
-	g.eng.Schedule(g.cfg.RecvPollDelay, func() {
+	g.eng.Schedule(RecvPollDelay, func() {
 		ioCost := g.costs.RecvCost(size)
 		total := ioCost + core.DispatchCost + core.QueueHopCost + g.cfg.ExtraDispatchCost
 		g.lvrmCore.ExecSplit(total, g.mixSplit(ioCost, total), func() {
@@ -311,22 +295,6 @@ func (g *LVRMGateway) scheduleRelay(a *core.VRIAdapter, size int, placementExtra
 	total := ioCost + core.RelayCost + core.QueueHopCost + placementExtra
 	g.lvrmCore.ExecSplit(total, g.mixSplit(ioCost, total), func() {
 		if g.lvrm.RelayFrom(a, 1) == 1 {
-			g.drainTx()
-		}
-	})
-}
-
-// scheduleRelayBatch relays up to n processed frames totalling bytes buffer
-// bytes in one monitor-core task. The transmit syscalls and the per-frame
-// relay bookkeeping are charged per frame, but the queue hop — the cursor
-// acquire on the VRI's outgoing ring — and the placement penalty are paid
-// once for the whole batch: that amortization is the batched path's win.
-func (g *LVRMGateway) scheduleRelayBatch(a *core.VRIAdapter, n, bytes int, placementExtra time.Duration) {
-	ioCost := time.Duration(n)*g.costs.SendBase +
-		time.Duration(float64(bytes)*g.costs.SendPerByte)
-	total := ioCost + time.Duration(n)*core.RelayCost + core.QueueHopCost + placementExtra
-	g.lvrmCore.ExecSplit(total, g.mixSplit(ioCost, total), func() {
-		if g.lvrm.RelayFrom(a, n) > 0 {
 			g.drainTx()
 		}
 	})
@@ -436,11 +404,7 @@ func (s *vriServer) kick() {
 		return
 	}
 	s.busy = true
-	if s.g.cfg.VRIBatch > 1 {
-		s.g.eng.Schedule(s.g.cfg.VRIPollDelay, s.serveBatch)
-	} else {
-		s.g.eng.Schedule(s.g.cfg.VRIPollDelay, s.serve)
-	}
+	s.g.eng.Schedule(VRIPollDelay, s.serve)
 }
 
 // serve performs one quantum of one item (StepBatch at max 1) and charges
@@ -495,50 +459,6 @@ func (s *vriServer) serve() {
 		}
 		if s.a.PendingData() > 0 || s.a.Control.In.Len() > 0 {
 			s.serve() // queue still backed up: keep the core hot
-			return
-		}
-		s.busy = false
-	})
-}
-
-// serveBatch is serve's batched form (cfg.VRIBatch > 1): one StepBatch per
-// quantum. The queue hop is charged once per batch — the cursor publication
-// the batch dequeue amortizes — while the cross-socket penalty stays per
-// element, since every frame's cache lines still cross the interconnect.
-func (s *vriServer) serveBatch() {
-	if s.stopped {
-		s.busy = false
-		return
-	}
-	res := s.a.StepBatch(s.g.eng.Now(), s.g.cfg.VRIBatch, s.onControl)
-	if !res.Did() {
-		s.busy = false
-		return
-	}
-	cost := res.Cost + core.QueueHopCost
-	if s.cross {
-		cost += time.Duration(res.Control+res.Frames) * CrossSocketPenalty
-	}
-	if s.extra != nil {
-		cost += s.extra()
-	}
-	s.core.Exec(cost, User, func() {
-		if s.stopped {
-			s.busy = false
-			return
-		}
-		if n := s.a.Data.Out.Len(); n > 0 {
-			var extra time.Duration
-			if s.relayExtra != nil {
-				extra = s.relayExtra()
-			}
-			s.g.scheduleRelayBatch(s.a, n, res.OutBytes, extra)
-		}
-		if s.a.Control.Out.Len() > 0 {
-			s.g.scheduleControlRelay()
-		}
-		if s.a.PendingData() > 0 || s.a.Control.In.Len() > 0 {
-			s.serveBatch() // queue still backed up: keep the core hot
 			return
 		}
 		s.busy = false

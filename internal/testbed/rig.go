@@ -36,9 +36,6 @@ type RigOpts struct {
 	// SplitFold tunes the controller; zero fields take defaults.
 	MaxReplicas int
 	SplitFold   balance.SplitFoldConfig
-	// VRIBatch serves up to that many data frames per VRI quantum (0 or 1
-	// = one frame per step).
-	VRIBatch int
 	// QueueLimit overrides the links' droptail depth (0 = topology default).
 	QueueLimit int
 	// Seed feeds the gateway's placement randomness.
@@ -76,7 +73,6 @@ func NewRig(opts RigOpts) (*Rig, error) {
 			FlowTableCap:        opts.FlowTableCap,
 			MaxReplicas:         opts.MaxReplicas,
 			SplitFold:           opts.SplitFold,
-			VRIBatch:            opts.VRIBatch,
 			Seed:                opts.Seed,
 			Out:                 out,
 			OnControl:           opts.OnControl,
