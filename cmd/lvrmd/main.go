@@ -7,18 +7,18 @@
 // Usage:
 //
 //	lvrmd [-vrs 2] [-rate 50000] [-duration 10s] [-balancer jsq]
-//	      [-policy dynamic-fixed:20000] [-queue lockfree] [-burn] [-vr-load 16us]
-//	      [-http :8080] [-tracecap 1024] [-udp :9000] [-udp-allow 10.0.0.0/8]
+//	      [-policy dynamic-fixed:20000] [-burn] [-vr-load 16us] [-batch 16]
+//	      [-http :8080] [-udp :9000] [-udp-allow 10.0.0.0/8]
 //	      [-flow-shards 8] [-flow-table 1024] [-flow-admit 256] [-max-replicas 4]
-//	      [-live-migrate 250ms] [-frame-pool] [-pool-poison] [-drain-timeout 5s]
-//	      [-rib] [-rib-replay churn.rt] [-rib-udp :9100] [-rib-flush 5ms]
+//	      [-live-migrate 250ms] [-pool-poison] [-drain-timeout 5s]
+//	      [-rib] [-rib-replay churn.rt] [-rib-udp :9100]
 //
 // With -rib, every VR's engine resolves routes through a shared dynamic FIB
 // published by the streaming RIB (internal/rib) instead of private static
 // tables: the static map-file routes become the RIB's seed (admin distance
 // 0), and route events arrive from a trace replay (-rib-replay, a file from
 // trafficgen -route-churn) and/or a UDP feed of binary events (-rib-udp).
-// Updates batch into new FIB generations, flushed every -rib-flush; each VRI
+// Updates batch into new FIB generations, flushed every 5 ms; each VRI
 // pins one generation per scheduling quantum, so forwarding never blocks on
 // convergence. The /metrics endpoint then exports the lvrm_rib_*/lvrm_fib_*
 // series (see OBSERVABILITY.md).
@@ -53,7 +53,6 @@ import (
 	"lvrm/internal/alloc"
 	"lvrm/internal/balance"
 	"lvrm/internal/core"
-	"lvrm/internal/ipc"
 	"lvrm/internal/netio"
 	"lvrm/internal/obs"
 	"lvrm/internal/packet"
@@ -61,6 +60,16 @@ import (
 	"lvrm/internal/rib"
 	"lvrm/internal/route"
 	"lvrm/internal/vr"
+)
+
+// One value each has ever been in use, so these are not flags.
+const (
+	// traceCap is the event tracer's ring capacity (allocation, lifecycle and
+	// sampled balancer events).
+	traceCap = 1024
+	// ribFlush bounds how long a partial batch of RIB changes can sit
+	// unpublished.
+	ribFlush = 5 * time.Millisecond
 )
 
 func main() { os.Exit(run()) }
@@ -75,11 +84,9 @@ func run() int {
 		duration  = flag.Duration("duration", 10*time.Second, "how long to run (0 = until interrupt)")
 		balName   = flag.String("balancer", "jsq", "load balancer: jsq, rr, random")
 		polName   = flag.String("policy", "dynamic-fixed:20000", "core allocation policy: fixed:<n>, dynamic-fixed:<fps>, dynamic-service")
-		queue     = flag.String("queue", "lockfree", "IPC queue kind: lockfree, locked")
 		burn      = flag.Bool("burn", false, "busy-spin each frame's simulated cost (real CPU load)")
 		vrLoad    = flag.Duration("vr-load", 0, "artificial extra per-frame load added to every VR's engine (the paper's dummy load; 16us ~= one 60 Kfps VRI). With -burn it is spun for real, capping each VRI's service rate — the way to overload a VR and watch -max-replicas split it live")
 		httpAddr  = flag.String("http", "", "serve /status, /metrics, /trace, /debug/vars and /debug/pprof at this address (e.g. :8080)")
-		traceCap  = flag.Int("tracecap", 1024, "event tracer ring capacity (allocation, lifecycle, sampled balancer events)")
 		udpAddr   = flag.String("udp", "", "receive frames as UDP datagrams on this address instead of the built-in generator")
 		batch     = flag.Int("batch", 16, "frames moved per queue operation on the receive, VRI and relay paths (1 = per-frame)")
 		flowSh    = flag.Int("flow-shards", 0, "flow-affinity table shards per VR; > 0 replaces the per-VR balancer lock with flow-sharded dispatch (0 = classic locked path)")
@@ -87,14 +94,12 @@ func run() int {
 		flowAdmit = flag.Int("flow-admit", 0, "load-aware admission depth: > 0 with -flow-shards sheds new flows (counted drop) when every VRI's input queue is at least this deep; established flows are never shed (0 = admit everything)")
 		maxRepl   = flag.Int("max-replicas", 0, "intra-VR replication ceiling: > 1 with -flow-shards lets each VR run up to this many flow-partitioned replica VRIs, split and folded elastically by queue depth (0/1 = one VRI per core-allocation policy)")
 		liveMig   = flag.Duration("live-migrate", 0, "> 0: every interval, live-migrate the VRI with the deepest backlog to a fresh core through the migration engine (pause bounded by one scheduling quantum; pairs naturally with -flow-shards so the flow partition follows)")
-		usePool   = flag.Bool("frame-pool", true, "recycle frame buffers through the size-classed pool (zero allocations per frame at steady state); false reverts to per-frame heap allocation")
 		poison    = flag.Bool("pool-poison", false, "fill released pool buffers with a sentinel and panic on use-after-release (debugging; costs a memset per frame)")
 		udpAllow  = flag.String("udp-allow", "", "comma-separated source CIDRs/addresses the UDP adapter accepts (empty = accept all)")
 		drainTO   = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: how long to wait for in-flight frames to drain before force-releasing the residue and exiting 3")
 		useRIB    = flag.Bool("rib", false, "route through a shared RIB-published FIB (epoch-swapped generations) instead of per-VRI static tables")
 		ribReplay = flag.String("rib-replay", "", "with -rib: replay this route-churn trace file (trafficgen -route-churn) into the RIB on its recorded schedule")
 		ribUDP    = flag.String("rib-udp", "", "with -rib: accept binary route events as UDP datagrams on this address")
-		ribFlush  = flag.Duration("rib-flush", 5*time.Millisecond, "with -rib: publish pending RIB changes at least this often")
 	)
 	flag.Parse()
 
@@ -103,22 +108,9 @@ func run() int {
 		return 2
 	}
 
-	kind := ipc.LockFree
-	switch *queue {
-	case "locked":
-		kind = ipc.Locked
-	case "lockfree":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown queue kind %q\n", *queue)
-		return 2
-	}
-
-	// The frame pool: on by default; -frame-pool=false reverts every path to
-	// the seed per-frame heap lifecycle (Release no-ops on heap frames).
-	var framePool *pool.Pool
-	if *usePool {
-		framePool = pool.NewWithOptions(pool.Options{Poison: *poison})
-	}
+	// Every frame lvrmd creates comes from the size-classed pool: zero
+	// allocations per frame at steady state.
+	framePool := pool.NewWithOptions(pool.Options{Poison: *poison})
 
 	// The socket adapter: the in-process channel backend with the built-in
 	// generator by default, or a UDP socket fed by an external generator
@@ -162,12 +154,11 @@ func run() int {
 	}
 
 	registry := obs.NewRegistry()
-	tracer := obs.NewTracer(*traceCap)
+	tracer := obs.NewTracer(traceCap)
 	obs.RegisterGoRuntime(registry)
 	lvrm, err := core.New(core.Config{
 		RIB:            ribTable,
 		Adapter:        sock,
-		QueueKind:      kind,
 		Clock:          core.WallClock,
 		AllocPeriod:    time.Second,
 		Obs:            registry,
@@ -222,6 +213,11 @@ func run() int {
 	// and per-shard capacity up to powers of two (at least one probe window per
 	// shard), so the table an operator gets can be bigger than -flow-table.
 	if *flowSh > 0 {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "balancer" {
+				fmt.Printf("-balancer %s is not consulted: with -flow-shards, dispatch pins each flow to the least-loaded VRI (flow-affinity)\n", *balName)
+			}
+		})
 		if vrs := lvrm.VRs(); len(vrs) > 0 {
 			if tbl := vrs[0].FlowTable(); tbl != nil {
 				fmt.Printf("flow table (per VR): shards=%d shard_cap=%d effective_cap=%d (requested %d) admit_depth=%d\n",
@@ -239,7 +235,7 @@ func run() int {
 	var ribFeed *rib.UDPFeed
 	if ribTable != nil {
 		go func() {
-			t := time.NewTicker(*ribFlush)
+			t := time.NewTicker(ribFlush)
 			defer t.Stop()
 			for {
 				select {
@@ -363,14 +359,7 @@ func run() int {
 						SrcPort: uint16(5000 + seq%64), DstPort: 9,
 						WireSize: packet.MinWireSize,
 					}
-					var f *packet.Frame
-					var err error
-					if framePool != nil {
-						f, err = framePool.BuildUDP(opts)
-					} else {
-						f, err = packet.BuildUDP(opts)
-					}
-					if err == nil {
+					if f, err := framePool.BuildUDP(opts); err == nil {
 						select {
 						case chanAdapter.RX <- f:
 						default: // generator outran the monitor: drop
@@ -457,10 +446,8 @@ func run() int {
 			led.AdmitShed, led.EngineDrops, led.OutDrops, mig.FramesMoved, led.DrainDropped, st.VRIsRetired)
 		fmt.Printf("migrations: drains=%d splits=%d folds=%d moves=%d frames_moved=%d pins_flipped=%d\n",
 			mig.Drains, mig.Splits, mig.Folds, mig.Moves, mig.FramesMoved, mig.PinsFlipped)
-		if framePool != nil {
-			ps := framePool.Stats()
-			fmt.Printf("pool: outstanding=%d recycled=%d\n", ps.Outstanding, ps.Recycles)
-		}
+		ps := framePool.Stats()
+		fmt.Printf("pool: outstanding=%d recycled=%d\n", ps.Outstanding, ps.Recycles)
 		if ribTable != nil {
 			rs := ribTable.Stats()
 			fmt.Printf("rib: routes=%d generation=%d updates=%d withdrawals=%d rejected=%d publishes=%d changes=%d",
@@ -475,8 +462,8 @@ func run() int {
 				*drainTO, led.InFlight)
 			return 3
 		}
-		if unaccounted := led.Residual(); unaccounted != 0 {
-			fmt.Fprintf(os.Stderr, "forced shutdown: %d frames unaccounted after drain\n", unaccounted)
+		if err := lvrm.CheckInvariants(); err != nil {
+			fmt.Fprintf(os.Stderr, "forced shutdown: %v\n", err)
 			return 3
 		}
 		fmt.Printf("clean shutdown: pipeline drained in %v, every frame accounted\n",

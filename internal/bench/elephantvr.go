@@ -137,18 +137,22 @@ func runElephant(c Config, per float64, maxReplicas int, loadFactor, lowFactor f
 		InitialVRIs: 1,
 	}
 	rig, err := testbed.NewRig(testbed.RigOpts{
-		Mechanism:    netio.PFRing,
-		FlowShards:   8,
-		FlowTableCap: 256,
-		AllocPeriod:  allocPeriod,
-		MaxReplicas:  maxReplicas,
-		SplitFold: balance.SplitFoldConfig{
-			SplitDepth: 32,
-			Sustain:    2,
-			MinGap:     allocPeriod,
+		Gateway: testbed.LVRMGatewayConfig{
+			Monitor: core.Config{
+				FlowShards:   8,
+				FlowTableCap: 256,
+				AllocPeriod:  allocPeriod,
+				MaxReplicas:  maxReplicas,
+				SplitFold: balance.SplitFoldConfig{
+					SplitDepth: 32,
+					Sustain:    2,
+					MinGap:     allocPeriod,
+				},
+			},
+			Mechanism: netio.PFRing,
+			Seed:      c.Seed,
 		},
-		Seed: c.Seed,
-		VRs:  []core.VRConfig{cfg},
+		VRs: []core.VRConfig{cfg},
 	})
 	if err != nil {
 		return nil, err

@@ -64,12 +64,12 @@ func liveMigration() Scenario {
 				InitialVRIs: vris,
 			}
 			rig, err := testbed.NewRig(testbed.RigOpts{
-				Mechanism:    netio.PFRing,
-				FlowShards:   8,
-				FlowTableCap: 256,
-				MaxReplicas:  vris,
-				Seed:         c.Seed,
-				VRs:          []core.VRConfig{cfg},
+				Gateway: testbed.LVRMGatewayConfig{
+					Monitor:   core.Config{FlowShards: 8, FlowTableCap: 256, MaxReplicas: vris},
+					Mechanism: netio.PFRing,
+					Seed:      c.Seed,
+				},
+				VRs: []core.VRConfig{cfg},
 			})
 			if err != nil {
 				return nil, err
@@ -193,19 +193,13 @@ func liveMigration() Scenario {
 			}
 
 			// Conservation across every move: each received frame is forwarded
-			// or in a counted drop bucket, nothing is queued after the quiet
-			// tail, and no flow was ever reordered.
-			led := l.Ledger()
-			lost, leftover, unaccounted := led.Dropped(), led.InFlight, led.Residual()
-			if unaccounted != 0 {
-				return nil, fmt.Errorf("bench: live-migration blackholed %d frames (received=%d sent=%d lost=%d leftover=%d)",
-					unaccounted, led.Received, led.Sent, lost, leftover)
+			// — none unaccounted, none queued after the quiet tail, none in a
+			// drop bucket — and no flow was ever reordered.
+			if err := l.CheckInvariants(); err != nil {
+				return nil, fmt.Errorf("bench: live-migration after the quiet tail: %w", err)
 			}
-			if lost != 0 {
+			if lost := l.Ledger().Dropped(); lost != 0 {
 				return nil, fmt.Errorf("bench: live-migration lost %d frames across %d moves", lost, moved)
-			}
-			if leftover != 0 {
-				return nil, fmt.Errorf("bench: live-migration left %d frames queued after the quiet tail", leftover)
 			}
 			if reorders != 0 {
 				return nil, fmt.Errorf("bench: live-migration reordered %d frames within flows", reorders)

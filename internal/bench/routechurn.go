@@ -65,8 +65,7 @@ func routeChurn() Scenario {
 			r.Publish()
 
 			rig, err := testbed.NewRig(testbed.RigOpts{
-				Mechanism: netio.PFRing,
-				Seed:      c.Seed,
+				Gateway: testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: c.Seed},
 				VRs: []core.VRConfig{{
 					Name:        "vr1",
 					SrcPrefix:   packet.MustParseIP("10.1.0.0"),

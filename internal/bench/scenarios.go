@@ -143,11 +143,12 @@ func elephantMice() Scenario {
 		Run: func(c Config) (Metrics, error) {
 			dur := c.Duration()
 			rig, err := testbed.NewRig(testbed.RigOpts{
-				Mechanism:    netio.PFRing,
-				FlowShards:   8,
-				FlowTableCap: 512,
-				Seed:         c.Seed,
-				VRs:          []core.VRConfig{benchVR(2, nil)},
+				Gateway: testbed.LVRMGatewayConfig{
+					Monitor:   core.Config{FlowShards: 8, FlowTableCap: 512},
+					Mechanism: netio.PFRing,
+					Seed:      c.Seed,
+				},
+				VRs: []core.VRConfig{benchVR(2, nil)},
 			})
 			if err != nil {
 				return nil, err
@@ -220,11 +221,12 @@ func flashCrowd() Scenario {
 		Run: func(c Config) (Metrics, error) {
 			dur := c.Duration()
 			rig, err := testbed.NewRig(testbed.RigOpts{
-				Mechanism:    netio.PFRing,
-				FlowShards:   8,
-				FlowTableCap: flowTableCap,
-				Seed:         c.Seed,
-				VRs:          []core.VRConfig{benchVR(2, nil)},
+				Gateway: testbed.LVRMGatewayConfig{
+					Monitor:   core.Config{FlowShards: 8, FlowTableCap: flowTableCap},
+					Mechanism: netio.PFRing,
+					Seed:      c.Seed,
+				},
+				VRs: []core.VRConfig{benchVR(2, nil)},
 			})
 			if err != nil {
 				return nil, err
@@ -308,9 +310,8 @@ func malformedFlood() Scenario {
 		Run: func(c Config) (Metrics, error) {
 			dur := c.Duration()
 			rig, err := testbed.NewRig(testbed.RigOpts{
-				Mechanism: netio.PFRing,
-				Seed:      c.Seed,
-				VRs:       []core.VRConfig{benchVR(2, nil)},
+				Gateway: testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: c.Seed},
+				VRs:     []core.VRConfig{benchVR(2, nil)},
 			})
 			if err != nil {
 				return nil, err
@@ -373,10 +374,12 @@ func churnUnderLoad() Scenario {
 			cfg := benchVR(1, alloc.NewDynamicFixed(per))
 			cfg.Engine = benchEngine(dummyFor(per))
 			rig, err := testbed.NewRig(testbed.RigOpts{
-				Mechanism:   netio.PFRing,
-				AllocPeriod: dwell / 4,
-				Seed:        c.Seed,
-				VRs:         []core.VRConfig{cfg},
+				Gateway: testbed.LVRMGatewayConfig{
+					Monitor:   core.Config{AllocPeriod: dwell / 4},
+					Mechanism: netio.PFRing,
+					Seed:      c.Seed,
+				},
+				VRs: []core.VRConfig{cfg},
 			})
 			if err != nil {
 				return nil, err

@@ -115,7 +115,13 @@ func (l *LVRM) record(v *VR, now int64, kind obs.Kind, a *VRIAdapter, latency ti
 		Latency: latency,
 	}
 	l.allocMu.Lock()
-	l.allocEvents = append(l.allocEvents, ev)
+	n := l.allocTotal.Load()
+	if n < maxAllocEvents {
+		l.allocEvents = append(l.allocEvents, ev)
+	} else {
+		l.allocEvents[n%maxAllocEvents] = ev
+	}
+	l.allocTotal.Store(n + 1)
 	l.allocMu.Unlock()
 	switch kind {
 	case obs.KindAlloc:
@@ -154,7 +160,7 @@ func (l *LVRM) Allocate(now int64) []AllocEvent {
 	}
 	// Iterating VR monitors and retrieving load estimates costs more with
 	// more VRIs — the effect Experiment 2c measures on reaction latency.
-	iterCost := time.Duration(totalVRIs) * l.cfg.PerVRIMonitorCost
+	iterCost := time.Duration(totalVRIs) * DefaultPerVRIMonitorCost
 	for _, v := range vrs {
 		// A replicated VR's core count is owned by the split/fold
 		// controller, not its allocation policy: Grow/Shrink trade whole
@@ -177,22 +183,34 @@ func (l *LVRM) Allocate(now int64) []AllocEvent {
 		switch v.cfg.Policy.Decide(s) {
 		case alloc.Grow:
 			if a, err := l.growVR(v, now); err == nil {
-				events = append(events, l.record(v, now, obs.KindAlloc, a, iterCost+l.cfg.SpawnCost, v.cfg.Name))
+				events = append(events, l.record(v, now, obs.KindAlloc, a, iterCost+DefaultSpawnCost, v.cfg.Name))
 			}
 		case alloc.Shrink:
 			if a, err := l.shrinkVR(v); err == nil {
-				events = append(events, l.record(v, now, obs.KindDealloc, a, iterCost+l.cfg.DestroyCost, v.cfg.Name))
+				events = append(events, l.record(v, now, obs.KindDealloc, a, iterCost+DefaultDestroyCost, v.cfg.Name))
 			}
 		}
 	}
 	return events
 }
 
-// AllocEvents returns a copy of every allocation event since start.
+// maxAllocEvents bounds the allocation history a long-running monitor keeps;
+// the paper's figures and the baselines record a few hundred events at most.
+const maxAllocEvents = 4096
+
+// AllocCount returns how many allocation events have ever been recorded.
+func (l *LVRM) AllocCount() int { return int(l.allocTotal.Load()) }
+
+// AllocEvents returns a copy of the newest allocation events, oldest first:
+// all of them until maxAllocEvents have been recorded, the newest
+// maxAllocEvents from then on.
 func (l *LVRM) AllocEvents() []AllocEvent {
 	l.allocMu.Lock()
 	defer l.allocMu.Unlock()
-	out := make([]AllocEvent, len(l.allocEvents))
-	copy(out, l.allocEvents)
-	return out
+	// head is the slot the next event goes to: the end of a ring still
+	// filling, the oldest event of a full one.
+	head := int(l.allocTotal.Load() % maxAllocEvents)
+	out := make([]AllocEvent, 0, len(l.allocEvents))
+	out = append(out, l.allocEvents[head:]...)
+	return append(out, l.allocEvents[:head]...)
 }

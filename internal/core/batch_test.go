@@ -175,44 +175,6 @@ func TestStepBatchServiceRate(t *testing.T) {
 	}
 }
 
-// TestFromLVRMServiceRateRule is the satellite regression test: the
-// Section 3.6 API must only observe the completion gap while the queue stays
-// backed up, breaking the estimate when a dequeue drains it — otherwise the
-// estimate echoes the arrival rate under light load and the dynamic
-// allocator sees phantom saturation.
-func TestFromLVRMServiceRateRule(t *testing.T) {
-	clock := &fakeClock{}
-	l := newTestLVRM(t, clock, nil)
-	v, _ := l.AddVR(vrCfg(t, "vr1", "10.1.0.0", 16))
-	a := v.VRIs()[0]
-	api := NewLVRMAdapter(a, clock.fn())
-
-	// Light load: one frame at a time, drained on every call. Every dequeue
-	// empties the queue, so no gap may ever be observed.
-	for i := 0; i < 10; i++ {
-		clock.advance(time.Millisecond)
-		a.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-		if _, ok := api.FromLVRM(); !ok {
-			t.Fatal("FromLVRM missed an enqueued frame")
-		}
-	}
-	if a.SvcEst.Valid() {
-		t.Errorf("light-load FromLVRM produced a service estimate of %.0f fps — it echoed the arrival rate", a.SvcEst.Estimate())
-	}
-
-	// Backed-up queue: gaps between consecutive calls measure capacity.
-	for i := 0; i < 5; i++ {
-		a.Data.In.Enqueue(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-	}
-	for i := 0; i < 4; i++ {
-		clock.advance(time.Millisecond)
-		api.FromLVRM()
-	}
-	if !a.SvcEst.Valid() {
-		t.Error("backed-up FromLVRM calls left the service estimate invalid")
-	}
-}
-
 // TestRecvDispatchBatch drives the batched receive path over the queue
 // adapter's native DequeueBatch and checks it matches per-frame semantics.
 func TestRecvDispatchBatch(t *testing.T) {

@@ -30,9 +30,6 @@ type Config struct {
 	// Adapter is the socket adapter (Section 3.1) frames enter and leave
 	// through.
 	Adapter netio.Adapter
-	// Mechanism labels the I/O cost model the testbed charges; it does not
-	// change live behaviour.
-	Mechanism netio.Mechanism
 	// Topology describes the machine; zero selects the paper's 2×4 cores.
 	Topology cores.Topology
 	// LVRMCore is the core LVRM itself is pinned to.
@@ -86,14 +83,6 @@ type Config struct {
 	// Clock supplies the current time in nanoseconds (virtual in the
 	// testbed, wall-clock in the live runtime). Required.
 	Clock func() int64
-	// SpawnCost and DestroyCost model the VRI lifecycle latency
-	// (Figures 4.10-4.11: allocations ≈ 900 µs, deallocations ≈ 700 µs,
-	// allocations costlier because of the heavyweight process creation).
-	// Zero selects the defaults.
-	SpawnCost, DestroyCost time.Duration
-	// PerVRIMonitorCost is the extra reallocation latency charged per
-	// hosted VRI (iterating monitors and load estimates).
-	PerVRIMonitorCost time.Duration
 	// AllowSharedLVRMCore lets a VRI fall back onto LVRM's own core when
 	// no free core remains, re-creating the contention the paper observes
 	// when more cores are requested than the machine has (Experiment 2b).
@@ -124,10 +113,15 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// Default lifecycle cost constants (see DESIGN.md calibration).
+// Cost model constants (see DESIGN.md calibration).
 const (
-	DefaultSpawnCost         = 650 * time.Microsecond
-	DefaultDestroyCost       = 450 * time.Microsecond
+	// DefaultSpawnCost and DefaultDestroyCost model the VRI lifecycle latency
+	// (Figures 4.10-4.11: allocations ≈ 900 µs, deallocations ≈ 700 µs,
+	// allocations costlier because of the heavyweight process creation).
+	DefaultSpawnCost   = 650 * time.Microsecond
+	DefaultDestroyCost = 450 * time.Microsecond
+	// DefaultPerVRIMonitorCost is the extra reallocation latency charged per
+	// hosted VRI (iterating monitors and load estimates).
 	DefaultPerVRIMonitorCost = 25 * time.Microsecond
 	// DispatchCost is LVRM's per-frame classification + balancing +
 	// enqueue cost on its own core.
@@ -158,10 +152,14 @@ type LVRM struct {
 	// single-threaded testbed), so it needs no synchronisation.
 	lastAlloc int64
 
-	// allocMu guards allocEvents: the monitor appends during allocation
-	// passes while Status/Stats scrapers read from other goroutines.
+	// allocEvents is a ring of the newest maxAllocEvents events; allocTotal
+	// counts every event ever recorded, so event i of the process sits in
+	// slot i % maxAllocEvents. allocMu guards the ring: the monitor writes it
+	// during allocation passes while AllocEvents readers copy it from other
+	// goroutines. allocTotal is only stored under allocMu but read without it.
 	allocMu     sync.Mutex
 	allocEvents []AllocEvent
+	allocTotal  atomic.Int64
 
 	ins instruments
 
@@ -226,15 +224,6 @@ func New(cfg Config) (*LVRM, error) {
 	}
 	if cfg.AllocPeriod == 0 {
 		cfg.AllocPeriod = time.Second
-	}
-	if cfg.SpawnCost == 0 {
-		cfg.SpawnCost = DefaultSpawnCost
-	}
-	if cfg.DestroyCost == 0 {
-		cfg.DestroyCost = DefaultDestroyCost
-	}
-	if cfg.PerVRIMonitorCost == 0 {
-		cfg.PerVRIMonitorCost = DefaultPerVRIMonitorCost
 	}
 	if cfg.RecvBatch < 1 {
 		cfg.RecvBatch = 1
@@ -431,6 +420,59 @@ func (l *LVRM) Ledger() Ledger {
 	return g
 }
 
+// CheckInvariants states the monitor's standing invariants once, for a
+// quiesced monitor: traffic has stopped, every queue has been served and
+// relayed, and nothing is mid-transition — the condition the soak tests, the
+// seeded DES test, lvrmd's clean shutdown and the live-migration scenario all
+// reach before they judge. It returns the first violation found, nil when the
+// monitor is consistent. What only a caller can know stays with the caller:
+// per-flow order at its receiver, and the frame pool's outstanding count
+// (the caller may still hold frames of its own). Not safe while the monitor
+// runs: it reads the core allocator, which only the monitor goroutine owns.
+func (l *LVRM) CheckInvariants() error {
+	if g := l.Ledger(); g.Residual() != 0 || g.InFlight != 0 {
+		return fmt.Errorf("core: frame ledger does not close: residual %d, in flight %d: %+v", g.Residual(), g.InFlight, g)
+	}
+	var fibGen uint64
+	if l.cfg.RIB != nil {
+		fibGen = l.cfg.RIB.FIB().Generation()
+	}
+	live := 0
+	for _, v := range l.vrList() {
+		vris := v.vriList()
+		for _, a := range vris {
+			if a.Core != l.allocator.LVRMCore() {
+				live++
+			}
+			h, s := a.handed.Load(), a.settled.Load()
+			if h != s || a.State() != VRIRunning || a.PendingData() != 0 || a.Data.Out.Len() != 0 {
+				return fmt.Errorf("core: VRI %s/%d is not at rest: state %v, handed %d, settled %d, pending %d, out %d",
+					v.cfg.Name, a.ID, a.State(), h, s, a.PendingData(), a.Data.Out.Len())
+			}
+			if l.cfg.RIB != nil && a.RouteGeneration() > fibGen {
+				return fmt.Errorf("core: VRI %s/%d pinned FIB generation %d, ahead of the RIB's %d",
+					v.cfg.Name, a.ID, a.RouteGeneration(), fibGen)
+			}
+		}
+		if v.flows != nil {
+			for id, n := range v.flows.PartitionSizes() {
+				if _, ok := snapshotByID(vris, id); !ok {
+					return fmt.Errorf("core: VR %s: %d flows pinned to VRI %d, which is not live", v.cfg.Name, n, id)
+				}
+			}
+		}
+		if m := v.Migrations(); v.retiredVRIs.Load() != m.Drains+m.Folds+m.Moves {
+			return fmt.Errorf("core: VR %s retired %d VRIs over %d drains, %d folds and %d moves",
+				v.cfg.Name, v.retiredVRIs.Load(), m.Drains, m.Folds, m.Moves)
+		}
+	}
+	// LVRM's own core is bound to the monitor, never to a VRI sharing it.
+	if bound := l.allocator.Topology().Total() - l.allocator.FreeCount() - 1; bound != live {
+		return fmt.Errorf("core: %d cores bound to VRIs, but %d live VRIs off LVRM's core", bound, live)
+	}
+	return nil
+}
+
 // Stats summarizes LVRM-level counters: the frame ledger (its fields read as
 // Stats.Received, Stats.SendErrors, ...) plus control-event and VRI-set
 // totals.
@@ -440,7 +482,7 @@ type Stats struct {
 	ControlDropped  int64
 	VRIsLive        int
 	VRIsRetired     int64 // VRIs destroyed through the drain lifecycle
-	AllocationCount int
+	AllocationCount int   // allocation events ever recorded (AllocEvents keeps the newest)
 }
 
 // Stats returns a snapshot of the monitor's counters. It is safe to call
@@ -452,15 +494,12 @@ func (l *LVRM) Stats() Stats {
 		live += v.Cores()
 		retired += v.retiredVRIs.Load()
 	}
-	l.allocMu.Lock()
-	allocs := len(l.allocEvents)
-	l.allocMu.Unlock()
 	return Stats{
 		Ledger:          l.Ledger(),
 		ControlRelayed:  l.ctlRelayed.Load(),
 		ControlDropped:  l.ctlDropped.Load(),
 		VRIsLive:        live,
 		VRIsRetired:     retired,
-		AllocationCount: allocs,
+		AllocationCount: l.AllocCount(),
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"lvrm/internal/alloc"
 	"lvrm/internal/balance"
 	"lvrm/internal/netio"
+	"lvrm/internal/obs"
 	"lvrm/internal/packet"
 	"lvrm/internal/route"
 	"lvrm/internal/trace"
@@ -372,6 +373,38 @@ func TestAllocateGrowShrinkWithDynamicPolicy(t *testing.T) {
 	}
 }
 
+// TestAllocEventsAreBounded: the allocation history keeps the newest
+// maxAllocEvents events, oldest first, while the count keeps the total — a
+// monitor that migrates four times a second for a month must not grow.
+func TestAllocEventsAreBounded(t *testing.T) {
+	clock := &fakeClock{}
+	l := newTestLVRM(t, clock, nil)
+	v, _ := l.AddVR(vrCfg(t, "vr1", "10.1.0.0", 16))
+	a := v.VRIs()[0]
+	const n = 5000
+	for i := 0; i < n; i++ {
+		if i == maxAllocEvents-1 {
+			// Not yet wrapped: everything recorded so far, in order.
+			if all := l.AllocEvents(); len(all) != i || all[0].At != 0 || all[i-1].At != int64(i-1) {
+				t.Fatalf("before the bound: %d events, first At %d, last At %d", len(all), all[0].At, all[i-1].At)
+			}
+		}
+		l.record(v, int64(i), obs.KindMigrate, a, time.Microsecond, "")
+	}
+	if got := l.Stats().AllocationCount; got != n {
+		t.Errorf("AllocationCount = %d, want %d", got, n)
+	}
+	all := l.AllocEvents()
+	if len(all) != maxAllocEvents {
+		t.Fatalf("AllocEvents kept %d events, want %d", len(all), maxAllocEvents)
+	}
+	for i, ev := range all {
+		if want := int64(n - maxAllocEvents + i); ev.At != want {
+			t.Fatalf("kept event %d has At %d, want %d (newest %d, oldest first)", i, ev.At, want, maxAllocEvents)
+		}
+	}
+}
+
 func TestShrinkReleasesNonSiblingFirst(t *testing.T) {
 	clock := &fakeClock{}
 	l := newTestLVRM(t, clock, nil)
@@ -432,37 +465,6 @@ func TestPollOnceEndToEnd(t *testing.T) {
 	vris := v.VRIs()
 	if vris[0].Processed() != 25 || vris[1].Processed() != 25 {
 		t.Errorf("VRI processed = %d/%d", vris[0].Processed(), vris[1].Processed())
-	}
-}
-
-func TestLVRMAdapterAPI(t *testing.T) {
-	clock := &fakeClock{}
-	l := newTestLVRM(t, clock, nil)
-	v, _ := l.AddVR(vrCfg(t, "vr1", "10.1.0.0", 16))
-	a := v.VRIs()[0]
-	la := NewLVRMAdapter(a, clock.fn())
-
-	if _, ok := la.FromLVRM(); ok {
-		t.Error("FromLVRM on empty queue")
-	}
-	f := frameFrom(t, "10.1.0.5", "10.2.0.1")
-	a.Data.In.Enqueue(f)
-	got, ok := la.FromLVRM()
-	if !ok || got != f {
-		t.Fatal("FromLVRM did not return the frame")
-	}
-	if !la.ToLVRM(f) {
-		t.Error("ToLVRM failed")
-	}
-	if out, ok := a.Data.Out.Dequeue(); !ok || out != f {
-		t.Error("ToLVRM did not enqueue")
-	}
-	if !la.SendControl(&ControlEvent{DstVR: 0, DstVRI: a.ID}) {
-		t.Error("SendControl failed")
-	}
-	l.RelayControl()
-	if ev, ok := la.RecvControl(); !ok || ev.SrcVRI != a.ID {
-		t.Errorf("RecvControl = (%+v,%v)", ev, ok)
 	}
 }
 
@@ -562,6 +564,27 @@ func TestStatusSnapshot(t *testing.T) {
 	if st.VRs[0].VRIs[0].Engine != "basic" {
 		t.Errorf("engine = %q", st.VRs[0].VRIs[0].Engine)
 	}
+	if st.VRs[0].Balancer != "jsq" {
+		t.Errorf("locked-path VR reports balancer %q, want jsq", st.VRs[0].Balancer)
+	}
+
+	// A flow-dispatched VR never consults its configured balancer, and a
+	// VRI's depth includes transplant residue staged ahead of its ring.
+	fl, fv := newReplicaLVRM(t, clock, 1, 2)
+	a := fv.VRIs()[0]
+	a.stagePre(flowFrame(t, 1))
+	a.handed.Add(1)
+	if !a.hand(flowFrame(t, 1)) {
+		t.Fatal("ring refused a frame")
+	}
+	fst := fl.Status().VRs[0]
+	if fst.Balancer != "flow-affinity" {
+		t.Errorf("flow-dispatched VR reports balancer %q, want flow-affinity", fst.Balancer)
+	}
+	if got := fst.VRIs[0].DataQueueLen; got != 2 {
+		t.Errorf("data_queue_len = %d with one staged and one queued frame, want 2", got)
+	}
+
 	js, err := l.StatusJSON()
 	if err != nil {
 		t.Fatal(err)

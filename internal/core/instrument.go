@@ -57,7 +57,7 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 	l.ins.vriSpawns = reg.Counter("lvrm_vri_spawn_total",
 		"VRI adapters created (initial spawns plus allocation growth).")
 	l.ins.vriDestroys = reg.Counter("lvrm_vri_destroy_total",
-		"VRI adapters destroyed by allocation shrink.")
+		"VRI adapters destroyed: retired by an allocation shrink, a replica fold or a live move.")
 	l.ins.drainDur = reg.Histogram("lvrm_drain_duration_nanoseconds",
 		"Wall time of one VRI teardown's drain-then-handoff (detach to Stopped).", nil)
 	l.ins.migPause = reg.Histogram("lvrm_migration_pause_nanoseconds",
@@ -140,12 +140,10 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 	perVR("lvrm_vr_admit_shed_total", "New-flow frames shed by load-aware admission (every VRI backed up past -flow-admit).",
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.admitShed.Load()) })
 
-	// Intra-VR replication (replicate.go): replica count plus the elastic
-	// split/fold transitions. Emitted for every VR — a VR with replication
-	// off reports replicas == its VRI count and zero transitions — so
-	// dashboards need no conditional wiring.
-	perVR("lvrm_vr_replicas", "Replica VRIs currently serving the VR's flow partition (equals lvrm_vr_cores).",
-		obs.TypeGauge, func(v *VR) float64 { return float64(v.Cores()) })
+	// Intra-VR replication (replicate.go): the elastic split/fold
+	// transitions; the replica count is lvrm_vr_cores. Emitted for every VR —
+	// a VR with replication off reports zero transitions — so dashboards
+	// need no conditional wiring.
 	perVR("lvrm_vr_splits_total", "Completed replica splits: a hot VR spawned a replica and migrated half its hottest partition.",
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.splits.Load()) })
 	perVR("lvrm_vr_folds_total", "Completed replica folds: a cold replica retired and merged its partition into a survivor.",
@@ -297,9 +295,7 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 			}
 		})
 	}
-	perVRI("lvrm_vri_data_queue_depth", "Frames waiting for the VRI: incoming data ring plus staged transplant residue.",
-		obs.TypeGauge, func(a *VRIAdapter) float64 { return float64(a.PendingData()) })
-	perVRI("lvrm_vri_replica_load", "Pending inbound depth the split/fold controller reads for this replica (staged + ring).",
+	perVRI("lvrm_vri_data_queue_depth", "Frames waiting for the VRI: incoming data ring plus staged transplant residue (what the balancer and the split/fold controller read).",
 		obs.TypeGauge, func(a *VRIAdapter) float64 { return float64(a.PendingData()) })
 	perVRI("lvrm_vri_control_queue_depth", "Events waiting in the VRI's incoming control queue.",
 		obs.TypeGauge, func(a *VRIAdapter) float64 { return float64(a.Control.In.Len()) })

@@ -197,8 +197,12 @@ func TestRuntimeScrape(t *testing.T) {
 		}
 	}
 	// One name per quantity: the drain_* mirrors of the two series above
-	// are retired.
-	for _, gone := range []string{"lvrm_drain_migrated_total", "lvrm_drain_pins_total"} {
+	// are retired, and so are lvrm_vr_replicas (lvrm_vr_cores) and
+	// lvrm_vri_replica_load (lvrm_vri_data_queue_depth).
+	for _, gone := range []string{
+		"lvrm_drain_migrated_total", "lvrm_drain_pins_total",
+		"lvrm_vr_replicas", "lvrm_vri_replica_load",
+	} {
 		if strings.Contains(body, gone) {
 			t.Errorf("metrics output still exports %q", gone)
 		}

@@ -431,11 +431,10 @@ func TestChurnConservationUnderLiveTraffic(t *testing.T) {
 
 	// Frame conservation: every ingested frame is in exactly one ledger
 	// bucket, and after the quiesce none is still in flight.
-	st := l.Ledger()
-	if st.Residual() != 0 || st.InFlight != 0 {
-		t.Errorf("conservation violated: residual %d, in flight %d\nledger=%+v",
-			st.Residual(), st.InFlight, st)
+	if err := l.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
+	st := l.Ledger()
 	d, m := v.DrainStats(), v.Migrations()
 	if txGot != st.Sent {
 		t.Errorf("TX delivered %d frames, Stats.Sent = %d", txGot, st.Sent)

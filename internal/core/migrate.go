@@ -290,7 +290,7 @@ func (l *LVRM) moveVRI(v *VR, src *VRIAdapter, targetCore int, iterCost time.Dur
 	if err != nil {
 		return rep, AllocEvent{}, err
 	}
-	ev := l.record(v, now, obs.KindMigrate, dst, iterCost+l.cfg.SpawnCost+l.cfg.DestroyCost,
+	ev := l.record(v, now, obs.KindMigrate, dst, iterCost+DefaultSpawnCost+DefaultDestroyCost,
 		fmt.Sprintf("%s move %d(core %d)->%d(core %d) staged=%d pins=%d pause=%v",
 			v.cfg.Name, src.ID, src.Core, dst.ID, dst.Core, rep.Moved, rep.Pins, rep.Pause))
 	return rep, ev, nil

@@ -413,11 +413,10 @@ func TestMigrationSoak(t *testing.T) {
 
 	// Conservation across every drain/split/fold/move transplant: every
 	// received frame is in one ledger bucket, none still in flight.
-	st := l.Ledger()
-	if st.Residual() != 0 || st.InFlight != 0 {
-		t.Errorf("conservation violated: residual %d, in flight %d\nledger=%+v",
-			st.Residual(), st.InFlight, st)
+	if err := l.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
+	st := l.Ledger()
 	if txGot != st.Sent {
 		t.Errorf("TX delivered %d frames, Stats.Sent = %d", txGot, st.Sent)
 	}
@@ -510,32 +509,5 @@ func TestTransitionBookkeeping(t *testing.T) {
 	}
 	if m := replicated.Migrations(); m.Splits != 1 || m.Folds != 1 || m.Moves != 1 || m.Drains != 0 {
 		t.Errorf("vr1 migration totals = %+v, want one split, fold and move", m)
-	}
-}
-
-// TestFromLVRMServesStagedResidueFirst: frames a split, fold or move staged
-// onto a VRI predate everything in its ring, so the Section 3.6 API must hand
-// them out first — and must drain them at all, or the VRI owes frames forever.
-func TestFromLVRMServesStagedResidueFirst(t *testing.T) {
-	clock := &fakeClock{}
-	_, v := newReplicaLVRM(t, clock, 1, 2)
-	a := v.VRIs()[0]
-	staged1, staged2, queued := flowFrame(t, 1), flowFrame(t, 1), flowFrame(t, 1)
-	a.stagePre(staged1)
-	a.stagePre(staged2)
-	if !a.hand(queued) {
-		t.Fatal("ring refused a frame")
-	}
-	api := NewLVRMAdapter(a, clock.fn())
-	for i, want := range []*packet.Frame{staged1, staged2, queued} {
-		if got, ok := api.FromLVRM(); !ok || got != want {
-			t.Fatalf("FromLVRM #%d returned (%p, %v), want %p: staged residue must come out first, in order", i, got, ok, want)
-		}
-	}
-	if _, ok := api.FromLVRM(); ok {
-		t.Error("FromLVRM returned a fourth frame")
-	}
-	if got := a.PendingData(); got != 0 {
-		t.Errorf("PendingData = %d after draining through FromLVRM, want 0", got)
 	}
 }

@@ -156,7 +156,7 @@ func (l *LVRM) splitVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, er
 	l.resumeVRI(v, dst)
 
 	v.splits.Add(1)
-	return l.record(v, now, obs.KindAlloc, dst, iterCost+l.cfg.SpawnCost,
+	return l.record(v, now, obs.KindAlloc, dst, iterCost+DefaultSpawnCost,
 		fmt.Sprintf("%s split %d->%d staged=%d", v.cfg.Name, src.ID, dst.ID, rep.Moved)), nil
 }
 
@@ -184,7 +184,7 @@ func (l *LVRM) foldVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, err
 		return AllocEvent{}, err
 	}
 	v.folds.Add(1)
-	return l.record(v, now, obs.KindDealloc, src, iterCost+l.cfg.DestroyCost,
+	return l.record(v, now, obs.KindDealloc, src, iterCost+DefaultDestroyCost,
 		fmt.Sprintf("%s fold %d->%d staged=%d", v.cfg.Name, src.ID, dst.ID, rep.Moved)), nil
 }
 

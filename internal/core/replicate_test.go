@@ -518,11 +518,10 @@ func runReplicaSoak(t *testing.T, wantFold bool) {
 
 	// Conservation across every split/fold transplant: every received frame
 	// is in one ledger bucket, none still in flight.
-	st := l.Ledger()
-	if st.Residual() != 0 || st.InFlight != 0 {
-		t.Errorf("conservation violated: residual %d, in flight %d\nledger=%+v",
-			st.Residual(), st.InFlight, st)
+	if err := l.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
+	st := l.Ledger()
 	if txGot != st.Sent {
 		t.Errorf("TX delivered %d frames, Stats.Sent = %d", txGot, st.Sent)
 	}

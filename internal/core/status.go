@@ -48,7 +48,9 @@ type VRStatus struct {
 	ServiceRate float64 `json:"service_fps_per_vri"`
 	Dispatched  int64   `json:"dispatched"`
 	InDrops     int64   `json:"in_drops"`
-	Balancer    string  `json:"balancer"`
+	// Balancer names what picks a VRI for each frame: the configured
+	// balancer, or "flow-affinity" when flow dispatch bypasses it.
+	Balancer string `json:"balancer"`
 	// QueueDepthHighWater is the deepest any VRI input queue has been since
 	// start (0 when observability is disabled).
 	QueueDepthHighWater int64 `json:"queue_depth_high_water"`
@@ -78,7 +80,7 @@ type VRIStatus struct {
 	OutDrops        int64   `json:"out_drops"`
 	ControlHandled  int64   `json:"control_handled"`
 	QueueEstimate   float64 `json:"queue_estimate"`
-	DataQueueLen    int     `json:"data_queue_len"`
+	DataQueueLen    int     `json:"data_queue_len"` // PendingData: ring plus staged residue
 	ControlQueueLen int     `json:"control_queue_len"`
 	Engine          string  `json:"engine"`
 	// MigratedIn counts frames the migration engine transplanted onto this
@@ -113,9 +115,12 @@ func (l *LVRM) Status() Status {
 			Migrations:          v.Migrations(),
 			Retired:             v.Retired(),
 		}
-		// One table sweep serves every VRI's partition size.
 		var partitions map[int]int
 		if v.flows != nil {
+			// dispatchFlow pins to the least-loaded VRI and never consults
+			// VRConfig.Balancer.
+			vs.Balancer = "flow-affinity"
+			// One table sweep serves every VRI's partition size.
 			partitions = v.flows.PartitionSizes()
 		}
 		for _, a := range v.VRIs() {
@@ -128,7 +133,7 @@ func (l *LVRM) Status() Status {
 				OutDrops:        a.OutDrops(),
 				ControlHandled:  a.ControlHandled(),
 				QueueEstimate:   a.QueueEst.Estimate(),
-				DataQueueLen:    a.Data.In.Len(),
+				DataQueueLen:    a.PendingData(),
 				ControlQueueLen: a.Control.In.Len(),
 				Engine:          a.Engine.Name(),
 				MigratedIn:      a.MigratedIn(),

@@ -424,69 +424,3 @@ func (a *VRIAdapter) SendControl(ev *ControlEvent) bool {
 // event at the VRI (part of the 5-7 µs no-load relay latency of Fig. 4.7,
 // the rest being LVRM's relay work and queue hops).
 const ControlHandleCost = 2 * time.Microsecond
-
-// LVRMAdapter is the VRI-side API of Section 3.6: instead of touching the
-// IPC queues directly, VRI code (user code in the live runtime, the
-// quickstart examples) calls FromLVRM and ToLVRM. It is handed to the VRI at
-// spawn, playing the role of the shared-memory identifier passed via main
-// arguments in the paper.
-type LVRMAdapter struct {
-	vri   *VRIAdapter
-	clock func() int64
-}
-
-// NewLVRMAdapter wraps a VRI's queues in the Section 3.6 API. clock supplies
-// nanosecond timestamps for service-rate estimation.
-func NewLVRMAdapter(vri *VRIAdapter, clock func() int64) *LVRMAdapter {
-	if clock == nil {
-		clock = func() int64 { return 0 }
-	}
-	return &LVRMAdapter{vri: vri, clock: clock}
-}
-
-// FromLVRM polls the next inbound data frame — staged transplant residue
-// first, as in StepBatch, because it predates everything in the ring —
-// observing the service rate under the Section 3.6 rule StepBatch follows:
-// the completion gap only measures capacity while the queue stays backed up,
-// so a dequeue that drains the queue breaks the estimate instead of echoing
-// the arrival rate under light load.
-func (l *LVRMAdapter) FromLVRM() (*packet.Frame, bool) {
-	f, ok := l.vri.takePre()
-	if !ok {
-		f, ok = l.vri.Data.In.Dequeue()
-	}
-	if ok {
-		if l.vri.PendingData() > 0 {
-			l.vri.SvcEst.Observe(l.clock())
-		} else {
-			l.vri.SvcEst.Break()
-		}
-	}
-	return f, ok
-}
-
-// ToLVRM hands a processed frame back toward LVRM; it reports whether the
-// outgoing queue had room. On failure the caller keeps ownership of the
-// frame (it may retry or Release it) — ToLVRM never consumes a rejected
-// frame, unlike the monitor-side drop paths.
-func (l *LVRMAdapter) ToLVRM(f *packet.Frame) bool {
-	ok := l.vri.Data.Out.Enqueue(f)
-	if !ok {
-		l.vri.outDrops.Add(1)
-	}
-	return ok
-}
-
-// RecvControl polls the next inbound control event.
-func (l *LVRMAdapter) RecvControl() (*ControlEvent, bool) {
-	ev, ok := l.vri.Control.In.Dequeue()
-	if ok {
-		l.vri.ctlHandled.Add(1)
-	}
-	return ev, ok
-}
-
-// SendControl emits a control event toward another VRI.
-func (l *LVRMAdapter) SendControl(ev *ControlEvent) bool {
-	return l.vri.SendControl(ev)
-}

@@ -27,7 +27,7 @@ func ablationSocket(cfg Config) (*Result, error) {
 		for _, mech := range []netio.Mechanism{netio.RawSocket, netio.PFRingV1, netio.PFRing} {
 			mech := mech
 			build := func() (*rig, error) {
-				return buildLVRMRig(lvrmOpts{mech: mech, vrKind: vrBasic, seed: cfg.Seed})
+				return buildLVRMRig(lvrmOpts{gw: testbed.LVRMGatewayConfig{Mechanism: mech, Seed: cfg.Seed}, vrKind: vrBasic})
 			}
 			trial := udpTrial(build, size, cfg.TrialDuration())
 			got := testbed.AchievableThroughput(trial, 2*testbed.MaxSenderFPS, cfg.SearchIters())
@@ -55,9 +55,10 @@ func ablationEstimate(cfg Config) (*Result, error) {
 	offered := 330000 * scale // just under 6 cores' capacity, after a burst
 	for _, stale := range []bool{false, true} {
 		r, err := buildLVRMRig(lvrmOpts{
-			mech: netio.PFRing, vrKind: vrBasic,
+			gw:      testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: cfg.Seed},
+			vrKind:  vrBasic,
 			dummy:   time.Duration(float64(time.Second) / perCore),
-			initial: 6, seed: cfg.Seed,
+			initial: 6,
 		})
 		if err != nil {
 			return nil, err

@@ -148,7 +148,7 @@ func exp1c(cfg Config) (*Result, error) {
 			// LVRM's per-frame cost, not the Go allocator's.
 			framePool := pool.New()
 			var inject func()
-			bare, err := buildBareLVRM(lvrmOpts{mech: netio.Memory, vrKind: k}, func(f *packet.Frame, _ int) {
+			bare, err := buildBareLVRM(lvrmOpts{gw: testbed.LVRMGatewayConfig{Mechanism: netio.Memory}, vrKind: k}, func(f *packet.Frame, _ int) {
 				delivered++
 				f.Release()
 				inject()
@@ -199,7 +199,7 @@ func exp1d(cfg Config) (*Result, error) {
 			stats := metrics.NewLatencyStats(0)
 			var sentAt []int64
 			var eng *sim.Engine
-			bare, err := buildBareLVRM(lvrmOpts{mech: netio.Memory, vrKind: k}, func(*packet.Frame, int) {
+			bare, err := buildBareLVRM(lvrmOpts{gw: testbed.LVRMGatewayConfig{Mechanism: netio.Memory}, vrKind: k}, func(*packet.Frame, int) {
 				t0 := sentAt[0]
 				sentAt = sentAt[1:]
 				stats.Observe(time.Duration(eng.Now() - t0))
@@ -247,7 +247,8 @@ func exp1e(cfg Config) (*Result, error) {
 			stats.Observe(time.Duration(at - ev.SentAt))
 		}
 		r, err := buildLVRMRig(lvrmOpts{
-			mech: netio.PFRing, vrKind: vrBasic, initial: 2, onControl: onControl,
+			gw:     testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, OnControl: onControl},
+			vrKind: vrBasic, initial: 2,
 		})
 		if err != nil {
 			return 0, err

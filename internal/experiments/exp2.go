@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lvrm/internal/alloc"
+	"lvrm/internal/core"
 	"lvrm/internal/metrics"
 	"lvrm/internal/netio"
 	"lvrm/internal/packet"
@@ -39,7 +40,7 @@ func exp2a(cfg Config) (*Result, error) {
 		for _, k := range []vrKind{vrBasic, vrClick} {
 			k, mode := k, m.mode
 			build := func() (*rig, error) {
-				return buildLVRMRig(lvrmOpts{mech: netio.PFRing, vrKind: k, affinity: mode, seed: cfg.Seed})
+				return buildLVRMRig(lvrmOpts{gw: testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Affinity: mode, Seed: cfg.Seed}, vrKind: k})
 			}
 			trial := udpTrial(build, 84, cfg.TrialDuration())
 			got := testbed.AchievableThroughput(trial, 2*testbed.MaxSenderFPS, cfg.SearchIters())
@@ -73,8 +74,11 @@ func exp2b(cfg Config) (*Result, error) {
 			k, c := k, c
 			build := func() (*rig, error) {
 				return buildLVRMRig(lvrmOpts{
-					mech: netio.PFRing, vrKind: k, dummy: dummy,
-					initial: c, oversub: true, seed: cfg.Seed,
+					gw: testbed.LVRMGatewayConfig{
+						Monitor:   core.Config{AllowSharedLVRMCore: true},
+						Mechanism: netio.PFRing, Seed: cfg.Seed,
+					},
+					vrKind: k, dummy: dummy, initial: c,
 				})
 			}
 			trial := udpTrial(build, 84, cfg.TrialDuration())
@@ -96,10 +100,9 @@ func stairRig(cfg Config) (*rig, *trafficSender, float64, error) {
 	perCore := 60000 * scale
 	dummy := time.Duration(float64(time.Second) / perCore)
 	r, err := buildLVRMRig(lvrmOpts{
-		mech: netio.PFRing, vrKind: vrBasic, dummy: dummy,
-		policy:   func() alloc.Policy { return alloc.NewDynamicFixed(perCore) },
-		allocPer: time.Second,
-		seed:     cfg.Seed,
+		gw:     testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: cfg.Seed},
+		vrKind: vrBasic, dummy: dummy,
+		policy: func() alloc.Policy { return alloc.NewDynamicFixed(perCore) },
 	})
 	if err != nil {
 		return nil, nil, 0, err
@@ -205,11 +208,10 @@ func exp2d(cfg Config) (*Result, error) {
 	maxRate := 180000 * scale
 	dummy := time.Duration(float64(time.Second) / perCore)
 	r, err := buildLVRMRig(lvrmOpts{
-		mech: netio.PFRing, vrKind: vrBasic, dummy: dummy,
+		gw:     testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: cfg.Seed},
+		vrKind: vrBasic, dummy: dummy,
 		policy:   func() alloc.Policy { return alloc.NewDynamicFixed(perCore) },
-		allocPer: time.Second,
 		secondVR: true,
-		seed:     cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -253,15 +255,13 @@ func exp2e(cfg Config) (*Result, error) {
 	base := 60000 * scale // VR2's per-VRI service rate; VR1 is half
 	offered := 90000 * scale
 	r, err := buildLVRMRig(lvrmOpts{
-		mech:   vrServiceMech,
+		gw:     testbed.LVRMGatewayConfig{Mechanism: vrServiceMech, Seed: cfg.Seed},
 		vrKind: vrBasic,
 		// The 1:2 service-rate ratio: VR1's frames cost twice as much.
 		dummy:    time.Duration(2 * float64(time.Second) / base),
 		dummy2:   time.Duration(float64(time.Second) / base),
 		policy:   func() alloc.Policy { return alloc.NewDynamicService(0) },
-		allocPer: time.Second,
 		secondVR: true,
-		seed:     cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

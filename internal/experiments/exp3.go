@@ -53,11 +53,10 @@ func buildBalancedLVRM(cfg Config, scheme string, flowBased bool) (*rig, error) 
 		extra = FlowTrackCost
 	}
 	r, err = buildLVRMRig(lvrmOpts{
-		mech:       netio.PFRing,
+		gw:         testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, ExtraDispatchCost: extra, Seed: cfg.Seed},
 		vrKind:     vrBasic,
 		initial:    6,
 		queueLimit: ftpQueueLimit,
-		seed:       cfg.Seed,
 		balancer: func() balance.Balancer {
 			// The clock closes over the rig's engine, which exists by the
 			// time any frame is balanced.
@@ -67,7 +66,6 @@ func buildBalancedLVRM(cfg Config, scheme string, flowBased bool) (*rig, error) 
 			}
 			return b
 		},
-		extraCost: extra,
 	})
 	return r, err
 }
@@ -87,12 +85,12 @@ func exp3a(cfg Config) (*Result, error) {
 			k, scheme := k, scheme
 			build := func() (*rig, error) {
 				return buildLVRMRig(lvrmOpts{
-					mech: netio.PFRing, vrKind: k,
+					gw:     testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: cfg.Seed},
+					vrKind: k,
 					// Jittered service makes static schemes drift so JSQ's
 					// load awareness can show (the paper's real-world noise).
 					dummy:   dummy,
 					initial: 6,
-					seed:    cfg.Seed,
 					balancer: func() balance.Balancer {
 						b, err := balance.NewByName(scheme, cfg.Seed)
 						if err != nil {
@@ -147,8 +145,9 @@ func exp3b(cfg Config) (*Result, error) {
 		row := []string{scheme, fmt.Sprintf("%.0f", 2*perVR/1000)}
 		for _, k := range []vrKind{vrBasic, vrClick} {
 			r, err := buildLVRMRig(lvrmOpts{
-				mech: netio.PFRing, vrKind: k, dummy: dummy,
-				initial: 3, secondVR: true, seed: cfg.Seed,
+				gw:     testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: cfg.Seed},
+				vrKind: k, dummy: dummy,
+				initial: 3, secondVR: true,
 				balancer: func() balance.Balancer {
 					b, err := balance.NewByName(scheme, cfg.Seed)
 					if err != nil {

@@ -69,22 +69,18 @@ func engineFactory(k vrKind, dummy time.Duration) vr.Factory {
 
 // lvrmOpts parameterize an LVRM gateway for one trial.
 type lvrmOpts struct {
-	mech   netio.Mechanism
+	// gw configures the gateway and, through gw.Monitor, the monitor; the
+	// builders supply Eng and Out.
+	gw     testbed.LVRMGatewayConfig
 	vrKind vrKind
 	dummy  time.Duration
 	// dummy2 overrides the second VR's per-frame dummy load (defaults to
 	// dummy), letting Experiment 2e host VRs with different service rates.
-	dummy2    time.Duration
-	balancer  func() balance.Balancer // fresh per trial; nil = JSQ
-	policy    func() alloc.Policy     // nil = fixed at initialVRIs
-	initial   int                     // initial VRIs (min 1)
-	maxVRIs   int
-	affinity  testbed.AffinityMode
-	extraCost time.Duration // extra dispatch cost (flow-based tracking)
-	allocPer  time.Duration
-	oversub   bool
-	seed      uint64
-	onControl func(ev *core.ControlEvent, at int64)
+	dummy2   time.Duration
+	balancer func() balance.Balancer // fresh per trial; nil = JSQ
+	policy   func() alloc.Policy     // nil = fixed at initialVRIs
+	initial  int                     // initial VRIs (min 1)
+	maxVRIs  int
 	// queueLimit overrides the links' droptail depth (0 = topology default);
 	// the TCP experiments use deeper buffers, as the real switches had.
 	queueLimit int
@@ -147,17 +143,7 @@ func buildLVRMRig(o lvrmOpts) (*rig, error) {
 			mkVR("vr1", bySrc(senderIP1), o.dummy),
 			mkVR("vr2", bySrc(senderIP2), dummy2))
 	}
-	tr, err := testbed.NewRig(testbed.RigOpts{
-		Mechanism:           o.mech,
-		Affinity:            o.affinity,
-		ExtraDispatchCost:   o.extraCost,
-		AllocPeriod:         o.allocPer,
-		AllowSharedLVRMCore: o.oversub,
-		QueueLimit:          o.queueLimit,
-		Seed:                o.seed,
-		OnControl:           o.onControl,
-		VRs:                 vrs,
-	})
+	tr, err := testbed.NewRig(testbed.RigOpts{Gateway: o.gw, QueueLimit: o.queueLimit, VRs: vrs})
 	if err != nil {
 		return nil, err
 	}
@@ -176,13 +162,8 @@ type bareLVRM struct {
 // directly (typically a counter or a discard).
 func buildBareLVRM(o lvrmOpts, out func(*packet.Frame, int)) (*bareLVRM, error) {
 	eng := sim.New()
-	gw, err := testbed.NewLVRMGateway(testbed.LVRMGatewayConfig{
-		Eng:       eng,
-		Mechanism: o.mech,
-		Seed:      o.seed,
-		Out:       out,
-		OnControl: o.onControl,
-	})
+	o.gw.Eng, o.gw.Out = eng, out
+	gw, err := testbed.NewLVRMGateway(o.gw)
 	if err != nil {
 		return nil, err
 	}
@@ -242,9 +223,9 @@ type mechanism struct {
 func exp1Mechanisms() []mechanism {
 	return []mechanism{
 		{label: "native-linux", simple: true, kind: testbed.NativeLinux},
-		{label: "lvrm-c++-rawsocket", opts: lvrmOpts{mech: netio.RawSocket, vrKind: vrBasic}},
-		{label: "lvrm-c++-pfring", opts: lvrmOpts{mech: netio.PFRing, vrKind: vrBasic}},
-		{label: "lvrm-click-pfring", opts: lvrmOpts{mech: netio.PFRing, vrKind: vrClick}},
+		{label: "lvrm-c++-rawsocket", opts: lvrmOpts{gw: testbed.LVRMGatewayConfig{Mechanism: netio.RawSocket}, vrKind: vrBasic}},
+		{label: "lvrm-c++-pfring", opts: lvrmOpts{gw: testbed.LVRMGatewayConfig{Mechanism: netio.PFRing}, vrKind: vrBasic}},
+		{label: "lvrm-click-pfring", opts: lvrmOpts{gw: testbed.LVRMGatewayConfig{Mechanism: netio.PFRing}, vrKind: vrClick}},
 		{label: "vmware-server", simple: true, kind: testbed.VMwareServer},
 		{label: "qemu-kvm", simple: true, kind: testbed.QEMUKVM},
 	}

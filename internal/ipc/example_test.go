@@ -23,21 +23,3 @@ func ExampleSPSC() {
 	// frame-1
 	// frame-2
 }
-
-// An Endpoint bundles a VRI's data and control queue pairs; control events
-// always pop before data frames.
-func ExampleEndpoint_PollIn() {
-	ep := ipc.NewEndpoint[string](ipc.LockFree, 8, 8)
-	ep.Data.In.Enqueue("data frame")
-	ep.Control.In.Enqueue("route-sync event")
-	for {
-		v, isControl, ok := ep.PollIn()
-		if !ok {
-			break
-		}
-		fmt.Printf("%v %s\n", isControl, v)
-	}
-	// Output:
-	// true route-sync event
-	// false data frame
-}

@@ -17,43 +17,3 @@ func NewPair[T any](kind Kind, capacity int) Pair[T] {
 		Out: New[T](kind, capacity),
 	}
 }
-
-// Endpoint is the VRI-side view of the two queue pairs, matching the
-// LVRM adapter of Section 3.6: the VRI never touches raw queues, it calls
-// FromLVRM/ToLVRM style accessors on this endpoint. Control traffic has
-// priority over data traffic, so PollIn drains controls first.
-type Endpoint[T any] struct {
-	Data    Pair[T]
-	Control Pair[T]
-}
-
-// NewEndpoint creates both queue pairs for one VRI.
-func NewEndpoint[T any](kind Kind, dataCap, controlCap int) *Endpoint[T] {
-	return &Endpoint[T]{
-		Data:    NewPair[T](kind, dataCap),
-		Control: NewPair[T](kind, controlCap),
-	}
-}
-
-// PollIn returns the next inbound item for the VRI, honouring the paper's
-// rule that any available control event is processed before any data frame.
-// The second result tells the caller which queue the item came from.
-func (e *Endpoint[T]) PollIn() (v T, isControl, ok bool) {
-	if v, ok := e.Control.In.Dequeue(); ok {
-		return v, true, true
-	}
-	if v, ok := e.Data.In.Dequeue(); ok {
-		return v, false, true
-	}
-	var zero T
-	return zero, false, false
-}
-
-// PushOut enqueues an outbound item from the VRI toward LVRM on the data or
-// control path and reports whether there was room.
-func (e *Endpoint[T]) PushOut(v T, control bool) bool {
-	if control {
-		return e.Control.Out.Enqueue(v)
-	}
-	return e.Data.Out.Enqueue(v)
-}

@@ -253,36 +253,23 @@ func TestQueuePropertySequential(t *testing.T) {
 }
 
 func TestPairAndEndpoint(t *testing.T) {
-	ep := NewEndpoint[string](LockFree, 8, 4)
-	// Data alone.
-	ep.Data.In.Enqueue("frame1")
-	v, isCtl, ok := ep.PollIn()
-	if !ok || isCtl || v != "frame1" {
-		t.Fatalf("PollIn = (%q,%v,%v), want (frame1,false,true)", v, isCtl, ok)
+	p := NewPair[string](LockFree, 8)
+	if p.In.Cap() != 8 || p.Out.Cap() != 8 {
+		t.Fatalf("pair capacities = %d/%d, want 8/8", p.In.Cap(), p.Out.Cap())
 	}
-	// Control must preempt data.
-	ep.Data.In.Enqueue("frame2")
-	ep.Control.In.Enqueue("ctl1")
-	v, isCtl, ok = ep.PollIn()
-	if !ok || !isCtl || v != "ctl1" {
-		t.Fatalf("PollIn = (%q,%v,%v), want (ctl1,true,true)", v, isCtl, ok)
+	// The two directions are separate queues.
+	p.In.Enqueue("frame1")
+	if p.Out.Len() != 0 {
+		t.Fatal("an inbound item showed up on the outbound queue")
 	}
-	v, isCtl, ok = ep.PollIn()
-	if !ok || isCtl || v != "frame2" {
-		t.Fatalf("PollIn = (%q,%v,%v), want (frame2,false,true)", v, isCtl, ok)
+	if !p.Out.Enqueue("d") {
+		t.Fatal("outbound enqueue failed on an empty queue")
 	}
-	if _, _, ok := ep.PollIn(); ok {
-		t.Error("PollIn on empty endpoint reported ok")
+	if v, _ := p.In.Dequeue(); v != "frame1" {
+		t.Errorf("in = %q, want frame1", v)
 	}
-	// Outbound paths.
-	if !ep.PushOut("d", false) || !ep.PushOut("c", true) {
-		t.Fatal("PushOut failed on empty queues")
-	}
-	if v, _ := ep.Data.Out.Dequeue(); v != "d" {
-		t.Errorf("data out = %q, want d", v)
-	}
-	if v, _ := ep.Control.Out.Dequeue(); v != "c" {
-		t.Errorf("control out = %q, want c", v)
+	if v, _ := p.Out.Dequeue(); v != "d" {
+		t.Errorf("out = %q, want d", v)
 	}
 }
 

@@ -307,10 +307,6 @@ func (q *QueueAdapter) Inject(f *packet.Frame) bool {
 // side would.
 func (q *QueueAdapter) Harvest() (*packet.Frame, bool) { return q.tx.Dequeue() }
 
-// PeekRx returns the next frame Recv would deliver without consuming it;
-// the testbed uses it to size per-frame receive costs exactly.
-func (q *QueueAdapter) PeekRx() (*packet.Frame, bool) { return q.rx.Peek() }
-
 // Recv polls the RX ring.
 func (q *QueueAdapter) Recv() (*packet.Frame, bool) {
 	if q.closed {

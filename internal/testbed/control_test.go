@@ -70,7 +70,7 @@ func basicVRConfigN(t testing.TB, n int) core.VRConfig {
 func TestGatewayRxRingOverflow(t *testing.T) {
 	eng := sim.New()
 	topo, gw := buildLVRMTopology(t, eng, LVRMGatewayConfig{
-		Mechanism: netio.PFRing, DataQueueCap: 8,
+		Mechanism: netio.PFRing, Monitor: core.Config{DataQueueCap: 8},
 	}, basicVRConfig(t))
 	_ = topo
 	for i := 0; i < 50; i++ {

@@ -3,9 +3,7 @@ package testbed
 import (
 	"time"
 
-	"lvrm/internal/balance"
 	"lvrm/internal/core"
-	"lvrm/internal/cores"
 	"lvrm/internal/ipc"
 	"lvrm/internal/netio"
 	"lvrm/internal/packet"
@@ -57,19 +55,23 @@ const (
 	VRIPollDelay  = 4 * time.Microsecond
 )
 
-// LVRMGatewayConfig configures the simulated LVRM deployment.
+// LVRMGatewayConfig configures the simulated LVRM deployment: the monitor
+// under test, and the DES cost model and placement it runs under.
 type LVRMGatewayConfig struct {
 	Eng *sim.Engine
+	// Monitor configures the hosted monitor; every monitor option (topology,
+	// queues, allocation pacing, flow dispatch, replication, ...) is declared
+	// there and nowhere else. The gateway fills in what it owns — Adapter
+	// (its capture/transmit rings), Clock (Eng.Now) and a DataQueueCap
+	// defaulting to 4096, which also sizes the capture ring — and hands the
+	// rest to core.New untouched. The testbed is single-threaded, so
+	// FlowShards exercises the flow table's semantics (affinity, epochs,
+	// eviction) under virtual time rather than its parallelism; combine with
+	// ExtraDispatchCost to model the lookup's per-frame cost.
+	Monitor core.Config
 	// Mechanism selects the socket adapter cost model (RawSocket, PFRing,
 	// PFRingV1, Memory).
 	Mechanism netio.Mechanism
-	// Topology defaults to the paper's 2×4 cores; LVRM runs on core 0.
-	Topology cores.Topology
-	// QueueKind and DataQueueCap configure the IPC queues.
-	QueueKind    ipc.Kind
-	DataQueueCap int
-	// AllocPeriod is the core re-allocation pacing (default 1 s).
-	AllocPeriod time.Duration
 	// Affinity is the VRI placement mode (Experiment 2a).
 	Affinity AffinityMode
 	// ExtraDispatchCost adds per-frame monitor-core cost to the dispatch
@@ -77,25 +79,6 @@ type LVRMGatewayConfig struct {
 	// table lookups plus the times() call the paper measures in
 	// Experiment 3c).
 	ExtraDispatchCost time.Duration
-	// FlowShards/FlowTableCap enable flow-aware sharded dispatch on the
-	// hosted monitor (core.Config.FlowShards): dispatch pins flows to VRIs
-	// through the sharded affinity table instead of running a balancer
-	// decision per frame. The testbed is single-threaded, so this exercises
-	// the flow table's semantics (affinity, epochs, eviction) under virtual
-	// time rather than its parallelism; combine with ExtraDispatchCost to
-	// model the lookup's per-frame cost. Zero keeps the seed balancer path.
-	FlowShards   int
-	FlowTableCap int
-	// MaxReplicas enables intra-VR replication (core.Config.MaxReplicas):
-	// a VR may run up to this many flow-partitioned replica VRIs, grown and
-	// shrunk by the split/fold controller instead of its alloc policy.
-	// Requires FlowShards > 0. SplitFold tunes the controller; zero fields
-	// take the balance package defaults.
-	MaxReplicas int
-	SplitFold   balance.SplitFoldConfig
-	// AllowSharedLVRMCore over-subscribes the monitor core when VRIs
-	// outnumber free cores (Experiment 2b's contention case).
-	AllowSharedLVRMCore bool
 	// Seed feeds the placement randomness of AffinityOSDefault.
 	Seed uint64
 	// Out receives forwarded frames (required).
@@ -123,16 +106,17 @@ type LVRMGateway struct {
 	ioSplit [3]float64
 	rng     *sim.Rand
 
-	seenAllocs int
+	seenAllocs int // allocation events already charged (of LVRM.AllocCount)
 	rxDrops    int64
 }
 
 // NewLVRMGateway builds the gateway. Add VRs with AddVR before traffic.
 func NewLVRMGateway(cfg LVRMGatewayConfig) (*LVRMGateway, error) {
-	if cfg.DataQueueCap == 0 {
-		cfg.DataQueueCap = 4096
+	if cfg.Monitor.DataQueueCap == 0 {
+		cfg.Monitor.DataQueueCap = 4096
 	}
-	qa := netio.NewQueueAdapter(cfg.Mechanism, cfg.DataQueueCap)
+	qa := netio.NewQueueAdapter(cfg.Mechanism, cfg.Monitor.DataQueueCap)
+	cfg.Monitor.Adapter, cfg.Monitor.Clock = qa, cfg.Eng.Now
 	g := &LVRMGateway{
 		cfg:     cfg,
 		eng:     cfg.Eng,
@@ -157,20 +141,7 @@ func NewLVRMGateway(cfg LVRMGatewayConfig) (*LVRMGateway, error) {
 	default:
 		g.ioSplit = [3]float64{1, 0, 0}
 	}
-	l, err := core.New(core.Config{
-		Adapter:             qa,
-		Mechanism:           cfg.Mechanism,
-		Topology:            cfg.Topology,
-		QueueKind:           cfg.QueueKind,
-		AllocPeriod:         cfg.AllocPeriod,
-		Clock:               cfg.Eng.Now,
-		DataQueueCap:        cfg.DataQueueCap,
-		AllowSharedLVRMCore: cfg.AllowSharedLVRMCore,
-		FlowShards:          cfg.FlowShards,
-		FlowTableCap:        cfg.FlowTableCap,
-		MaxReplicas:         cfg.MaxReplicas,
-		SplitFold:           cfg.SplitFold,
-	})
+	l, err := core.New(cfg.Monitor)
 	if err != nil {
 		return nil, err
 	}
@@ -244,9 +215,14 @@ func (g *LVRMGateway) mixSplit(ioCost, total time.Duration) [3]float64 {
 // chargeNewAllocations occupies the monitor core for the reaction latency of
 // any allocation events the last dispatch triggered.
 func (g *LVRMGateway) chargeNewAllocations() {
+	fresh := g.lvrm.AllocCount() - g.seenAllocs
+	if fresh == 0 {
+		return
+	}
+	g.seenAllocs += fresh
 	events := g.lvrm.AllocEvents()
-	for ; g.seenAllocs < len(events); g.seenAllocs++ {
-		g.lvrmCore.Exec(events[g.seenAllocs].Latency, System, nil)
+	for _, ev := range events[max(0, len(events)-fresh):] {
+		g.lvrmCore.Exec(ev.Latency, System, nil)
 	}
 }
 

@@ -246,7 +246,7 @@ func TestLVRMGatewayForwardsUDP(t *testing.T) {
 func TestLVRMGatewayOverloadLoses(t *testing.T) {
 	// Offered far above the raw-socket capacity (~230 Kfps): must lose.
 	eng := sim.New()
-	topo, _ := buildLVRMTopology(t, eng, LVRMGatewayConfig{Mechanism: netio.RawSocket, DataQueueCap: 256}, basicVRConfig(t))
+	topo, _ := buildLVRMTopology(t, eng, LVRMGatewayConfig{Mechanism: netio.RawSocket, Monitor: core.Config{DataQueueCap: 256}}, basicVRConfig(t))
 	received := 0
 	topo.OnReceiverSide = func(*packet.Frame) { received++ }
 	sender := &traffic.UDPSender{
@@ -269,7 +269,7 @@ func TestMechanismThroughputOrdering(t *testing.T) {
 	// At 84 B frames, delivered rate under overload: pfring > rawsocket.
 	run := func(mech netio.Mechanism) float64 {
 		eng := sim.New()
-		topo, _ := buildLVRMTopology(t, eng, LVRMGatewayConfig{Mechanism: mech, DataQueueCap: 256}, basicVRConfig(t))
+		topo, _ := buildLVRMTopology(t, eng, LVRMGatewayConfig{Mechanism: mech, Monitor: core.Config{DataQueueCap: 256}}, basicVRConfig(t))
 		received := 0
 		topo.OnReceiverSide = func(*packet.Frame) { received++ }
 		s := &traffic.UDPSender{
@@ -294,7 +294,7 @@ func TestDynamicAllocationGrowsUnderLoad(t *testing.T) {
 	// Dummy load 1/60 ms per frame: one VRI serves 60 Kfps.
 	tbl, _ := route.LoadMapFile(strings.NewReader("10.2.0.0/16 if1\n10.1.0.0/16 if0\n"))
 	vrCfg.Engine = vr.BasicFactory(vr.BasicConfig{Routes: tbl, DummyLoad: time.Second / 60000})
-	topo, gw := buildLVRMTopology(t, eng, LVRMGatewayConfig{Mechanism: netio.PFRing, AllocPeriod: 200 * time.Millisecond}, vrCfg)
+	topo, gw := buildLVRMTopology(t, eng, LVRMGatewayConfig{Mechanism: netio.PFRing, Monitor: core.Config{AllocPeriod: 200 * time.Millisecond}}, vrCfg)
 	received := 0
 	topo.OnReceiverSide = func(*packet.Frame) { received++ }
 	sender := &traffic.UDPSender{
@@ -332,7 +332,7 @@ func TestAffinityThroughputOrdering(t *testing.T) {
 	run := func(mode AffinityMode) float64 {
 		eng := sim.New()
 		topo, _ := buildLVRMTopology(t, eng, LVRMGatewayConfig{
-			Mechanism: netio.PFRing, Affinity: mode, DataQueueCap: 256,
+			Mechanism: netio.PFRing, Affinity: mode, Monitor: core.Config{DataQueueCap: 256},
 		}, basicVRConfig(t))
 		received := 0
 		topo.OnReceiverSide = func(*packet.Frame) { received++ }

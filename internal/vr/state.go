@@ -97,8 +97,7 @@ func SpecOf(e Engine) StateSpec {
 
 // StateSpec declares the basic engine's state for replication:
 //
-//   - forwarded/dropped counters are per-replica and summed on read
-//     (MergedStats does the fold);
+//   - forwarded/dropped counters are per-replica and summed on read;
 //   - ARP bindings are keyed by sender, which flow partitioning shards;
 //   - the static route table is cloned per VRI and only written via control
 //     events applied to every replica (routesync), so each replica's copy
@@ -110,20 +109,6 @@ func (b *Basic) StateSpec() StateSpec {
 		{Name: "arp-bindings", Class: StateSharded},
 		{Name: "static-routes", Class: StateSharded},
 	}
-}
-
-// MergedStats folds Basic engine counters across a VR's replicas — the
-// merge-on-read for the StateMerged "counters" element. Engines that are
-// not *Basic are skipped.
-func MergedStats(engines []Engine) (forwarded, dropped int64) {
-	for _, e := range engines {
-		if b, ok := e.(*Basic); ok {
-			f, d := b.Stats()
-			forwarded += f
-			dropped += d
-		}
-	}
-	return forwarded, dropped
 }
 
 var _ StateDeclarer = (*Basic)(nil)
