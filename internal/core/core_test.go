@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -436,7 +437,10 @@ func TestGrowFailsWhenMachineFull(t *testing.T) {
 	}
 }
 
-func TestPollOnceEndToEnd(t *testing.T) {
+// TestMonitorPassEndToEnd drives the live monitor's pass by hand: the runtime
+// is not started, so no goroutine consumes the two VRIs and the test steps
+// them itself, alternating with passes until the trace drains.
+func TestMonitorPassEndToEnd(t *testing.T) {
 	clock := &fakeClock{}
 	frames, _ := trace.Generate(trace.GenerateOpts{Count: 50})
 	mem := netio.NewMemoryAdapter(frames, false)
@@ -445,10 +449,10 @@ func TestPollOnceEndToEnd(t *testing.T) {
 		Name: "vr1", SrcPrefix: packet.MustParseIP("10.1.0.0"), SrcBits: 16,
 		Engine: testEngineFactory(t), Balancer: balance.NewRoundRobin(), InitialVRIs: 2,
 	})
-	// Alternate monitor polls and VRI steps until the trace drains.
+	rt := NewRuntime(l)
 	for i := 0; i < 500; i++ {
 		clock.advance(time.Microsecond)
-		l.PollOnce(8)
+		rt.pass(true)
 		for _, a := range v.VRIs() {
 			for {
 				if !a.StepBatch(clock.now, 1, nil).Did() {
@@ -595,5 +599,32 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if back.Stats.Received != 1 {
 		t.Errorf("round-tripped Received = %d", back.Stats.Received)
+	}
+
+	// A running runtime gives each VRI of the two-VRI VR a worker and runs a
+	// one-VRI VR's instance on the monitor; stopped, it runs none.
+	rt := NewRuntime(l)
+	if _, err := l.AddVR(vrCfg(t, "vr2", "10.3.0.0", 16)); err != nil {
+		t.Fatal(err)
+	}
+	consumers := func() map[string][]string {
+		got := map[string][]string{}
+		for _, vs := range l.Status().VRs {
+			for _, a := range vs.VRIs {
+				got[vs.Name] = append(got[vs.Name], a.Consumer)
+			}
+		}
+		return got
+	}
+	rt.Start()
+	if got, want := consumers(), map[string][]string{"vr1": {"worker", "worker"}, "vr2": {"monitor"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("running: consumers = %v, want %v", got, want)
+	}
+	if js, err := l.StatusJSON(); err != nil || !strings.Contains(string(js), `"consumer": "monitor"`) {
+		t.Errorf("StatusJSON lacks the monitor consumer (err %v)", err)
+	}
+	rt.Stop()
+	if got, want := consumers(), map[string][]string{"vr1": {"worker", "worker"}, "vr2": {"worker"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stopped: consumers = %v, want %v", got, want)
 	}
 }

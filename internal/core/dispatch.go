@@ -276,37 +276,3 @@ func (l *LVRM) deliverControl(ev *ControlEvent) bool {
 	l.ctlRelayed.Add(1)
 	return true
 }
-
-// PollOnce performs one monitor iteration: relay control, receive+dispatch
-// up to rxBudget frames, relay outgoing frames. It reports whether any work
-// was done, letting callers back off when idle.
-func (l *LVRM) PollOnce(rxBudget int) bool {
-	work := false
-	if l.RelayControl() > 0 {
-		work = true
-	}
-	if l.RecvDispatchBatch(rxBudget) > 0 {
-		work = true
-	}
-	if l.RelayOut(0) > 0 {
-		work = true
-	}
-	return work
-}
-
-// DrainPollOnce performs one relay-only monitor iteration — control first,
-// then outgoing data, with no ingest and no allocation pass. The graceful
-// shutdown path (Runtime.StopWithin) runs this instead of PollOnce so the
-// pipeline empties monotonically: the VRIs keep consuming their queued
-// frames while nothing new is admitted. It reports whether any work was
-// done.
-func (l *LVRM) DrainPollOnce() bool {
-	work := false
-	if l.RelayControl() > 0 {
-		work = true
-	}
-	if l.RelayOut(0) > 0 {
-		work = true
-	}
-	return work
-}

@@ -12,10 +12,11 @@
 // The components are engine-agnostic: the discrete-event testbed drives them
 // step by step under virtual time (charging every action's CPU cost to a
 // simulated core), and the live Runtime drives the same components with real
-// goroutines over the lock-free queues. Both run a VRI through the same
-// quantum, VRIAdapter.StepBatch(now, max, …): pending control events first
-// (up to max, and then nothing else), otherwise up to max data frames; the
-// paper's loop is max = 1.
+// goroutines over the lock-free queues — a VR's only VRI on the monitor
+// goroutine itself, each VRI of a larger VR on a worker goroutine of its own.
+// Both run a VRI through the same quantum, VRIAdapter.StepBatch(now, max, …):
+// pending control events first (up to max, and then nothing else), otherwise
+// up to max data frames; the paper's loop is max = 1.
 //
 // Three subsystems grown beyond the paper's text deserve a map:
 //

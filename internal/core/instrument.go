@@ -139,6 +139,16 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.inDrops.Load()) })
 	perVR("lvrm_vr_admit_shed_total", "New-flow frames shed by load-aware admission (every VRI backed up past -flow-admit).",
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.admitShed.Load()) })
+	perVR("lvrm_vr_inline_vris", "VRIs of the VR the monitor goroutine runs to completion itself: 1 while the VR has one live VRI, 0 while worker goroutines consume them.",
+		obs.TypeGauge, func(v *VR) float64 {
+			n := 0
+			for _, a := range v.vriList() {
+				if a.inline.Load() != nil {
+					n++
+				}
+			}
+			return float64(n)
+		})
 
 	// Intra-VR replication (replicate.go): the elastic split/fold
 	// transitions; the replica count is lvrm_vr_cores. Emitted for every VR —

@@ -191,6 +191,7 @@ func TestRuntimeScrape(t *testing.T) {
 		"lvrm_adapter_rx_oversize_total{adapter=\"chan\"} 0",
 		`lvrm_migration_frames_moved_total{vr="vr1"}`,
 		`lvrm_migration_pins_flipped_total{vr="vr1"}`,
+		`lvrm_vr_inline_vris{vr="vr1"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)

@@ -185,6 +185,55 @@ func BenchmarkPooledDispatchBurst(b *testing.B) {
 	}
 }
 
+// BenchmarkPooledInlinePass runs the live monitor's pass over a VRI the
+// monitor consumes itself, with a ControlHandler installed: each op puts one
+// frame and one control event in and passes until idle — receive, dispatch,
+// the inline quantum (the event, then the frame on the next pass), relay. CI's
+// 0 allocs/op gate holds the handler to being bound once per VRI, not per pass.
+func BenchmarkPooledInlinePass(b *testing.B) {
+	p := pool.New()
+	ca := netio.NewChanAdapter(64)
+	l, err := New(Config{
+		Adapter: ca, Clock: (&fakeClock{}).fn(), FramePool: p, AllocPeriod: time.Hour,
+		RecvBatch: 16, VRIBatch: 16, RelayBatch: 16,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := l.AddVR(vrCfg(b, "vr1", "10.1.0.0", 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := NewRuntime(l)
+	handled := 0
+	rt.ControlHandler = func(*VR, *VRIAdapter, *ControlEvent) { handled++ }
+	// What Start does for a VR's only VRI, without a monitor goroutine: this
+	// goroutine runs the passes.
+	a := v.VRIs()[0]
+	onControl := rt.onControl(v, a)
+	a.inline.Store(&onControl)
+	proto, ev := frameFrom(b, "10.1.0.1", "10.2.0.9"), &ControlEvent{}
+	op := func() {
+		ca.RX <- p.Copy(proto)
+		a.Control.In.Enqueue(ev)
+		for rt.pass(true) {
+		}
+		(<-ca.TX).Release()
+	}
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if handled != 64+b.N {
+		b.Fatalf("ControlHandler ran %d times for %d events", handled, 64+b.N)
+	}
+}
+
 func BenchmarkHeapDispatchRelay(b *testing.B) {
 	_, step := pooledPipeline(b, nil, 1)
 	for i := 0; i < 64; i++ {

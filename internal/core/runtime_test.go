@@ -1,10 +1,12 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lvrm/internal/netio"
+	"lvrm/internal/obs"
 	"lvrm/internal/packet"
 )
 
@@ -126,6 +128,38 @@ func TestRuntimeDoubleStartHarmless(t *testing.T) {
 	case <-ca.TX:
 	case <-time.After(10 * time.Second):
 		t.Fatal("no forwarding after double Start")
+	}
+}
+
+// TestIdleWorkersReadNoClock: a worker checks its queues before it reads the
+// clock, so the workers of an idle two-VRI VR read it not once. The monitor
+// reads it once per idle pass, for the allocation pacing, so once Stop has
+// joined everyone lvrm_monitor_idle_total accounts for every read.
+func TestIdleWorkersReadNoClock(t *testing.T) {
+	var reads atomic.Int64
+	l, err := New(Config{
+		Adapter: netio.NewChanAdapter(16), Obs: obs.NewRegistry(),
+		Clock: func() int64 { reads.Add(1); return WallClock() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime(l)
+	cfg := vrCfg(t, "vr1", "10.1.0.0", 16)
+	cfg.InitialVRIs = 2
+	if _, err := l.AddVR(cfg); err != nil {
+		t.Fatal(err)
+	}
+	reads.Store(0)
+	rt.Start()
+	time.Sleep(20 * time.Millisecond)
+	rt.Stop()
+	idle := l.ins.monitorIdle.Value()
+	if idle == 0 {
+		t.Fatal("the monitor made no idle pass in 20 ms")
+	}
+	if workers := reads.Load() - idle; workers != 0 {
+		t.Errorf("%d clock reads beside the monitor's %d idle passes, want 0", workers, idle)
 	}
 }
 

@@ -88,6 +88,10 @@ type VRIStatus struct {
 	// (its replica partition size; 0 with flow dispatch off).
 	MigratedIn     int64 `json:"migrated_in"`
 	PartitionFlows int   `json:"partition_flows"`
+	// Consumer is which goroutine of the live runtime dequeues the VRI:
+	// "monitor" while it is its VR's only instance and runs to completion on
+	// the monitor goroutine, "worker" otherwise.
+	Consumer string `json:"consumer"`
 }
 
 // Status assembles a snapshot of the monitor and every VR/VRI. It is safe to
@@ -124,6 +128,10 @@ func (l *LVRM) Status() Status {
 			partitions = v.flows.PartitionSizes()
 		}
 		for _, a := range v.VRIs() {
+			consumer := "worker"
+			if a.inline.Load() != nil {
+				consumer = "monitor"
+			}
 			vs.VRIs = append(vs.VRIs, VRIStatus{
 				ID:              a.ID,
 				Core:            a.Core,
@@ -138,6 +146,7 @@ func (l *LVRM) Status() Status {
 				Engine:          a.Engine.Name(),
 				MigratedIn:      a.MigratedIn(),
 				PartitionFlows:  partitions[a.ID],
+				Consumer:        consumer,
 			})
 		}
 		st.VRs = append(st.VRs, vs)

@@ -35,8 +35,10 @@ type ControlEvent struct {
 // VRIAdapter is the per-VRI state LVRM keeps (Section 3.4): the queue pairs
 // that attach the VRI to LVRM, the load estimator it reports to the VRI
 // monitor, and the engine that does the packet processing. In the paper a
-// VRI is a separate process created with vfork(); here it is a worker driven
-// either by the testbed (virtual time) or by a dedicated goroutine (live).
+// VRI is a separate process created with vfork(); here it is driven by the
+// testbed (virtual time) or, live, by the Runtime: by the monitor goroutine
+// while it is its VR's only instance, by a worker goroutine of its own
+// otherwise.
 type VRIAdapter struct {
 	// ID is the VRI's identifier, unique within its VR across the VR's
 	// lifetime (never reused, so stale flow-table pins can't mis-route).
@@ -117,6 +119,10 @@ type VRIAdapter struct {
 	// batcher is the engine's vr.BatchEngine, asserted once at spawn like
 	// pinner; when non-nil StepBatch hands it the whole quantum.
 	batcher vr.BatchEngine
+	// inline holds the Runtime's ControlHandler bound to this VRI while the
+	// monitor goroutine consumes it; nil while a worker goroutine (or the
+	// testbed, or nobody) does.
+	inline atomic.Pointer[func(*ControlEvent)]
 	// routeGen mirrors the last pinned generation for the scrape path
 	// (lvrm_vri_route_generation); written only by the consumer side.
 	routeGen atomic.Uint64
@@ -214,6 +220,12 @@ func (a *VRIAdapter) NextStaged() (*packet.Frame, bool) {
 // mistaken for idle.
 func (a *VRIAdapter) PendingData() int {
 	return int(a.preLen.Load()) + a.Data.In.Len()
+}
+
+// hasWork reports whether a StepBatch quantum would find anything to take: a
+// control event, a staged frame or a queued one.
+func (a *VRIAdapter) hasWork() bool {
+	return a.PendingData() > 0 || a.Control.In.Len() > 0
 }
 
 // runLoad returns the queue-length estimate used by JSQ during a
