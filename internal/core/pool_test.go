@@ -8,6 +8,8 @@ import (
 	"lvrm/internal/netio"
 	"lvrm/internal/packet"
 	"lvrm/internal/packet/pool"
+	"lvrm/internal/vr"
+	"lvrm/internal/vr/click"
 )
 
 // pooledPipeline builds the full live data path over the channel adapter:
@@ -189,48 +191,65 @@ func BenchmarkPooledDispatchBurst(b *testing.B) {
 // monitor consumes itself, with a ControlHandler installed: each op puts one
 // frame and one control event in and passes until idle — receive, dispatch,
 // the inline quantum (the event, then the frame on the next pass), relay. CI's
-// 0 allocs/op gate holds the handler to being bound once per VRI, not per pass.
+// 0 allocs/op gate holds the handler to being bound once per VRI, not per pass,
+// and each engine to its per-frame path: the Basic engine and the Click
+// element graph of the paper's Click VR.
 func BenchmarkPooledInlinePass(b *testing.B) {
-	p := pool.New()
-	ca := netio.NewChanAdapter(64)
-	l, err := New(Config{
-		Adapter: ca, Clock: (&fakeClock{}).fn(), FramePool: p, AllocPeriod: time.Hour,
-		RecvBatch: 16, VRIBatch: 16, RelayBatch: 16,
-	})
-	if err != nil {
-		b.Fatal(err)
+	engines := []struct {
+		name    string
+		factory func(testing.TB) vr.Factory
+	}{
+		{"basic", testEngineFactory},
+		{"click", func(testing.TB) vr.Factory {
+			return click.Factory(click.EngineConfig{Config: click.StandardForwarder("10.2.0.0/16", "10.1.0.0/16")})
+		}},
 	}
-	v, err := l.AddVR(vrCfg(b, "vr1", "10.1.0.0", 16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt := NewRuntime(l)
-	handled := 0
-	rt.ControlHandler = func(*VR, *VRIAdapter, *ControlEvent) { handled++ }
-	// What Start does for a VR's only VRI, without a monitor goroutine: this
-	// goroutine runs the passes.
-	a := v.VRIs()[0]
-	onControl := rt.onControl(v, a)
-	a.inline.Store(&onControl)
-	proto, ev := frameFrom(b, "10.1.0.1", "10.2.0.9"), &ControlEvent{}
-	op := func() {
-		ca.RX <- p.Copy(proto)
-		a.Control.In.Enqueue(ev)
-		for rt.pass(true) {
-		}
-		(<-ca.TX).Release()
-	}
-	for i := 0; i < 64; i++ {
-		op()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op()
-	}
-	b.StopTimer()
-	if handled != 64+b.N {
-		b.Fatalf("ControlHandler ran %d times for %d events", handled, 64+b.N)
+	for _, e := range engines {
+		b.Run(e.name, func(b *testing.B) {
+			p := pool.New()
+			ca := netio.NewChanAdapter(64)
+			l, err := New(Config{
+				Adapter: ca, Clock: (&fakeClock{}).fn(), FramePool: p, AllocPeriod: time.Hour,
+				RecvBatch: 16, VRIBatch: 16, RelayBatch: 16,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := vrCfg(b, "vr1", "10.1.0.0", 16)
+			cfg.Engine = e.factory(b)
+			v, err := l.AddVR(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt := NewRuntime(l)
+			handled := 0
+			rt.ControlHandler = func(*VR, *VRIAdapter, *ControlEvent) { handled++ }
+			// What Start does for a VR's only VRI, without a monitor goroutine:
+			// this goroutine runs the passes.
+			a := v.VRIs()[0]
+			onControl := rt.onControl(v, a)
+			a.inline.Store(&onControl)
+			proto, ev := frameFrom(b, "10.1.0.1", "10.2.0.9"), &ControlEvent{}
+			op := func() {
+				ca.RX <- p.Copy(proto)
+				a.Control.In.Enqueue(ev)
+				for rt.pass(true) {
+				}
+				(<-ca.TX).Release()
+			}
+			for i := 0; i < 64; i++ {
+				op()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			b.StopTimer()
+			if handled != 64+b.N {
+				b.Fatalf("ControlHandler ran %d times for %d events", handled, 64+b.N)
+			}
+		})
 	}
 }
 

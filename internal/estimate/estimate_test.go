@@ -2,6 +2,9 @@ package estimate
 
 import (
 	"math"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -201,6 +204,82 @@ func TestQueueLengthObserveRun(t *testing.T) {
 		if run.Estimate() != each.Estimate() {
 			t.Fatalf("after run %+v: ObserveRun gives %v, Observe per frame %v", r, run.Estimate(), each.Estimate())
 		}
+	}
+}
+
+// TestQueueLengthMatchesEWMA: the estimator's one atomic word is the bare
+// EWMA, to the bit, through a seeded mix of single observations, runs with
+// rejected tails and resets, at the default weight and at another.
+func TestQueueLengthMatchesEWMA(t *testing.T) {
+	for _, weight := range []float64{0, 3} {
+		q, ref := NewQueueLength(weight), EWMA{Weight: weight}
+		rng := rand.New(rand.NewSource(11))
+		for step := 0; step < 20000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 50:
+				length := rng.Intn(1024)
+				q.Observe(length)
+				ref.Update(float64(length))
+			case op < 98:
+				depth, n := rng.Intn(1024), rng.Intn(17)
+				accepted := rng.Intn(n + 1) // n - accepted frames rejected
+				q.ObserveRun(depth, accepted, n)
+				for i := 0; i < n; i++ {
+					ref.Update(float64(depth + min(i, accepted)))
+				}
+			default:
+				q.Reset()
+				ref.Reset()
+			}
+			if got, want := q.Estimate(), ref.Value(); math.Float64bits(got) != math.Float64bits(want) || q.Valid() != ref.Valid() {
+				t.Fatalf("weight %v, step %d: QueueLength (%v, valid %v), EWMA (%v, valid %v)",
+					weight, step, got, q.Valid(), want, ref.Valid())
+			}
+		}
+	}
+}
+
+// TestQueueLengthConcurrent: four goroutines observe occupancies in [lo, hi]
+// while two read, and every read is an average of those samples — a value in
+// [lo, hi], never a torn word or the no-sample marker. Run it under -race.
+func TestQueueLengthConcurrent(t *testing.T) {
+	const lo, hi = 10, 50
+	q := NewQueueLength(0)
+	q.Observe(lo) // readers never see the empty estimator's 0
+	var writers, readers sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 20000; i++ {
+				if i%2 == 0 {
+					q.Observe(lo + rng.Intn(hi-lo+1))
+				} else {
+					// A run that starts at most 8 below hi and may take all 8.
+					q.ObserveRun(lo+rng.Intn(hi-lo-7), rng.Intn(9), 8)
+				}
+			}
+		}(int64(w))
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for !done.Load() {
+				if got := q.Estimate(); got < lo || got > hi || !q.Valid() {
+					t.Errorf("read %v (valid %v), want a value in [%d, %d]", got, q.Valid(), lo, hi)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	done.Store(true)
+	readers.Wait()
+	if got := q.Estimate(); got < lo || got > hi {
+		t.Fatalf("final estimate %v outside [%d, %d]", got, lo, hi)
 	}
 }
 

@@ -1,34 +1,25 @@
 package ipc
 
-// BatchQueue is implemented by queues with native batch operations: moving a
-// run of elements under one cursor publication (or one lock acquisition)
-// instead of one per element. The SPSC ring implements it natively —
+// EnqueueBatch and DequeueBatch move a run of elements under one cursor
+// publication instead of one per element when q is one of the two rings —
 // amortizing the release/acquire pair that Section 3.5 pays per frame — and
-// the package-level EnqueueBatch/DequeueBatch helpers fall back to scalar
-// loops for the mutex variant.
+// fall back to scalar loops for the mutex variant.
 //
-// Both operations keep the scalar FIFO contract: a batch is an atomic-cursor
+// Both keep the scalar FIFO contract: a batch is an atomic-cursor
 // optimization, not a transactional unit. EnqueueBatch accepts the longest
 // prefix that fits and DequeueBatch returns the elements in queue order, so a
 // batch of size 1 is indistinguishable from the scalar operation.
-type BatchQueue[T any] interface {
-	Queue[T]
-	// EnqueueBatch appends the longest prefix of vs that fits and returns
-	// how many elements were accepted. Rejected elements count as drops.
-	EnqueueBatch(vs []T) int
-	// DequeueBatch removes up to len(out) elements into out, preserving
-	// FIFO order, and returns how many were delivered.
-	DequeueBatch(out []T) int
-}
-
-// EnqueueBatch appends the longest prefix of vs that fits into q, using the
-// queue's native batch operation when it has one and falling back to scalar
-// Enqueue calls otherwise. It returns the number of elements accepted.
 //
-// The two rings are picked out by their concrete types, not through
-// BatchQueue: an argument to an interface method escapes, and flow dispatch
-// publishes pieces of the caller's own burst, which LVRM.Dispatch keeps on
-// its stack — the hit path must not allocate.
+// The rings are picked out by their concrete types, not through an interface
+// of batch methods: an argument to an interface method escapes, and flow
+// dispatch publishes pieces of the caller's own burst, which LVRM.Dispatch
+// keeps on its stack — the hit path must not allocate. A type switch also
+// compares one type word, where an interface assertion looks up an itab on
+// every call, and the relay polls every out-ring on every pass, most of them
+// empty.
+
+// EnqueueBatch appends the longest prefix of vs that fits into q and returns
+// the number of elements accepted.
 //
 // Drop accounting differs slightly between the two paths: a native batch
 // counts every rejected element, while the scalar fallback stops at the
@@ -49,11 +40,13 @@ func EnqueueBatch[T any](q Queue[T], vs []T) int {
 	return len(vs)
 }
 
-// DequeueBatch removes up to len(out) elements from q into out, using the
-// queue's native batch operation when it has one and falling back to scalar
-// Dequeue calls otherwise. It returns the number of elements delivered.
+// DequeueBatch removes up to len(out) elements from q into out and returns the
+// number of elements delivered.
 func DequeueBatch[T any](q Queue[T], out []T) int {
-	if b, ok := q.(BatchQueue[T]); ok {
+	switch b := q.(type) {
+	case *SPSC[T]:
+		return b.DequeueBatch(out)
+	case *MPSC[T]:
 		return b.DequeueBatch(out)
 	}
 	for i := range out {

@@ -179,7 +179,6 @@ func (q *MPSC[T]) Closed() bool { return q.closed.Load() }
 func (q *MPSC[T]) Reopen() { q.closed.Store(false) }
 
 var (
-	_ Queue[int]      = (*MPSC[int])(nil)
-	_ BatchQueue[int] = (*MPSC[int])(nil)
-	_ Closer          = (*MPSC[int])(nil)
+	_ Queue[int] = (*MPSC[int])(nil)
+	_ Closer     = (*MPSC[int])(nil)
 )

@@ -180,7 +180,6 @@ func (q *SPSC[T]) Closed() bool { return q.closed.Load() }
 func (q *SPSC[T]) Reopen() { q.closed.Store(false) }
 
 var (
-	_ Queue[int]      = (*SPSC[int])(nil)
-	_ BatchQueue[int] = (*SPSC[int])(nil)
-	_ Closer          = (*SPSC[int])(nil)
+	_ Queue[int] = (*SPSC[int])(nil)
+	_ Closer     = (*SPSC[int])(nil)
 )

@@ -48,9 +48,11 @@ type Options struct {
 	Poison bool
 }
 
-// Stats is a snapshot of the pool's counters.
+// Stats is a snapshot of the pool's counters. Hits, Misses, Steals and
+// Recycles are counted; Gets and Outstanding are derived from them.
 type Stats struct {
-	// Gets counts frames handed out (Get + Copy + builders).
+	// Gets counts frames handed out (Get + Copy + builders): Hits + Misses +
+	// Steals.
 	Gets int64
 	// Hits counts Gets served by a recycled buffer of the right class.
 	Hits int64
@@ -76,8 +78,9 @@ type Pool struct {
 	classes [3]sizeClass
 	exact   sync.Pool // frames whose buffer capacity matches no class
 
-	gets, hits, misses, steals, recycles atomic.Int64
-	outstanding                          atomic.Int64
+	// The four monotone counts: a Get bumps exactly one of the first three, a
+	// recycle the fourth, so a pooled Get+Release pays two shared atomic adds.
+	hits, misses, steals, recycles atomic.Int64
 }
 
 type sizeClass struct {
@@ -107,8 +110,6 @@ func (p *Pool) Get(n int) *packet.Frame {
 	if n < 0 {
 		panic(fmt.Sprintf("pool: negative frame size %d", n))
 	}
-	p.gets.Add(1)
-	p.outstanding.Add(1)
 	if c := p.classFor(n); c != nil {
 		if v := c.p.Get(); v != nil {
 			f := v.(*packet.Frame)
@@ -203,7 +204,6 @@ func (p *Pool) BuildICMPEcho(o packet.ICMPBuildOpts) (*packet.Frame, error) {
 // capacity class (or the exact pool), full capacity restored.
 func (p *Pool) RecycleFrame(f *packet.Frame) {
 	p.recycles.Add(1)
-	p.outstanding.Add(-1)
 	f.Buf = f.Buf[:cap(f.Buf)]
 	if p.poison {
 		for i := range f.Buf {
@@ -250,16 +250,16 @@ func (p *Pool) checkPoison(f *packet.Frame) {
 	}
 }
 
-// Stats returns a snapshot of the pool's counters.
+// Stats returns a snapshot of the pool's counters. Recycles is read first:
+// every recycle it counts was preceded by the Get it returns, and that Get is
+// already in the hit, miss or steal read after it, so a snapshot taken while
+// frames move never shows Outstanding below zero.
 func (p *Pool) Stats() Stats {
-	return Stats{
-		Gets:        p.gets.Load(),
-		Hits:        p.hits.Load(),
-		Misses:      p.misses.Load(),
-		Steals:      p.steals.Load(),
-		Recycles:    p.recycles.Load(),
-		Outstanding: p.outstanding.Load(),
-	}
+	s := Stats{Recycles: p.recycles.Load()}
+	s.Hits, s.Misses, s.Steals = p.hits.Load(), p.misses.Load(), p.steals.Load()
+	s.Gets = s.Hits + s.Misses + s.Steals
+	s.Outstanding = s.Gets - s.Recycles
+	return s
 }
 
 var _ packet.Recycler = (*Pool)(nil)

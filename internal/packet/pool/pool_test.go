@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lvrm/internal/packet"
@@ -324,6 +325,74 @@ func TestRefcountTorture(t *testing.T) {
 	}
 	if st.Recycles != iters {
 		t.Fatalf("recycles = %d, want %d", st.Recycles, iters)
+	}
+}
+
+// TestStatsUnderConcurrency: four goroutines cycle frames through all three
+// size classes and the exact pool while a fifth takes snapshots. Every
+// snapshot must be consistent (Gets is the sum of its parts, Outstanding is
+// not negative) and no counter may run backwards between two snapshots — a
+// scraper reads a decrease as a counter reset. Run it under -race.
+func TestStatsUnderConcurrency(t *testing.T) {
+	const iters = 5000
+	p := New()
+	sizes := []int{64, ClassSmall + 1, ClassMedium + 1, ClassLarge + 500, ClassLarge + 100}
+	var workers, scraper sync.WaitGroup
+	var done atomic.Bool
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		var prev Stats
+		for !done.Load() {
+			st := p.Stats()
+			if st.Outstanding < 0 || st.Gets != st.Hits+st.Misses+st.Steals {
+				t.Errorf("inconsistent snapshot: %+v", st)
+				return
+			}
+			if st.Gets < prev.Gets || st.Hits < prev.Hits || st.Misses < prev.Misses ||
+				st.Steals < prev.Steals || st.Recycles < prev.Recycles {
+				t.Errorf("a counter ran backwards:\n  %+v\nthen\n  %+v", prev, st)
+				return
+			}
+			prev = st
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		workers.Add(1)
+		go func(w int) {
+			defer workers.Done()
+			held := make([]*packet.Frame, 0, 4)
+			for i := 0; i < iters; i++ {
+				n := sizes[(i+w)%len(sizes)]
+				f := p.Get(n)
+				if i%3 == 0 {
+					c := p.Copy(f)
+					f.Release()
+					f = c
+				}
+				held = append(held, f)
+				if len(held) == cap(held) {
+					for _, h := range held {
+						h.Release()
+					}
+					held = held[:0]
+				}
+			}
+			for _, h := range held {
+				h.Release()
+			}
+		}(w)
+	}
+	workers.Wait()
+	done.Store(true)
+	scraper.Wait()
+	st := p.Stats()
+	const gets = 4 * (iters + (iters+2)/3) // a Get per iteration, a Copy per third
+	if st.Outstanding != 0 || st.Gets != st.Recycles || st.Gets != gets {
+		t.Fatalf("after the join: %+v, want Gets == Recycles == %d and Outstanding 0", st, gets)
+	}
+	if st.Steals == 0 {
+		t.Fatalf("no steal: the exact pool's reuse was not exercised: %+v", st)
 	}
 }
 

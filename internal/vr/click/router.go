@@ -14,6 +14,11 @@ type Router struct {
 	elements map[string]Element
 	order    []string // declaration order, for stable reporting
 	entry    *FromLVRM
+	// ctx is the traversal state of the frame in Process, reset per frame. A
+	// fresh one per frame would be a heap allocation (it escapes through the
+	// Element.Push interface call); one per Router is enough because a Router
+	// belongs to one engine, which one consumer drives at a time.
+	ctx Context
 }
 
 func newRouter() *Router {
@@ -112,7 +117,8 @@ func (r *Router) StrayDrops() int64 {
 // returns the number of element hops it traversed. The frame's Timestamp
 // (set by LVRM at receive time) clocks time-aware elements.
 func (r *Router) Process(f *packet.Frame) int {
-	ctx := &Context{Now: f.Timestamp}
+	ctx := &r.ctx
+	*ctx = Context{Now: f.Timestamp}
 	f.Out = vr.Drop
 	ctx.Hops = 1 // the entry element itself
 	r.entry.Push(ctx, f, 0)
