@@ -60,7 +60,6 @@ func main() {
 	}
 	rt := core.NewRuntime(monitor)
 	rt.Start()
-	defer rt.Stop()
 
 	// A mixed workload: UDP, TCP and ICMP frames toward 10.2/16, plus a
 	// few strays with no route.
@@ -100,7 +99,12 @@ func main() {
 		}
 	}
 
-	// Read the counters straight out of the element graph.
+	// Read the counters straight out of the element graph — once the runtime
+	// has drained and stopped: until then the VRI's consumer is still running
+	// the graph, and a Router has one owner at a time.
+	if !rt.StopWithin(5 * time.Second) {
+		log.Fatal("runtime did not drain")
+	}
 	router := v.VRIs()[0].Engine.(*click.Engine).Router()
 	fmt.Printf("pushed %d frames, forwarded %d\n", total, forwarded)
 	for _, name := range []string{"udpC", "tcpC", "icmC"} {

@@ -94,16 +94,23 @@ func main() {
 
 	probe("before update:")
 
-	n := monitor.BroadcastRouteUpdate(v, vr.RouteUpdate{
+	// The runtime's entry, not the monitor's: the monitor goroutine is the
+	// only producer onto a VRI's control queue, so the broadcast runs there.
+	n, err := rt.BroadcastRouteUpdate(v, vr.RouteUpdate{
 		Prefix: newPrefix, Bits: 12, OutIf: 1,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("broadcast install 172.16.0.0/12 -> if1 to %d VRIs\n", n)
 	time.Sleep(50 * time.Millisecond) // let the control events drain
 	probe("after install:")
 
-	monitor.BroadcastRouteUpdate(v, vr.RouteUpdate{
+	if _, err := rt.BroadcastRouteUpdate(v, vr.RouteUpdate{
 		Withdraw: true, Prefix: newPrefix, Bits: 12,
-	})
+	}); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("broadcast withdraw 172.16.0.0/12")
 	time.Sleep(50 * time.Millisecond)
 	probe("after withdraw:")

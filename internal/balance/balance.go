@@ -24,7 +24,9 @@ type Target struct {
 }
 
 // Balancer picks a dispatch target for each frame, per Figure 3.3. Targets
-// may change between calls as the core allocator spawns and kills VRIs.
+// may change between calls as the core allocator spawns and kills VRIs. LVRM
+// calls Pick from its monitor goroutine only, so a balancer may keep
+// unsynchronized state, as RoundRobin and Random do.
 type Balancer interface {
 	// Pick returns the index into targets of the VRI that should process
 	// the frame. It is only called with len(targets) >= 1.

@@ -45,13 +45,13 @@ func TestAdmissionShedsNewFlowsOnly(t *testing.T) {
 	// flows — hits land on their pins without consulting admission.
 	const established = 2*depth - 2
 	for i := 0; i < established; i++ {
-		if !l.Dispatch(flowFrame(t, i)) {
+		if !dispatchOne(l, flowFrame(t, i)) {
 			t.Fatalf("flow %d rejected before backlog", i)
 		}
 	}
 	for round := 0; round < 2; round++ {
 		for i := 0; i < established; i++ {
-			if !l.Dispatch(flowFrame(t, i)) {
+			if !dispatchOne(l, flowFrame(t, i)) {
 				t.Fatalf("established flow %d shed on round %d (hits bypass admission)", i, round)
 			}
 		}
@@ -62,11 +62,11 @@ func TestAdmissionShedsNewFlowsOnly(t *testing.T) {
 		}
 	}
 
-	// A brand-new flow must be shed: Dispatch fails, the shed is counted in
+	// A brand-new flow must be shed: dispatch fails, the shed is counted in
 	// the VR, the LVRM stats, and the table's refusal counter, and no pin is
 	// installed.
 	before := v.FlowTable().Len()
-	if l.Dispatch(flowFrame(t, 999)) {
+	if dispatchOne(l, flowFrame(t, 999)) {
 		t.Fatal("new flow admitted with every queue past the admission depth")
 	}
 	if got := v.AdmissionShed(); got != 1 {
@@ -88,12 +88,12 @@ func TestAdmissionShedsNewFlowsOnly(t *testing.T) {
 	}
 
 	// Established flows stay admitted through the same backlog.
-	if !l.Dispatch(flowFrame(t, 0)) {
+	if !dispatchOne(l, flowFrame(t, 0)) {
 		t.Fatal("established flow shed")
 	}
 	// Even across an epoch bump (stale pin, keep path): still admitted.
 	v.FlowTable().BumpEpoch()
-	if !l.Dispatch(flowFrame(t, 1)) {
+	if !dispatchOne(l, flowFrame(t, 1)) {
 		t.Fatal("established flow shed after epoch bump")
 	}
 	fs, _ = v.FlowStats()
@@ -111,7 +111,7 @@ func TestAdmissionShedsNewFlowsOnly(t *testing.T) {
 			f.Release()
 		}
 	}
-	if !l.Dispatch(flowFrame(t, 1000)) {
+	if !dispatchOne(l, flowFrame(t, 1000)) {
 		t.Fatal("new flow shed after queues drained")
 	}
 	if got := v.AdmissionShed(); got != 1 {
@@ -125,7 +125,7 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 	clock := &fakeClock{}
 	l, v := newAdmitLVRM(t, clock, 1, 1024, 0)
 	for i := 0; i < 512; i++ {
-		if !l.Dispatch(flowFrame(t, i)) {
+		if !dispatchOne(l, flowFrame(t, i)) {
 			t.Fatalf("flow %d rejected with admission off", i)
 		}
 	}
@@ -137,14 +137,14 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 // BenchmarkPooledFlowDispatchHit measures the steady-state flow-dispatch hit
 // path — the per-frame work once a flow is pinned — and must stay at 0
 // allocs/op (the CI pooled-path gate greps it): the Assign closures and
-// Dispatch's burst-of-one scratch may not escape, and nothing on the path may
+// dispatchOne's burst-of-one scratch may not escape, and nothing on the path may
 // touch the heap.
 func BenchmarkPooledFlowDispatchHit(b *testing.B) {
 	clock := &fakeClock{}
 	l, v := newFlowLVRM(b, clock, 4, 1, 1024)
 	a := v.VRIs()[0]
 	f := flowFrame(b, 1)
-	if !l.Dispatch(f) {
+	if !dispatchOne(l, f) {
 		b.Fatal("pin frame rejected")
 	}
 	if _, ok := a.Data.In.Dequeue(); !ok {
@@ -153,7 +153,7 @@ func BenchmarkPooledFlowDispatchHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !l.Dispatch(f) {
+		if !dispatchOne(l, f) {
 			b.Fatal("frame rejected")
 		}
 		if _, ok := a.Data.In.Dequeue(); !ok {

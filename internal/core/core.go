@@ -48,10 +48,9 @@ type Config struct {
 	RecvBatch, VRIBatch, RelayBatch int
 	// FlowShards enables flow-aware sharded dispatch when > 0: each VR gets
 	// a flow-affinity table with this many shards (rounded up to a power of
-	// two), dispatch pins flows to VRIs through it instead of serializing on
-	// the per-VR mutex, and the VRIs' data-in queues become multi-producer so
-	// several ingest goroutines may call Dispatch concurrently. Zero (the
-	// default) keeps the seed single-lock dispatch path exactly.
+	// two), and dispatch pins flows to VRIs through it instead of asking the
+	// VR's balancer per frame. Zero (the default) keeps the seed balancer
+	// dispatch path exactly.
 	FlowShards int
 	// FlowTableCap bounds the total pinned flows per VR across all shards
 	// (default 1024; effective capacity is rounded up — see flow.NewTable).
@@ -179,19 +178,13 @@ type LVRM struct {
 	burstBuf []parsed
 	relayBuf []*packet.Frame
 
-	// moves queues live-migration requests for the monitor loop to execute
-	// between polls (migrate.go: RequestMove/ServeMoves) — the handoff that
-	// lets concurrent Runtime.MoveVRI callers ride the monitor's
-	// serialization instead of racing dispatch.
-	moves chan *moveRequest
-
 	// OnSpawn is called whenever a VRI is created; the live runtime uses it
 	// to start the worker goroutine. OnDestroy is called after a VRI is
-	// detached (Draining, queues closed, off the dispatch list) but BEFORE
-	// its queue residue is drained: the hook must stop AND join whatever is
-	// consuming the instance's queues, because the drain takes over as the
-	// sole consumer. The live runtime joins the worker goroutine here; the
-	// single-threaded testbed just unregisters its virtual server.
+	// detached (Draining, off the dispatch list) but BEFORE its queue residue
+	// is drained: the hook must stop AND join whatever is consuming the
+	// instance's queues, because the drain takes over as the sole consumer.
+	// The live runtime joins the worker goroutine here; the single-threaded
+	// testbed just unregisters its virtual server.
 	OnSpawn   func(*VR, *VRIAdapter)
 	OnDestroy func(*VR, *VRIAdapter)
 
@@ -257,7 +250,6 @@ func New(cfg Config) (*LVRM, error) {
 	l.recvBuf = make([]*packet.Frame, cfg.RecvBatch)
 	l.burstBuf = make([]parsed, cfg.RecvBatch)
 	l.relayBuf = make([]*packet.Frame, cfg.RelayBatch)
-	l.moves = make(chan *moveRequest, 16)
 	l.initObs(cfg.Obs, cfg.Trace)
 	return l, nil
 }
@@ -287,8 +279,8 @@ func (l *LVRM) VRs() []*VR { return l.vrList() }
 // AddVR registers a VR and spawns its initial VRIs. It implements the
 // sibling-first placement heuristic through the allocator. It is safe to
 // call while the runtime is live: the VR list is swapped copy-on-write, so
-// concurrent dispatchers and Status scrapers always see a consistent
-// snapshot.
+// the monitor and Status scrapers always see a consistent snapshot, and
+// none of them sees the VR before its initial VRIs exist.
 func (l *LVRM) AddVR(cfg VRConfig) (*VR, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("core: VRConfig.Engine is required")
@@ -315,8 +307,7 @@ func (l *LVRM) AddVR(cfg VRConfig) (*VR, error) {
 	v.srcNet = uint32(cfg.SrcPrefix) & v.srcMask
 	if l.cfg.FlowShards > 0 {
 		// Per-shard capacity divides the VR-wide budget; NewTable raises it
-		// to at least one probe window. Must exist before the initial VRIs
-		// spawn so their data-in queues are built multi-producer.
+		// to at least one probe window.
 		v.flows = flow.NewTable(l.cfg.FlowShards, l.cfg.FlowTableCap/l.cfg.FlowShards)
 		v.admitDepth = l.cfg.FlowAdmitDepth
 	}
@@ -366,7 +357,7 @@ type Ledger struct {
 	Sent         int64 `json:"sent"`         // frames forwarded to the adapter
 	SendErrors   int64 `json:"send_errors"`  // consumed from a VRI queue but lost in Adapter.Send
 	Unclassified int64 `json:"unclassified"` // no VR claimed them
-	InDrops      int64 `json:"in_drops"`     // refused by a full or closing VRI input queue
+	InDrops      int64 `json:"in_drops"`     // refused by a full VRI input queue
 	AdmitShed    int64 `json:"admit_shed"`   // new-flow frames shed by load-aware admission
 	// EngineDrops and OutDrops sum over every VRI the monitor has run,
 	// retired and live: frames the engine dropped (no route, TTL, ...) and

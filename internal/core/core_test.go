@@ -45,6 +45,15 @@ func newTestLVRM(t testing.TB, clock *fakeClock, adapter netio.Adapter) *LVRM {
 	return l
 }
 
+// dispatchOne stamps, classifies and dispatches f as a burst of one, as the
+// monitor does a frame it received, and reports whether a VRI queue took it.
+// The scratch lives on this stack, so the dispatch path's escape behaviour is
+// what the 0-allocs gate sees.
+func dispatchOne(l *LVRM, f *packet.Frame) bool {
+	frames, scratch := [1]*packet.Frame{f}, [1]parsed{}
+	return l.dispatchBurst(frames[:], scratch[:], l.cfg.Clock()) == 1
+}
+
 func vrCfg(t testing.TB, name string, subnet string, bits int) VRConfig {
 	t.Helper()
 	return VRConfig{

@@ -9,8 +9,8 @@ import (
 // This file is LVRM's data path: classify captured frames to a VR, dispatch
 // them into the VR's VRIs, and relay the VRIs' output (data and control)
 // back through the socket adapter. Everything here runs on the monitor
-// goroutine, except Dispatch, which is safe for concurrent ingest once flow
-// dispatch is enabled.
+// goroutine (or the single-threaded testbed), the only producer onto every
+// VRI's incoming queues.
 
 // Classify returns the VR that should process the frame, per the source-IP
 // rule of Chapter 2 (first matching VR wins).
@@ -56,21 +56,10 @@ func (l *LVRM) RecvAndDispatch() (received bool) {
 	return true
 }
 
-// Dispatch stamps, classifies and dispatches one externally captured frame,
-// reporting whether a VR accepted it. Unlike RecvAndDispatch it performs no
-// allocation check — lastAlloc and the allocator stay monitor-owned — so with
-// flow dispatch enabled (Config.FlowShards > 0) any number of ingest
-// goroutines may call it concurrently alongside the monitor loop. It is a
-// burst of one on the caller's stack, for the same reason.
-func (l *LVRM) Dispatch(f *packet.Frame) bool {
-	frames, scratch := [1]*packet.Frame{f}, [1]parsed{}
-	return l.dispatchBurst(frames[:], scratch[:], l.cfg.Clock()) == 1
-}
-
-// dispatchBurst is the one dispatch body: every ingest entry funnels a burst
+// dispatchBurst is the one dispatch body: both ingest entries funnel a burst
 // of frames received at time now through it. Fixed costs are paid per burst
 // (the caller's clock read, the received/unclassified counters), per VR run
-// (lock hold, arrival estimate, target list) or per VRI run (the ring's
+// (arrival estimate, target list) or per VRI run (the ring's
 // cursor publication); only the header parse, the classify compare and the
 // balancer pick stay per frame. scratch must have one entry per frame. It
 // returns how many frames a VRI queue accepted; the rest were released, each

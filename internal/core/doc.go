@@ -25,8 +25,8 @@
 // classic path asks the VR's balancer for a VRI, once per frame. The
 // flow-aware path (FlowShards > 0) hashes each frame's 5-tuple onto a
 // sharded affinity table (internal/flow) so a flow sticks to one VRI —
-// per-flow ordering without a global lock — with multi-producer MPSC queues
-// carrying the sharded ingest into each VRI.
+// per-flow ordering across VRI spawns, destroys and migrations. Either way the
+// monitor is the only producer onto every VRI's incoming rings.
 //
 // Frame lifetime (internal/packet/pool) is pooled and refcounted: the
 // adapter leases buffers, Retain/Release move ownership through dispatch,
@@ -36,9 +36,9 @@
 //
 // VRI lifecycle (lifecycle.go) is an explicit state machine —
 // Starting → Running → Draining → Stopped — so destroying an instance under
-// live traffic is a drain, not an abort: admissions close first, then the
-// queue residue is migrated to surviving VRIs, relayed, or counted as
-// dropped. Every such transition is one retire, and LVRM.Ledger names every
-// place a received frame can be; frame-conservation tests hold the monitor
-// to a zero Ledger.Residual.
+// live traffic is a drain, not an abort: the instance leaves the dispatch
+// list first, then its queue residue is migrated to surviving VRIs, relayed,
+// or counted as dropped. Every such transition is one retire, and
+// LVRM.Ledger names every place a received frame can be; frame-conservation
+// tests hold the monitor to a zero Ledger.Residual.
 package core

@@ -36,7 +36,7 @@ func (r *Runtime) consumers(a *VRIAdapter) int {
 
 // auditAdapter is a channel adapter that checks the consumer rule whenever
 // the monitor polls it. A poll opens a dispatch burst, and no hand-over is in
-// progress there: the hooks run only inside ServeMoves and the allocation
+// progress there: the hooks run only inside serveRequests and the allocation
 // pass, and both have returned by the time the monitor polls again. So every
 // live VRI must have exactly one consumer, and that consumer must be the
 // monitor exactly when the VRI is its VR's only live instance.

@@ -135,7 +135,7 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 		obs.TypeGauge, func(v *VR) float64 { return v.ServiceRatePerVRI() })
 	perVR("lvrm_vr_dispatched_total", "Frames dispatched into the VR's VRIs.",
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.dispatched.Load()) })
-	perVR("lvrm_vr_in_drops_total", "Frames lost to full (or closing) VRI input queues.",
+	perVR("lvrm_vr_in_drops_total", "Frames lost to full VRI input queues.",
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.inDrops.Load()) })
 	perVR("lvrm_vr_admit_shed_total", "New-flow frames shed by load-aware admission (every VRI backed up past -flow-admit).",
 		obs.TypeCounter, func(v *VR) float64 { return float64(v.admitShed.Load()) })

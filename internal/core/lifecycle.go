@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"lvrm/internal/ipc"
 	"lvrm/internal/obs"
 	"lvrm/internal/packet"
 )
@@ -24,8 +23,8 @@ import (
 //
 //	Starting  the adapter exists but is not yet published to dispatch.
 //	Running   the instance admits and processes frames.
-//	Draining  admissions are closed and the instance is off the dispatch
-//	          list; its queue residue is being handed off.
+//	Draining  the instance is off the dispatch list and admits nothing;
+//	          its queue residue is being handed off.
 //	Stopped   the drain finished; the core is released and the adapter is
 //	          inert forever (IDs are never reused).
 //
@@ -42,8 +41,8 @@ const (
 	VRIStarting VRIState = iota
 	// VRIRunning means the VRI admits and processes frames.
 	VRIRunning
-	// VRIDraining means admissions are closed and the monitor is handing
-	// the instance's queue residue to the survivors.
+	// VRIDraining means the instance is off the dispatch list and the
+	// monitor is handing its queue residue to the survivors.
 	VRIDraining
 	// VRIStopped means the drain completed and the core was deallocated.
 	VRIStopped
@@ -82,26 +81,19 @@ func (a *VRIAdapter) beginDrain() bool { return a.transition(VRIRunning, VRIDrai
 func (a *VRIAdapter) markStopped() bool { return a.transition(VRIDraining, VRIStopped) }
 
 // destroyVRI detaches a from the VR (Figure 3.2's "destroy VRI adapter"):
-// move it Running→Draining, close its inbound queues so racing dispatchers
-// fail fast (counted, frame released by the dispatcher), drop it from the
-// copy-on-write list, and mark every flow pin stale. The adapter is left in
-// Draining with its residue intact — retire, the one caller, owns the
+// move it Running→Draining, drop it from the copy-on-write list, and mark
+// every flow pin stale. The monitor is the only producer onto a's inbound
+// queues, so nothing lands there once a is off the list. The adapter is left
+// in Draining with its residue intact — retire, the one caller, owns the
 // hand-off; flows pinned to the dead instance re-balance lazily through the
 // table on their next frame unless the engine sweeps them eagerly first.
 func (v *VR) destroyVRI(a *VRIAdapter) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	cur := v.vriList()
 	i := slices.Index(cur, a)
 	if i < 0 || !a.beginDrain() {
 		return fmt.Errorf("core: VRI %d/%d on core %d is %v, not a running instance of VR %s",
 			v.ID, a.ID, a.Core, a.State(), v.cfg.Name)
 	}
-	// Close admissions before the instance leaves the list: a dispatcher
-	// holding an older snapshot must fail fast instead of parking frames on
-	// a queue nobody will ever service.
-	ipc.Close(a.Data.In)
-	ipc.Close(a.Control.In)
 	next := make([]*VRIAdapter, 0, len(cur)-1)
 	next = append(next, cur[:i]...)
 	next = append(next, cur[i+1:]...)
@@ -189,10 +181,10 @@ func migrateFrame(survivors []*VRIAdapter, f *packet.Frame) *VRIAdapter {
 //     (fold, move): the residue is staged onto it, and staging needs the
 //     monitor to be its sole consumer. A shrink (MigrateDrain) hands the
 //     residue to the survivors' rings and pauses nobody.
-//  2. Detach src (destroyVRI: Draining, in-queues closed, off the dispatch
-//     list) and join its consumer through OnDestroy — the hook must stop AND
-//     wait for the instance's goroutine, so the monitor becomes the queues'
-//     only remaining consumer (the SPSC/MPSC rings allow exactly one).
+//  2. Detach src (destroyVRI: Draining, off the dispatch list) and join its
+//     consumer through OnDestroy — the hook must stop AND wait for the
+//     instance's goroutine, so the monitor becomes the queues' only
+//     remaining consumer (the rings allow exactly one).
 //  3. One engine invocation (migratePartition): flip src's pins, transplant
 //     its data-in residue in order, relay its data-out residue, deliver or
 //     drop its control residue, each under a named counter.

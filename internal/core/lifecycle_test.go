@@ -125,7 +125,7 @@ func TestDestroyWithBackedUpQueueConservesFrames(t *testing.T) {
 	const n = 12
 	proto := frameFrom(t, "10.1.0.1", "10.2.0.9")
 	for i := 0; i < n; i++ {
-		if !l.Dispatch(p.Copy(proto)) {
+		if !dispatchOne(l, p.Copy(proto)) {
 			t.Fatalf("dispatch %d rejected", i)
 		}
 	}
@@ -183,7 +183,7 @@ func TestDestroyWithoutSurvivorReleasesCounted(t *testing.T) {
 	const n = 8
 	proto := frameFrom(t, "10.1.0.1", "10.2.0.9")
 	for i := 0; i < n; i++ {
-		if !l.Dispatch(p.Copy(proto)) {
+		if !dispatchOne(l, p.Copy(proto)) {
 			t.Fatalf("dispatch %d rejected", i)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -139,9 +138,8 @@ func (v *VR) Migrations() MigrationTotals {
 type migration struct {
 	kind MigrationKind
 	// src is the instance losing the partition. For drain/fold/move retire
-	// fills it in, detached (Draining, in-queues closed, off the dispatch
-	// list, its consumer joined); for split it is live but paused with its
-	// in-ring closed.
+	// fills it in, detached (Draining, off the dispatch list, its consumer
+	// joined); for split it is live but paused.
 	src *VRIAdapter
 	// dst is the instance gaining the partition; nil for MigrateDrain,
 	// whose destinations are the VR's remaining VRIs. Its consumer must be
@@ -267,7 +265,7 @@ func (v *VR) addMigration(rep MigrationReport) {
 //     data path observed is one transplant, not a drain to zero.
 //
 // Must run monitor-serialized (the allocation pass, LVRM.MoveVRI from the
-// testbed's goroutine, or the runtime's move queue).
+// testbed's goroutine, or the runtime's request queue).
 func (l *LVRM) moveVRI(v *VR, src *VRIAdapter, targetCore int, iterCost time.Duration) (MigrationReport, AllocEvent, error) {
 	now := l.cfg.Clock()
 	if src.State() != VRIRunning {
@@ -315,59 +313,3 @@ func (l *LVRM) MoveVRI(vrID, vriID, targetCore int) (MigrationReport, error) {
 	rep, _, err := l.moveVRI(v, src, targetCore, 0)
 	return rep, err
 }
-
-// moveRequest is one queued Runtime.MoveVRI call, answered on done.
-type moveRequest struct {
-	vrID, vriID, core int
-	done              chan moveResult
-}
-
-type moveResult struct {
-	rep MigrationReport
-	err error
-}
-
-// RequestMove posts a live-move request for the monitor loop to execute at
-// its next idle poll (ServeMoves). It reports false when the queue is full.
-func (l *LVRM) RequestMove(req *moveRequest) bool {
-	select {
-	case l.moves <- req:
-		return true
-	default:
-		return false
-	}
-}
-
-// ServeMoves executes every queued live-move request. Called by the monitor
-// loop between polls — the serialization point that makes the migration safe
-// against concurrent dispatch. Returns whether any request ran.
-func (l *LVRM) ServeMoves() bool {
-	served := false
-	for {
-		select {
-		case req := <-l.moves:
-			rep, err := l.MoveVRI(req.vrID, req.vriID, req.core)
-			req.done <- moveResult{rep: rep, err: err}
-			served = true
-		default:
-			return served
-		}
-	}
-}
-
-// failPendingMoves answers every queued move request with err; the monitor
-// loop calls it on the way out so no Runtime.MoveVRI caller hangs.
-func (l *LVRM) failPendingMoves(err error) {
-	for {
-		select {
-		case req := <-l.moves:
-			req.done <- moveResult{err: err}
-		default:
-			return
-		}
-	}
-}
-
-// errRuntimeStopped is returned to MoveVRI callers whose request the monitor
-// never got to run.
-var errRuntimeStopped = errors.New("core: runtime stopped before the move ran")

@@ -130,7 +130,7 @@ func TestDropPathsRelease(t *testing.T) {
 
 	// Unclassified: no VR claims 192.168/16 traffic.
 	stray := p.Copy(frameFrom(t, "192.168.0.1", "10.2.0.9"))
-	if l.Dispatch(stray) {
+	if dispatchOne(l, stray) {
 		t.Fatal("stray frame classified")
 	}
 	if st := p.Stats(); st.Outstanding != 0 {
@@ -140,11 +140,11 @@ func TestDropPathsRelease(t *testing.T) {
 	// Queue-full: capacity 2, third dispatch must drop and recycle.
 	proto := frameFrom(t, "10.1.0.1", "10.2.0.9")
 	for i := 0; i < 2; i++ {
-		if !l.Dispatch(p.Copy(proto)) {
+		if !dispatchOne(l, p.Copy(proto)) {
 			t.Fatalf("dispatch %d rejected with queue space left", i)
 		}
 	}
-	if l.Dispatch(p.Copy(proto)) {
+	if dispatchOne(l, p.Copy(proto)) {
 		t.Fatal("dispatch into a full queue succeeded")
 	}
 	if st := p.Stats(); st.Outstanding != 2 {

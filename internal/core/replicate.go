@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"lvrm/internal/balance"
-	"lvrm/internal/ipc"
 	"lvrm/internal/obs"
 )
 
@@ -118,15 +117,13 @@ func (l *LVRM) moveImproves(src *VRIAdapter) bool {
 //  1. src = the replica with the deepest pending backlog; dst = a fresh
 //     replica spawned through the normal grow path (core bind, OnSpawn).
 //  2. Pause both consumers (the monitor becomes the sole owner of their
-//     queues and staging).
-//  3. Close src's data-in ring: a producer racing the transplant fails
-//     fast as a counted in-drop instead of landing behind the cursor.
-//  4. The engine re-pins every other src flow to dst (the pin flip is the
+//     queues and staging; it is already their only producer).
+//  3. The engine re-pins every other src flow to dst (the pin flip is the
 //     ownership transfer), then drains src's staged + ring residue and
 //     routes each frame by its flow's pin: moved flows stage onto dst, the
 //     rest stage back onto src, both in original queue order.
-//  5. Reopen src's ring, resume both consumers. dst's staged frames drain
-//     before anything dispatch now enqueues to dst's ring.
+//  4. Resume both consumers. dst's staged frames drain before anything
+//     dispatch now enqueues to dst's ring.
 func (l *LVRM) splitVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, error) {
 	src := byDepth(v.vriList(), true)
 	dst, err := l.growVR(v, now)
@@ -137,7 +134,6 @@ func (l *LVRM) splitVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, er
 	pauseStart := l.cfg.Clock()
 	l.pauseVRI(v, src)
 	l.pauseVRI(v, dst)
-	ipc.Close(src.Data.In)
 
 	// Alternate-flow partition: deterministic, and it halves the moved
 	// flows regardless of their key distribution.
@@ -151,7 +147,6 @@ func (l *LVRM) splitVR(v *VR, now int64, iterCost time.Duration) (AllocEvent, er
 		pauseStart: pauseStart,
 	})
 
-	ipc.Reopen(src.Data.In)
 	l.resumeVRI(v, src)
 	l.resumeVRI(v, dst)
 

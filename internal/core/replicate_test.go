@@ -45,7 +45,7 @@ func newReplicaLVRM(t testing.TB, clock *fakeClock, nVRIs, maxReplicas int) (*LV
 }
 
 // dispatchFlows pushes perFlow frames of each of nFlows flows through
-// Dispatch, interleaved (flow 0..n-1, then again), recording dispatch order
+// dispatchOne, interleaved (flow 0..n-1, then again), recording dispatch order
 // per frame. Returns the order map.
 func dispatchFlows(t testing.TB, l *LVRM, nFlows, perFlow int) map[*packet.Frame]int {
 	t.Helper()
@@ -56,7 +56,7 @@ func dispatchFlows(t testing.TB, l *LVRM, nFlows, perFlow int) map[*packet.Frame
 			f := flowFrame(t, fl)
 			seq[f] = order
 			order++
-			if !l.Dispatch(f) {
+			if !dispatchOne(l, f) {
 				t.Fatalf("dispatch %d rejected", order-1)
 			}
 		}
@@ -186,7 +186,7 @@ func TestFoldVRMergesResidue(t *testing.T) {
 	// residue (pin flip precedes the frame move).
 	tail := flowFrame(t, 0)
 	seq[tail] = len(seq)
-	if !l.Dispatch(tail) {
+	if !dispatchOne(l, tail) {
 		t.Fatal("post-fold dispatch rejected")
 	}
 	checkPartition(t, v, seq)

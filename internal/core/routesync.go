@@ -18,7 +18,10 @@ import (
 // scheduling quantum (see vr.RoutePinner).
 //
 // The VRIs must run a control handler that applies the update — the live
-// runtime's RouteSyncHandler, or the testbed's OnControl callback.
+// runtime's RouteSyncHandler, or the testbed's OnControl callback. Like every
+// enqueue onto a VRI's incoming queues it must run on the goroutine that
+// dispatches — the single-threaded testbed, or a stopped runtime's caller;
+// under a running runtime use Runtime.BroadcastRouteUpdate.
 func (l *LVRM) BroadcastRouteUpdate(v *VR, u vr.RouteUpdate) int {
 	payload := u.Marshal()
 	n := 0

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lvrm/internal/vr"
 )
 
 // Runtime drives an LVRM instance with real goroutines, standing in for the
@@ -17,7 +19,9 @@ import (
 // a VR with two or more live instances gets one worker goroutine per VRI (as
 // a vfork()ed VRI process pinned to its core). The hand-overs run in the
 // lifecycle hooks, and between passes every live VRI has exactly one
-// consumer (DESIGN.md §11).
+// consumer (DESIGN.md §11). Every VRI's incoming rings have exactly one
+// producer, the monitor: MoveVRI and BroadcastRouteUpdate post their work to
+// it rather than run it on the caller's goroutine.
 //
 // Go's runtime cannot pin goroutines to physical cores, so the "binding" is
 // logical: the one-VRI-per-core discipline and the sibling-first preference
@@ -40,6 +44,12 @@ type Runtime struct {
 	// StopWithin: no ingest, no allocation pass, so the pipeline empties
 	// monotonically while the VRIs' consumers keep consuming.
 	draining atomic.Bool
+
+	// requests queues calls from other goroutines for the monitor to run
+	// between passes (see call). Each caller waits for its own request, so
+	// the queue holds at most one per concurrent caller; 16 is more callers
+	// than any in the tree, and a full queue fails the call fast.
+	requests chan *request
 
 	mu      sync.Mutex
 	workers map[*VRIAdapter]vriWorker
@@ -65,10 +75,11 @@ type vriWorker struct {
 // spawned before the runtime starts get their consumers when Start scans.
 func NewRuntime(l *LVRM) *Runtime {
 	r := &Runtime{
-		lvrm:    l,
-		workers: make(map[*VRIAdapter]vriWorker),
-		paused:  make(map[*VRIAdapter]bool),
-		stopped: make(chan struct{}),
+		lvrm:     l,
+		requests: make(chan *request, 16),
+		workers:  make(map[*VRIAdapter]vriWorker),
+		paused:   make(map[*VRIAdapter]bool),
+		stopped:  make(chan struct{}),
 	}
 	// A spawn may take the VR from one instance to two, and a destroy from
 	// two to one: either way the VR's consumers are re-assigned. OnDestroy
@@ -237,15 +248,15 @@ func (r *Runtime) sweepOnce() bool {
 	return r.pass(false) || work
 }
 
-// monitorLoop is the LVRM process: serve queued live-migration requests, run
-// passes, and run the periodic allocation pass when a pass finds nothing to
-// do. While draining it passes without ingest — nothing new is admitted, the
-// allocator holds still, and moves wait.
+// monitorLoop is the LVRM process: serve queued requests, run passes, and run
+// the periodic allocation pass when a pass finds nothing to do. While draining
+// it passes without ingest — nothing new is admitted, the allocator holds
+// still, and requests wait.
 func (r *Runtime) monitorLoop(stopped chan struct{}) {
 	defer r.wg.Done()
-	// Any move still queued when the monitor exits can never run — its
+	// Any request still queued when the monitor exits can never run — its
 	// serialization point is gone. Fail the callers instead of hanging them.
-	defer r.lvrm.failPendingMoves(errRuntimeStopped)
+	defer r.failRequests()
 	idle, locked := 0, false
 	defer func() {
 		if locked {
@@ -260,13 +271,14 @@ func (r *Runtime) monitorLoop(stopped chan struct{}) {
 		}
 		r.lvrm.ins.monitorPolls.Inc()
 		draining := r.draining.Load()
-		// Execute queued live moves on every pass — here, on the dispatch
-		// goroutine, because that serialization is what makes the partition
-		// transplant race-free. Serving before the pass keeps a move's
-		// latency bounded under sustained load instead of waiting for a quiet
-		// tick. Never during a drain, which must not spawn or destroy
-		// instances under the shutdown.
-		if !draining && r.lvrm.ServeMoves() {
+		// Run queued requests on every pass — here, on the dispatch goroutine,
+		// because that serialization is what makes a partition transplant
+		// race-free and keeps the monitor the only producer onto every VRI's
+		// incoming rings. Serving before the pass keeps a request's latency
+		// bounded under sustained load instead of waiting for a quiet tick.
+		// Never during a drain, which must not spawn or destroy instances
+		// under the shutdown.
+		if !draining && r.serveRequests() {
 			idle = 0
 		}
 		if r.pass(!draining) {
@@ -494,41 +506,95 @@ func burn(d time.Duration) {
 	}
 }
 
-// MoveVRI live-migrates the identified VRI to targetCore (negative = the
-// best free core) and blocks until the move completes or fails. Safe to call
-// from any goroutine: the request is posted to the monitor loop, which
-// executes it at its next pass on the dispatch goroutine — the serialization
-// that makes the mid-stream partition transplant race-free. With the runtime
-// stopped, the caller owns every queue, so the move runs directly.
-func (r *Runtime) MoveVRI(vrID, vriID, targetCore int) (MigrationReport, error) {
+// request is one call posted to the monitor: run executes on the monitor
+// goroutine between passes, and done then receives nil — or the error that
+// kept run from executing.
+type request struct {
+	run  func()
+	done chan error
+}
+
+var (
+	// errRuntimeStopped is returned to callers whose request the monitor
+	// never got to run.
+	errRuntimeStopped = errors.New("core: runtime stopped before the request ran")
+	errQueueFull      = errors.New("core: monitor request queue is full")
+)
+
+// call runs fn where it may touch what the monitor owns — the VRI set, and
+// the incoming rings the monitor alone produces onto — and waits for it. While
+// the runtime runs, fn is posted to the monitor loop, which runs it between
+// passes; with the runtime stopped the caller owns every queue, so fn runs
+// directly. A request posted before a Stop is answered either way: the
+// monitor runs it, or fails it with errRuntimeStopped on its way out.
+func (r *Runtime) call(fn func()) error {
+	req := &request{run: fn, done: make(chan error, 1)}
 	r.mu.Lock()
-	running := r.started && !r.stopping
-	monDone := r.monDone
-	r.mu.Unlock()
-	if !running {
-		return r.lvrm.MoveVRI(vrID, vriID, targetCore)
-	}
-	req := &moveRequest{
-		vrID: vrID, vriID: vriID, core: targetCore,
-		done: make(chan moveResult, 1),
-	}
-	if !r.lvrm.RequestMove(req) {
-		return MigrationReport{}, errors.New("core: live-move queue is full")
+	switch {
+	case !r.started:
+		r.mu.Unlock()
+		fn()
+		return nil
+	case r.stopping:
+		r.mu.Unlock()
+		return errRuntimeStopped
 	}
 	select {
-	case res := <-req.done:
-		return res.rep, res.err
-	case <-monDone:
-		// The monitor exited; it failed every queued request on the way
-		// out, so a non-blocking recheck either finds our answer or proves
-		// the request was answered with the shutdown error.
+	case r.requests <- req:
+	default:
+		r.mu.Unlock()
+		return errQueueFull
+	}
+	r.mu.Unlock()
+	return <-req.done
+}
+
+// serveRequests runs every queued request and reports whether any ran.
+// Monitor goroutine only.
+func (r *Runtime) serveRequests() bool {
+	served := false
+	for {
 		select {
-		case res := <-req.done:
-			return res.rep, res.err
+		case req := <-r.requests:
+			req.run()
+			req.done <- nil
+			served = true
 		default:
-			return MigrationReport{}, errRuntimeStopped
+			return served
 		}
 	}
+}
+
+// failRequests answers every queued request with errRuntimeStopped.
+func (r *Runtime) failRequests() {
+	for {
+		select {
+		case req := <-r.requests:
+			req.done <- errRuntimeStopped
+		default:
+			return
+		}
+	}
+}
+
+// MoveVRI live-migrates the identified VRI to targetCore (negative = the
+// best free core) and blocks until the move completes or fails. Safe to call
+// from any goroutine: the move runs on the monitor goroutine (see call), the
+// serialization that makes the mid-stream partition transplant race-free.
+func (r *Runtime) MoveVRI(vrID, vriID, targetCore int) (rep MigrationReport, err error) {
+	if cerr := r.call(func() { rep, err = r.lvrm.MoveVRI(vrID, vriID, targetCore) }); cerr != nil {
+		return MigrationReport{}, cerr
+	}
+	return rep, err
+}
+
+// BroadcastRouteUpdate is LVRM.BroadcastRouteUpdate for a caller on any
+// goroutine: the monitor enqueues the control events (see call), as it is the
+// only producer onto a VRI's incoming control queue. It blocks until they are
+// queued and returns how many VRIs were addressed.
+func (r *Runtime) BroadcastRouteUpdate(v *VR, u vr.RouteUpdate) (n int, err error) {
+	err = r.call(func() { n = r.lvrm.BroadcastRouteUpdate(v, u) })
+	return n, err
 }
 
 // WallClock is the live runtime's conventional Config.Clock.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"lvrm/internal/alloc"
@@ -52,11 +51,10 @@ type VR struct {
 	ID  int
 	cfg VRConfig
 
-	// mu serializes mutations (spawn/destroy, dispatch's balancer state);
-	// vris itself is copy-on-write so readers — the relay loops, Status
-	// scrapers, the allocator — see a consistent snapshot with one atomic
-	// load and no allocation.
-	mu     sync.Mutex
+	// vris is copy-on-write: the monitor goroutine swaps in a fresh slice on
+	// spawn and destroy, and every reader — the worker goroutines, Status
+	// scrapers — sees a consistent snapshot with one atomic load and no
+	// allocation. nextID is the monitor's, like everything it mutates here.
 	vris   atomic.Pointer[[]*VRIAdapter]
 	nextID int
 
@@ -64,18 +62,20 @@ type VR struct {
 	// once at AddVR so classification is one AND and one compare per VR.
 	srcNet, srcMask uint32
 
-	// targets is dispatchLocked's scratch slice, reused under mu so the hot
-	// path does not allocate: the balance.Target list of the run. Balancers
-	// must not retain targets past Pick (none of the shipped ones do).
+	// targets is dispatchLocked's scratch slice, reused so the hot path does
+	// not allocate: the balance.Target list of the run. Only the monitor
+	// goroutine touches it, the same ownership rule as LVRM's recvBuf.
+	// Balancers must not retain targets past Pick (none of the shipped ones
+	// do).
 	targets []balance.Target
 
 	// arrival estimates the VR's traffic load for core allocation.
 	arrival *estimate.ArrivalRate
 
-	// flows, when non-nil, replaces the mutex-serialized balancer with the
-	// sharded flow-affinity table (Config.FlowShards > 0): dispatch hashes
-	// the frame to a flow key, pins the flow to a VRI, and enqueues without
-	// taking mu. Nil keeps the seed single-lock path exactly.
+	// flows, when non-nil, replaces the per-frame balancer with the sharded
+	// flow-affinity table (Config.FlowShards > 0): dispatch hashes the frame
+	// to a flow key, pins the flow to a VRI, and enqueues there. Nil keeps
+	// the seed balancer path exactly.
 	flows *flow.Table
 	// admitDepth is Config.FlowAdmitDepth: > 0 sheds new flows when every
 	// VRI's input queue is at least this deep (see dispatchFlow).
@@ -100,7 +100,7 @@ type VR struct {
 	migPins    atomic.Int64
 
 	dispatched atomic.Int64
-	inDrops    atomic.Int64 // frames lost to full (or closing) VRI input queues
+	inDrops    atomic.Int64 // frames lost to full VRI input queues
 	admitShed  atomic.Int64 // new-flow frames shed by load-aware admission
 
 	// Drain accounting: where migrated VRIs' queue residue went besides a
@@ -208,7 +208,7 @@ func (v *VR) match(m *packet.Meta, f *packet.Frame) bool {
 // accepted; the rest are released under inDrops or admitShed. arrivals is the
 // number of frames to report to the VR's arrival estimator (see
 // burstArrivals). With flow dispatch enabled the run goes through the sharded
-// affinity table; otherwise it takes the classic single-lock path.
+// affinity table; otherwise it takes the classic balancer path.
 func (v *VR) dispatch(frames []*packet.Frame, scratch []parsed, now int64, arrivals int) int {
 	// The paper's traffic load is the *arrival* rate of incoming frames for
 	// the VR, so estimate it before any queue-full drop — otherwise a
@@ -228,8 +228,8 @@ func (v *VR) refuse(frames []*packet.Frame) int {
 	return 0
 }
 
-// dispatchLocked is the seed dispatch path, one run at a time: v.mu is held
-// once for the run, and the balancer still decides once per frame, in arrival
+// dispatchLocked is the seed dispatch path (named for the per-VR lock it once
+// held), one run at a time: the balancer decides once per frame, in arrival
 // order. Each VRI's queue depth is read once at the start of the run and
 // counted locally from there (runDepth), so a pick sees the frames placed
 // before it in the same run without re-reading the ring cursor the VRI's core
@@ -238,10 +238,8 @@ func (v *VR) refuse(frames []*packet.Frame) int {
 // frame g — always a contiguous piece of the burst, because a change of VRI,
 // and a full ring, are both preceded by a flush.
 func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
-	v.mu.Lock()
 	vris := v.vriList()
 	if len(vris) == 0 {
-		v.mu.Unlock()
 		return v.refuse(frames)
 	}
 	v.targets = v.targets[:0]
@@ -271,13 +269,11 @@ func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
 			lo = g + 1
 		}
 	}
-	accepted += v.flush(cur, frames[lo:], now)
-	v.mu.Unlock()
-	return accepted
+	return accepted + v.flush(cur, frames[lo:], now)
 }
 
 // flush publishes run, the frames staged for a (handRun), and returns how
-// many the ring accepted. Caller holds v.mu.
+// many the ring accepted.
 func (v *VR) flush(a *VRIAdapter, run []*packet.Frame, now int64) int {
 	n := len(run)
 	if n == 0 {
@@ -338,7 +334,7 @@ var flowNotes = func() (notes [flow.Overflow + 1]string) {
 	return notes
 }()
 
-// dispatchFlow is the lock-free dispatch path, one run at a time: each
+// dispatchFlow is the flow-affinity dispatch path, one run at a time: each
 // frame's flow key — taken from its already-parsed headers — is resolved
 // against the sharded affinity table and the frame is enqueued to the pinned
 // VRI. The run is treated as a vector, flow.MaxBurst keys at a time: the
@@ -348,12 +344,9 @@ var flowNotes = func() (notes [flow.Overflow + 1]string) {
 // resolved by Assign at its place in frame order, after everything before it
 // has been published, so keep and pick read exactly the queues and the owed
 // counts they would have read had the frames come one at a time; a run of one
-// frame is that sequence and nothing else. The only locks taken are shard
-// mutexes inside the table; everything else reads atomics (the VRI snapshot,
-// queue cursors, estimator EWMAs), so ingest goroutines working different
-// shards never contend. Safe for concurrent callers — all scratch is on the
-// stack, and the data-in queues are multi-producer when flow dispatch is on
-// (see spawnVRI).
+// frame is that sequence and nothing else. Spawn, destroy and the migration
+// engine's Transfer run on the dispatching goroutine too, so a pin made in
+// the current epoch always names a VRI of vris.
 func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (accepted int) {
 	vris := v.vriList()
 	if len(vris) == 0 {
@@ -377,13 +370,12 @@ func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (
 		return false
 	}
 	// pick chooses a VRI for an unpinned flow: least instantaneous queue
-	// depth, service rate breaking ties. It runs under the shard lock, so
-	// concurrent misses on the same flow agree on one assignment. Load-aware
-	// admission lives here: when even that least-loaded VRI is backed up
-	// past admitDepth, a brand-new flow is refused — shed below as a counted
-	// drop — while a flow that already held a pin (keep ran, so Assign is
-	// re-balancing it) is always placed, preserving the established traffic
-	// the backlog belongs to.
+	// depth, service rate breaking ties. Load-aware admission lives here:
+	// when even that least-loaded VRI is backed up past admitDepth, a
+	// brand-new flow is refused — shed below as a counted drop — while a flow
+	// that already held a pin (keep ran, so Assign is re-balancing it) is
+	// always placed, preserving the established traffic the backlog belongs
+	// to.
 	pick := func() int {
 		best := leastLoaded(vris)
 		if v.admitDepth > 0 && !established && best.PendingData() >= v.admitDepth {
@@ -403,7 +395,7 @@ func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (
 	flush := func(g int) {
 		if lo < g {
 			// Figure 3.4 "queue length": occupancy observed when forwarding,
-			// once per frame — under one estimator lock hold for the run.
+			// once per frame — in one estimator update for the run.
 			ok := v.handRun(cur, frames[lo:g])
 			cur.QueueEst.ObserveRun(depth, ok, g-lo)
 			depth += ok
@@ -442,17 +434,9 @@ func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (
 					continue
 				}
 			}
-			a := chosen
-			if a == nil || a.ID != id {
-				// Hit on a pin whose VRI is not in our snapshot: teardown raced
-				// between our snapshot and the table's epoch read. Fall back to a
-				// fresh local pick without installing it — the next frame of the
-				// flow will see the bumped epoch and rebalance through the table.
-				var found bool
-				if a, found = snapshotByID(vris, id); !found {
-					flush(g)
-					a = leastLoaded(vris)
-				}
+			a := chosen // set by keep or pick; nil for a clean hit
+			if a == nil {
+				a, _ = snapshotByID(vris, id)
 			}
 			if a != cur {
 				flush(g)
@@ -476,11 +460,9 @@ func snapshotByID(vris []*VRIAdapter, id int) (*VRIAdapter, bool) {
 }
 
 // leastLoaded picks the VRI with the shortest instantaneous input queue,
-// breaking ties toward the higher measured service rate. It reads only
-// atomics and estimator snapshots — no locks — so the flow miss path can run
-// it concurrently from many ingest goroutines. The shipped balancers are not
-// used here: RoundRobin and Random mutate state on Pick and are only safe
-// under the locked path's mutex.
+// breaking ties toward the higher measured service rate. The flow miss path
+// uses it instead of the VR's balancer: a flow is placed once, on the queues
+// as they are, not per frame on the balancer's estimates.
 func leastLoaded(vris []*VRIAdapter) *VRIAdapter {
 	best := vris[0]
 	bestDepth := best.PendingData()
@@ -518,25 +500,11 @@ func (v *VR) spawnVRI(core int, now int64, queueKind ipc.Kind, dataCap, ctlCap i
 	if err != nil {
 		return nil, fmt.Errorf("core: VR %s: building engine: %w", v.cfg.Name, err)
 	}
-	v.mu.Lock()
-	id := v.nextID
-	v.mu.Unlock()
-	// With flow dispatch, several ingest goroutines can enqueue to the same
-	// VRI's data-in queue concurrently, which the SPSC ring forbids — upgrade
-	// it to the MPSC ring. Out stays SPSC (one VRI producer, one relay
-	// consumer), and the Locked variant is already MP-safe.
-	dataIn := queueKind
-	if v.flows != nil && queueKind == ipc.LockFree {
-		dataIn = ipc.MultiProducer
-	}
 	a := &VRIAdapter{
-		ID:   id,
-		VRID: v.ID,
-		Core: core,
-		Data: ipc.Pair[*packet.Frame]{
-			In:  ipc.New[*packet.Frame](dataIn, dataCap),
-			Out: ipc.New[*packet.Frame](queueKind, dataCap),
-		},
+		ID:        v.nextID,
+		VRID:      v.ID,
+		Core:      core,
+		Data:      ipc.NewPair[*packet.Frame](queueKind, dataCap),
 		Control:   ipc.NewPair[*ControlEvent](queueKind, ctlCap),
 		QueueEst:  estimate.NewQueueLength(0),
 		SvcEst:    estimate.NewServiceRate(0),
@@ -555,14 +523,12 @@ func (v *VR) spawnVRI(core int, now int64, queueKind ipc.Kind, dataCap, ctlCap i
 	// Starting→Running before the COW insert: the instance is never visible
 	// to dispatch in any state but Running.
 	a.markRunning()
-	v.mu.Lock()
 	v.nextID++
 	cur := v.vriList()
 	next := make([]*VRIAdapter, len(cur), len(cur)+1)
 	copy(next, cur)
 	next = append(next, a)
 	v.vris.Store(&next)
-	v.mu.Unlock()
 	if v.flows != nil {
 		// Mark every pin stale: drained flows may voluntarily re-balance
 		// onto the new VRI instead of staying piled on the old ones.

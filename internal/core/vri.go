@@ -101,8 +101,8 @@ type VRIAdapter struct {
 
 	// runDepth and runRoom are dispatchLocked's view of the input queue for
 	// the run in progress: depth and free slots, read once when the run
-	// starts and counted locally as frames are placed. Guarded by the VR's
-	// mu, like the balancer state.
+	// starts and counted locally as frames are placed. Monitor goroutine
+	// only, like the balancer state.
 	runDepth, runRoom int
 
 	_ [cacheLine]byte

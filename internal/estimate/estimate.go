@@ -165,8 +165,10 @@ func (a *ArrivalRate) IdleSince(now int64, d time.Duration) bool {
 // for every frame; a mutex there, never contended, spent 0.40 s in Unlock
 // alone in a CPU profile of a 10 s bare-min benchmark run (2-vCPU KVM guest).
 // An update replays EWMA.Update on a copy of the word and publishes it with a
-// compare-and-swap, retrying when a concurrent flow-path dispatcher got there
-// first, so every value is the EWMA's to the bit.
+// compare-and-swap, retrying when a concurrent update got there first, so
+// every value is the EWMA's to the bit. LVRM updates it from the monitor
+// goroutine only; the retry keeps the type safe for concurrent use like the
+// package's other estimators.
 type QueueLength struct {
 	weight float64
 	word   atomic.Uint64

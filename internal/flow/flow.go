@@ -8,10 +8,11 @@
 // balancer provides with a single shared map, reproduced here without the
 // global lock.
 //
-// Concurrency model: the table is split into N independent shards. An ingest
-// goroutine hashes its frame's key onto one shard and takes only that shard's
-// mutex, so goroutines working different shards never contend, and the common
-// case (table hit) is one short critical section over a few slab slots.
+// Concurrency model: the table is split into N independent shards, each
+// guarded by its own mutex. One goroutine dispatches — in LVRM, the monitor —
+// and the locks order it against the readers on other goroutines: status and
+// metrics scrapes, which sweep the shards one at a time. The common case
+// (table hit) is one short critical section over a few slab slots.
 //
 // Storage model: each shard owns one flat slab of fixed-size entries (no
 // pointers, one allocation), probed linearly over a bounded window. The slab

@@ -11,9 +11,8 @@ package ipc
 // batch of size 1 is indistinguishable from the scalar operation.
 //
 // The rings are picked out by their concrete types, not through an interface
-// of batch methods: an argument to an interface method escapes, and flow
-// dispatch publishes pieces of the caller's own burst, which LVRM.Dispatch
-// keeps on its stack — the hit path must not allocate. A type switch also
+// of batch methods: an argument to an interface method escapes, so a burst
+// the caller keeps on its stack would move to the heap. A type switch also
 // compares one type word, where an interface assertion looks up an itab on
 // every call, and the relay polls every out-ring on every pass, most of them
 // empty.

@@ -8,11 +8,6 @@ import "sync/atomic"
 // producers claim slots with one CAS on the enqueue cursor. Any number of
 // goroutines may call Enqueue concurrently; exactly one goroutine may call
 // Dequeue/DequeueBatch/Peek.
-//
-// The flow-sharded dispatch path needs this shape: once the per-VR balancer
-// lock is gone, several ingest goroutines can pin different flows to the same
-// VRI and enqueue to its data-in queue at the same instant, which the Lamport
-// SPSC ring does not allow.
 type MPSC[T any] struct {
 	_      [cacheLine]byte
 	enqPos atomic.Uint64 // next sequence to claim; CAS-advanced by producers
@@ -20,10 +15,9 @@ type MPSC[T any] struct {
 	deqPos atomic.Uint64 // next sequence to consume; written by consumer only
 	_      [cacheLine - 8]byte
 
-	mask   uint64
-	buf    []mpscSlot[T]
-	drops  atomic.Int64 // rejected enqueues; off the fast path, scraped by obs
-	closed atomic.Bool  // set by Close: enqueues fail fast, dequeues drain residue
+	mask  uint64
+	buf   []mpscSlot[T]
+	drops atomic.Int64 // rejected enqueues; off the fast path, scraped by obs
 }
 
 // mpscSlot pairs an element with its ownership sequence: seq == pos means the
@@ -46,13 +40,8 @@ func NewMPSC[T any](capacity int) *MPSC[T] {
 }
 
 // Enqueue appends v and reports whether there was room. Safe for concurrent
-// producers. After Close it rejects unconditionally (counted as a drop); the
-// caller keeps ownership of v.
+// producers.
 func (q *MPSC[T]) Enqueue(v T) bool {
-	if q.closed.Load() {
-		q.drops.Add(1)
-		return false
-	}
 	pos := q.enqPos.Load()
 	for {
 		s := &q.buf[pos&q.mask]
@@ -162,23 +151,7 @@ func (q *MPSC[T]) Len() int {
 // Cap reports the fixed capacity.
 func (q *MPSC[T]) Cap() int { return len(q.buf) }
 
-// Drops reports how many enqueues were rejected because the ring was full
-// or closed.
+// Drops reports how many enqueues were rejected because the ring was full.
 func (q *MPSC[T]) Drops() int64 { return q.drops.Load() }
 
-// Close stops admissions: subsequent enqueues fail fast while the consumer
-// drains the residue. Safe from any goroutine; a producer that claimed its
-// slot before observing the close still publishes, and its element becomes
-// part of the residue.
-func (q *MPSC[T]) Close() { q.closed.Store(true) }
-
-// Closed reports whether the queue has been closed for enqueue.
-func (q *MPSC[T]) Closed() bool { return q.closed.Load() }
-
-// Reopen clears the closed flag so enqueues are admitted again.
-func (q *MPSC[T]) Reopen() { q.closed.Store(false) }
-
-var (
-	_ Queue[int] = (*MPSC[int])(nil)
-	_ Closer     = (*MPSC[int])(nil)
-)
+var _ Queue[int] = (*MPSC[int])(nil)

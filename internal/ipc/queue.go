@@ -10,15 +10,9 @@
 // through two atomic cursors. A mutex-based queue — the lock-based baseline
 // the paper measures it against — is the interchangeable variant, mirroring
 // the paper's extensible design where improved queue implementations can be
-// dropped in. MPSC is the multi-producer/single-consumer ring the
-// flow-sharded dispatch path uses: several ingest shards enqueue to one VRI,
-// coordinated by a CAS on the producer cursor, with full-queue rejections
-// counted in Drops.
-//
-// Queues are closeable for graceful shutdown: Close makes further Enqueues
-// fail fast (and be counted) while Dequeue keeps draining the residue, so a
-// VRI being destroyed can flush in-flight frames without accepting new
-// work — the drain step of the core lifecycle state machine.
+// dropped in. MPSC is a multi-producer/single-consumer ring, coordinated by a
+// CAS on the producer cursor; nothing in internal/core selects it, since the
+// monitor is the only producer onto every VRI's incoming queues.
 package ipc
 
 // Queue is the minimal FIFO contract shared by all IPC queue variants.
@@ -47,64 +41,6 @@ type DropCounter interface {
 	Drops() int64
 }
 
-// Closer is implemented by queues that support drain semantics for VRI
-// teardown (the lifecycle's Draining state): Close stops admissions so the
-// consumer can drain the residue and take ownership of whatever remains.
-//
-//   - Enqueue after Close fails fast and counts into Drops; the caller keeps
-//     ownership of the rejected element (for frames: it must Release).
-//   - Dequeue after Close still drains every element enqueued before the
-//     close — residue is handed over, never lost.
-//
-// Close only publishes a flag; an enqueue racing with the Close may still
-// land, and is part of the residue. Every shipped queue implements Closer.
-type Closer interface {
-	// Close marks the queue closed for enqueue. Safe to call from any
-	// goroutine, idempotent.
-	Close()
-	// Closed reports whether Close has been called.
-	Closed() bool
-}
-
-// Reopener is implemented by queues whose Close can be undone. The replica
-// split protocol uses it: the monitor closes a replica's data-in ring while
-// it transplants the flow-partition, then reopens it so dispatch resumes.
-// Like Close, Reopen only publishes a flag — it is safe from any goroutine
-// and idempotent. Every shipped queue implements Reopener.
-type Reopener interface {
-	// Reopen clears the closed flag so Enqueue is admitted again.
-	Reopen()
-}
-
-// Close closes q for enqueue if it supports drain semantics, reporting
-// whether it did.
-func Close[T any](q Queue[T]) bool {
-	if c, ok := q.(Closer); ok {
-		c.Close()
-		return true
-	}
-	return false
-}
-
-// Reopen re-admits enqueues on a closed queue, reporting whether q supports
-// reopening.
-func Reopen[T any](q Queue[T]) bool {
-	if r, ok := q.(Reopener); ok {
-		r.Reopen()
-		return true
-	}
-	return false
-}
-
-// IsClosed reports whether q has been closed for enqueue (false for queues
-// without drain semantics).
-func IsClosed[T any](q Queue[T]) bool {
-	if c, ok := q.(Closer); ok {
-		return c.Closed()
-	}
-	return false
-}
-
 // DropsOf returns q's enqueue-full drop count, or 0 if q does not count.
 func DropsOf[T any](q Queue[T]) int64 {
 	if d, ok := q.(DropCounter); ok {
@@ -123,8 +59,7 @@ const (
 	// paper compares against).
 	Locked
 	// MultiProducer is a Vyukov-style bounded MPSC ring: many producers,
-	// one consumer. The flow-sharded dispatch path uses it for VRI data-in
-	// queues, where several ingest goroutines may enqueue concurrently.
+	// one consumer.
 	MultiProducer
 )
 

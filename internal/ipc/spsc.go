@@ -32,10 +32,9 @@ type SPSC[T any] struct {
 	cachedTail uint64 // consumer-local snapshot of tail
 	_          [cacheLine - 8]byte
 
-	mask   uint64
-	buf    []T
-	drops  atomic.Int64 // rejected enqueues; off the fast path, scraped by obs
-	closed atomic.Bool  // set by Close: enqueues fail fast, dequeues drain residue
+	mask  uint64
+	buf   []T
+	drops atomic.Int64 // rejected enqueues; off the fast path, scraped by obs
 }
 
 // NewSPSC returns an empty lock-free SPSC queue with capacity rounded up to a
@@ -46,13 +45,7 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 }
 
 // Enqueue appends v and reports whether there was room. Producer-side only.
-// After Close it rejects unconditionally (counted as a drop); the caller
-// keeps ownership of v.
 func (q *SPSC[T]) Enqueue(v T) bool {
-	if q.closed.Load() {
-		q.drops.Add(1)
-		return false
-	}
 	tail := q.tail.Load()
 	if tail-q.cachedHead > q.mask {
 		q.cachedHead = q.head.Load()
@@ -91,10 +84,6 @@ func (q *SPSC[T]) Dequeue() (T, bool) {
 // instead of once per frame.
 func (q *SPSC[T]) EnqueueBatch(vs []T) int {
 	if len(vs) == 0 {
-		return 0
-	}
-	if q.closed.Load() {
-		q.drops.Add(int64(len(vs)))
 		return 0
 	}
 	tail := q.tail.Load()
@@ -164,22 +153,7 @@ func (q *SPSC[T]) Len() int {
 // Cap reports the fixed capacity.
 func (q *SPSC[T]) Cap() int { return len(q.buf) }
 
-// Drops reports how many enqueues were rejected because the ring was full
-// or closed.
+// Drops reports how many enqueues were rejected because the ring was full.
 func (q *SPSC[T]) Drops() int64 { return q.drops.Load() }
 
-// Close stops admissions: subsequent enqueues fail fast while dequeues drain
-// the residue. Safe from any goroutine; an enqueue racing with the close may
-// still land and becomes part of the residue.
-func (q *SPSC[T]) Close() { q.closed.Store(true) }
-
-// Closed reports whether the queue has been closed for enqueue.
-func (q *SPSC[T]) Closed() bool { return q.closed.Load() }
-
-// Reopen clears the closed flag so enqueues are admitted again.
-func (q *SPSC[T]) Reopen() { q.closed.Store(false) }
-
-var (
-	_ Queue[int] = (*SPSC[int])(nil)
-	_ Closer     = (*SPSC[int])(nil)
-)
+var _ Queue[int] = (*SPSC[int])(nil)

@@ -6,13 +6,12 @@ import "sync"
 // baseline of Section 3.5, in which only one process can access the queue at
 // a time. It is safe for any number of producers and consumers.
 type MutexQueue[T any] struct {
-	mu     sync.Mutex
-	buf    []T
-	head   uint64
-	tail   uint64
-	mask   uint64
-	drops  int64
-	closed bool
+	mu    sync.Mutex
+	buf   []T
+	head  uint64
+	tail  uint64
+	mask  uint64
+	drops int64
 }
 
 // NewMutexQueue returns an empty lock-based queue with capacity rounded up to
@@ -22,12 +21,11 @@ func NewMutexQueue[T any](capacity int) *MutexQueue[T] {
 	return &MutexQueue[T]{buf: make([]T, n), mask: uint64(n - 1)}
 }
 
-// Enqueue appends v and reports whether there was room. After Close it
-// rejects unconditionally (counted as a drop).
+// Enqueue appends v and reports whether there was room.
 func (q *MutexQueue[T]) Enqueue(v T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || q.tail-q.head > q.mask {
+	if q.tail-q.head > q.mask {
 		q.drops++
 		return false
 	}
@@ -61,37 +59,11 @@ func (q *MutexQueue[T]) Len() int {
 // Cap reports the fixed capacity.
 func (q *MutexQueue[T]) Cap() int { return len(q.buf) }
 
-// Drops reports how many enqueues were rejected because the ring was full
-// or closed.
+// Drops reports how many enqueues were rejected because the ring was full.
 func (q *MutexQueue[T]) Drops() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.drops
 }
 
-// Close stops admissions: subsequent enqueues fail fast while dequeues drain
-// the residue.
-func (q *MutexQueue[T]) Close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-}
-
-// Closed reports whether the queue has been closed for enqueue.
-func (q *MutexQueue[T]) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
-
-// Reopen clears the closed flag so enqueues are admitted again.
-func (q *MutexQueue[T]) Reopen() {
-	q.mu.Lock()
-	q.closed = false
-	q.mu.Unlock()
-}
-
-var (
-	_ Queue[int] = (*MutexQueue[int])(nil)
-	_ Closer     = (*MutexQueue[int])(nil)
-)
+var _ Queue[int] = (*MutexQueue[int])(nil)

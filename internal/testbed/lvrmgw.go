@@ -400,7 +400,7 @@ func (s *vriServer) serve() {
 		if f, ok := s.a.NextStaged(); ok {
 			frameSize = len(f.Buf)
 		} else if q, ok := s.a.Data.In.(interface{ Peek() (*packet.Frame, bool) }); ok {
-			// Both ring kinds (SPSC, and MPSC under flow dispatch) expose Peek.
+			// The lock-free ring exposes Peek; the mutex baseline does not.
 			if f, ok := q.Peek(); ok {
 				frameSize = len(f.Buf)
 			}
