@@ -9,11 +9,12 @@
 //   - The RIB side is mutex-guarded and unhurried: feeds call Apply from any
 //     goroutine; candidates accumulate per (prefix, source); dirty prefixes
 //     batch until Publish (or an automatic flush at MaxBatch pending).
-//   - The FIB side is a route.Trie — the repository's one path-compressed
-//     binary trie, immutable by construction. Publish derives the next trie
-//     from the current one (only the spine of each modified prefix is
-//     copied, all untouched subtrees are shared) and installs the new
-//     generation with a single atomic pointer swap.
+//   - The FIB side is a route.Trie — the repository's one multibit trie
+//     (six address bits per level), immutable by construction. Publish
+//     derives the next trie from the current one (only the nodes on the
+//     path to each modified prefix are copied, all untouched subtrees are
+//     shared) and installs the new generation with a single atomic pointer
+//     swap.
 //
 // Readers pin a generation once per scheduling quantum (see core's
 // StepBatch) and do every lookup in that batch against the pinned

@@ -2,8 +2,15 @@ package route
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
+
+	"lvrm/internal/packet"
+	"lvrm/internal/route/routetest"
 )
 
 // FuzzParseMapFile fuzzes the map-file parser, mirroring FuzzFrameDecode's
@@ -62,6 +69,116 @@ func FuzzParseMapFile(f *testing.F) {
 		}
 		if rebuilt.Len() != tbl.Len() {
 			t.Fatalf("rebuild Len %d != %d", rebuilt.Len(), tbl.Len())
+		}
+	})
+}
+
+// FuzzTrieOps decodes its input into a stream of With, Without, Lookup and
+// LookupBatch operations on one trie and checks every answer against the
+// linear-scan oracle. An operation is six bytes: an opcode, an address and a
+// prefix length; opcodes with bit 2 set take the address relative to the
+// last one, so that prefixes nest and branch. Halfway through the stream the
+// trie and the oracle are frozen, and at the end the frozen trie must still
+// answer as the frozen oracle; both tries must be minimal and walk in order.
+func FuzzTrieOps(f *testing.F) {
+	// op encodes one operation: 0 With, 1 Without, 2 Lookup, 3 LookupBatch,
+	// plus 4 for an address relative to the last.
+	op := func(code byte, addr string, bits byte) []byte {
+		return append(binary.BigEndian.AppendUint32([]byte{code}, uint32(packet.MustParseIP(addr))), bits)
+	}
+	f.Add(slices.Concat(op(0, "10.2.0.0", 16), op(0, "0.0.0.0", 0), op(2, "10.2.3.4", 0),
+		op(1, "10.2.0.0", 16), op(3, "10.2.3.4", 0), op(1, "0.0.0.0", 0), op(2, "10.2.3.4", 0)))
+	f.Add(slices.Concat(op(0, "10.0.0.0", 6), op(0, "10.64.0.0", 7), op(0, "10.0.0.0", 12),
+		op(0, "10.0.0.0", 18), op(0, "10.0.0.0", 24), op(0, "10.0.0.0", 30), op(0, "10.0.0.1", 32),
+		op(3, "10.0.0.1", 0), op(1, "10.0.0.0", 12), op(1, "10.0.0.0", 18), op(3, "10.64.0.1", 0),
+		op(2, "10.0.0.2", 0)))
+	f.Add(slices.Concat(op(0, "255.255.255.255", 32), op(4, "0.0.0.1", 31), op(4, "0.0.1.0", 23),
+		op(6, "0.0.0.3", 0), op(1, "255.255.255.255", 32), op(7, "0.0.0.0", 0)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxOps = 256
+		ops := min(len(data)/6, maxOps)
+		var (
+			tr, held       Trie[int]
+			want, heldWant = routetest.Oracle[int]{}, routetest.Oracle[int]{}
+			prefixOf       = map[int]routetest.Prefix{} // value -> the prefix it was added under
+			probes         []packet.IP
+			last           uint32
+		)
+		check := func(what string, tr Trie[int], want routetest.Oracle[int], dst packet.IP) {
+			w, ok := want.Lookup(dst)
+			if got, gok := tr.Lookup(dst); gok != ok || got != w {
+				t.Fatalf("%s: Lookup(%v) = (%d, %v), oracle (%d, %v)", what, dst, got, gok, w, ok)
+			}
+		}
+		for step := 0; step < ops; step++ {
+			if step == ops/2 {
+				held, heldWant = tr, maps.Clone(want)
+			}
+			op, raw, b := data[6*step], binary.BigEndian.Uint32(data[6*step+1:]), data[6*step+5]%33
+			d := raw
+			if op&4 != 0 {
+				d = last ^ raw>>(op>>3)
+			}
+			last = d
+			p := routetest.Prefix{IP: Mask(packet.IP(d), b), Bits: int(b)}
+			switch op & 3 {
+			case 0:
+				v := step
+				tr = tr.With(p.IP, b, &v)
+				want[p], prefixOf[v] = v, p
+			case 1:
+				_, live := want[p]
+				next, ok := tr.Without(p.IP, b)
+				if ok != live || (!ok && next != tr) {
+					t.Fatalf("step %d: Without(%v/%d) = %v, oracle holds it: %v", step, p.IP, b, ok, live)
+				}
+				tr = next
+				delete(want, p)
+			case 2:
+				probes = append(probes, packet.IP(d))
+				check(fmt.Sprintf("step %d", step), tr, want, packet.IP(d))
+			case 3:
+				probes = append(probes, packet.IP(d))
+				dsts := probes[max(0, len(probes)-lanes-1):]
+				out := make([]*int, len(dsts))
+				tr.LookupBatch(dsts, out)
+				for i, dst := range dsts {
+					w, ok := want.Lookup(dst)
+					if (out[i] != nil) != ok || (ok && *out[i] != w) {
+						t.Fatalf("step %d: LookupBatch[%d](%v) = %v, oracle (%d, %v)", step, i, dst, out[i], w, ok)
+					}
+				}
+			}
+			if tr.Len() != len(want) {
+				t.Fatalf("step %d: Len %d, oracle %d", step, tr.Len(), len(want))
+			}
+		}
+		for name, c := range map[string]struct {
+			tr   Trie[int]
+			want routetest.Oracle[int]
+		}{"final": {tr, want}, "frozen": {held, heldWant}} {
+			checkMinimal(t, c.tr)
+			for _, dst := range probes {
+				check(name, c.tr, c.want, dst)
+			}
+			var prev *routetest.Prefix
+			walked := 0
+			c.tr.Walk(func(v int) {
+				walked++
+				p := prefixOf[v]
+				if c.want[p] != v {
+					t.Fatalf("%s: Walk yields %d, not the value of %v/%d", name, v, p.IP, p.Bits)
+				}
+				if prev != nil && (prev.IP > p.IP || prev.IP == p.IP && prev.Bits >= p.Bits) {
+					t.Fatalf("%s: Walk yields %v/%d after %v/%d", name, p.IP, p.Bits, prev.IP, prev.Bits)
+				}
+				check(name, c.tr, c.want, p.IP)
+				check(name, c.tr, c.want, p.IP|packet.IP(^uint32(0)>>p.Bits))
+				prev = &p
+			})
+			if walked != len(c.want) || c.tr.Len() != len(c.want) {
+				t.Fatalf("%s: Walk yields %d values, Len %d, oracle %d", name, walked, c.tr.Len(), len(c.want))
+			}
 		}
 	})
 }

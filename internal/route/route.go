@@ -27,10 +27,11 @@ type Entry struct {
 var ErrNoRoute = errors.New("route: no route to host")
 
 // Table is a longest-prefix-match IPv4 routing table: a mutable handle on
-// an immutable Trie value. Insert and Delete swap in the trie the change
-// produces, copying the spine down to the changed prefix — a handful of
-// small allocations more than writing nodes in place, accepted because
-// static tables hold a handful of routes while every VRI spawn Clones one.
+// an immutable Trie value, the repository's one multibit trie. Insert and
+// Delete swap in the trie the change produces, copying the nodes on the
+// path down to the changed prefix — a handful of small allocations more
+// than writing nodes in place, accepted because static tables hold a
+// handful of routes while every VRI spawn Clones one.
 // The zero value is an empty table ready for use. Like any plain Go value
 // it needs external synchronisation when one goroutine writes it while
 // another reads; each VRI owns its own.

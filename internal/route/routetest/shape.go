@@ -10,8 +10,8 @@ import (
 // share, shaped like the wall-clock benchmark's flow-fib table (benchmark/
 // generateRoutes): a default route, 10.2.0.0/16, 10 000 random /16../24
 // outside it and 2 500 more-specifics (/18../28) under it — about 12 500
-// prefixes, so that a lookup for a 10.2.x.y destination (EdgeDst) walks some
-// twenty nodes of a trie far larger than L2.
+// prefixes, so that a lookup for a 10.2.x.y destination (EdgeDst) walks down
+// to the trie's deepest levels in a table far larger than L2.
 func EdgeFIB(rng *rand.Rand) []Prefix {
 	seen := map[Prefix]bool{}
 	var out []Prefix

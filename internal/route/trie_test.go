@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // TestTrieSpineSharing checks clone-on-write: a change under one subtree
-// must not copy unrelated subtrees.
+// must copy the nodes on its path and no others, and leave the receiver as
+// it was.
 func TestTrieSpineSharing(t *testing.T) {
 	v := new(int)
 	var t1 Trie[int]
@@ -25,45 +27,169 @@ func TestTrieSpineSharing(t *testing.T) {
 		t.Fatal("unrelated subtree was copied by With")
 	}
 	if findNode(t2.root, ip("10.2.0.0"), 16) == kept {
-		t.Fatal("With wrote the changed spine in place")
+		t.Fatal("With wrote the changed path in place")
 	}
-	if findNode(t1.root, ip("10.2.0.0"), 16) != kept || t1.Len() != 2 || t2.Len() != 3 {
-		t.Fatalf("receiver changed: Len %d, derived Len %d", t1.Len(), t2.Len())
+	if findNode(t1.root, ip("10.2.0.0"), 16) != kept || findNode(t1.root, ip("10.2.3.0"), 24) != nil ||
+		t1.Len() != 2 || t2.Len() != 3 {
+		t.Fatalf("receiver changed by With: Len %d, derived Len %d", t1.Len(), t2.Len())
 	}
 
+	held := findNode(t2.root, ip("10.2.3.0"), 24)
 	t3, ok := t2.Without(ip("10.2.3.0"), 24)
 	if !ok || findNode(t3.root, ip("192.168.0.0"), 16) != sub1 {
 		t.Fatal("unrelated subtree was copied by Without")
+	}
+	if findNode(t3.root, ip("10.2.3.0"), 24) != nil || t3.Len() != 2 {
+		t.Fatalf("Without left 10.2.3.0/24 in place: Len %d", t3.Len())
+	}
+	if findNode(t2.root, ip("10.2.3.0"), 24) != held || t2.Len() != 3 {
+		t.Fatalf("receiver changed by Without: Len %d", t2.Len())
 	}
 	if t4, ok := t3.Without(ip("10.9.0.0"), 16); ok || t4 != t3 {
 		t.Fatal("Without of an absent prefix did not return the receiver")
 	}
 }
 
+// findNode returns the node prefix/bits ends in, nil when the trie does not
+// hold it.
 func findNode[V any](n *node[V], prefix packet.IP, bits uint8) *node[V] {
 	p := uint32(prefix)
-	for n != nil {
-		if n.bits >= bits {
-			if n.bits == bits && n.prefix == p {
-				return n
+	depth, pos := place(p, bits)
+	for ; n != nil && n.depth <= depth && n.covers(p); n = n.next(chunk(p, n.depth)) {
+		if n.depth == depth {
+			if n.pfx&(1<<pos) == 0 {
+				return nil
 			}
-			return nil
+			return n
 		}
-		if (p^n.prefix)>>(32-n.bits) != 0 && n.bits > 0 {
-			return nil
-		}
-		n = n.child[(p>>(31-n.bits))&1]
 	}
 	return nil
 }
 
+// checkMinimal fails unless every node reachable from tr's root is well
+// formed — a dense slice entry per bitmap bit, children below their parent
+// and under its chunk — and minimal: it holds a prefix or two children.
+func checkMinimal[V any](t *testing.T, tr Trie[V]) {
+	t.Helper()
+	n := 0
+	var visit func(nd *node[V])
+	visit = func(nd *node[V]) {
+		switch {
+		case nd.pfx == 0 && nd.kids == 0:
+			t.Fatalf("empty node at depth %d", nd.depth)
+		case nd.pfx == 0 && bits.OnesCount64(nd.kids) == 1:
+			t.Fatalf("unskipped node at depth %d: no prefix, one child", nd.depth)
+		case len(nd.vals) != bits.OnesCount64(nd.pfx) || len(nd.child) != bits.OnesCount64(nd.kids):
+			t.Fatalf("node at depth %d: %d vals for %#x, %d children for %#x", nd.depth, len(nd.vals), nd.pfx, len(nd.child), nd.kids)
+		case nd.depth%stride != 0 || nd.depth > lastDepth || Mask(packet.IP(nd.addr), nd.depth) != packet.IP(nd.addr):
+			t.Fatalf("node at depth %d has address %#x", nd.depth, nd.addr)
+		case nd.depth == lastDepth && (nd.kids != 0 || nd.pfx >= 1<<7):
+			t.Fatalf("last-level node holds %#x, children %#x", nd.pfx, nd.kids)
+		case nd.depth == 0 && nd.pfx&1 != 0:
+			t.Fatal("the default route is in the root node")
+		}
+		n += len(nd.vals)
+		for c := uint(0); c < 1<<stride; c++ {
+			ch := nd.next(c)
+			if ch == nil {
+				continue
+			}
+			if ch.depth <= nd.depth || !nd.covers(ch.addr) || chunk(ch.addr, nd.depth) != c {
+				t.Fatalf("child %d of the node at depth %d, address %#x: depth %d, address %#x", c, nd.depth, nd.addr, ch.depth, ch.addr)
+			}
+			visit(ch)
+		}
+	}
+	if tr.root != nil {
+		visit(tr.root)
+	}
+	if tr.def != nil {
+		n++
+	}
+	if n != tr.Len() {
+		t.Fatalf("%d values reachable, Len %d", n, tr.Len())
+	}
+}
+
+// TestTrieMinimal: through a random stream of adds and removes of nested
+// prefixes at every length, no node is empty, none holds no prefix and one
+// child, and removing every prefix leaves the empty trie. A lookup in the
+// two-route tables of the static map files visits one node.
+func TestTrieMinimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var tr Trie[int]
+	var live []routetest.Prefix
+	have := map[routetest.Prefix]bool{}
+	last := packet.IP(rng.Uint32())
+	for step := 0; step < 4000; step++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			j := rng.Intn(len(live))
+			p := live[j]
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			delete(have, p)
+			var ok bool
+			if tr, ok = tr.Without(p.IP, uint8(p.Bits)); !ok {
+				t.Fatalf("step %d: Without(%v/%d) found nothing", step, p.IP, p.Bits)
+			}
+		} else {
+			b := rng.Intn(33)
+			last ^= packet.IP(rng.Uint32() >> uint(rng.Intn(33)))
+			p := routetest.Prefix{IP: Mask(last, uint8(b)), Bits: b}
+			v := step
+			tr = tr.With(p.IP, uint8(b), &v)
+			if !have[p] {
+				have[p] = true
+				live = append(live, p)
+			}
+		}
+		checkMinimal(t, tr)
+	}
+	for _, p := range live {
+		var ok bool
+		if tr, ok = tr.Without(p.IP, uint8(p.Bits)); !ok {
+			t.Fatalf("Without(%v/%d) found nothing", p.IP, p.Bits)
+		}
+		checkMinimal(t, tr)
+	}
+	if tr.root != nil || tr.def != nil || tr.Len() != 0 {
+		t.Fatalf("emptied trie: root %p, default %p, Len %d", tr.root, tr.def, tr.Len())
+	}
+
+	for _, tc := range []struct {
+		routes []string
+		dst    string
+	}{
+		{[]string{"10.2.0.0/16", "0.0.0.0/0"}, "10.2.3.4"},
+		{[]string{"10.1.0.0/16", "10.2.0.0/16"}, "10.2.3.4"},
+	} {
+		var tr Trie[int]
+		for _, r := range tc.routes {
+			p, b, err := ParseCIDR(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr = tr.With(p, uint8(b), new(int))
+		}
+		visits, d := 0, uint32(ip(tc.dst))
+		for n := tr.root; n != nil && n.covers(d); n = n.next(chunk(d, n.depth)) {
+			visits++
+		}
+		if visits != 1 {
+			t.Errorf("%v: a lookup of %s visits %d nodes, want 1", tc.routes, tc.dst, visits)
+		}
+	}
+}
+
+var strideEdges = []int{0, 5, 6, 7, 11, 12, 17, 18, 23, 24, 29, 30, 31, 32}
+
 // TestLookupBatchAgainstLookupAndOracle: LookupBatch gives every destination
 // the value Lookup gives it and the linear-scan oracle gives it — on the
-// empty trie, a lone default route, host routes only and random tables of
-// nested prefixes, for vectors shorter than, equal to and longer than the
-// lane count (a vector of 17 leaves a one-lane second pass, 64 four full
-// ones), with destinations that are mostly covered by some prefix and by
-// prefixes of every depth.
+// empty trie, a lone default route, host routes only, random tables of
+// nested prefixes and prefixes at the lengths next to a level boundary, for
+// vectors shorter than, equal to and longer than the lane count (a vector of
+// 17 leaves a one-lane second pass, 64 four full ones), with destinations
+// that are mostly covered by some prefix and by prefixes of every depth.
 func TestLookupBatchAgainstLookupAndOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type table struct {
@@ -94,6 +220,9 @@ func TestLookupBatchAgainstLookupAndOracle(t *testing.T) {
 		"random-30":   build(30, func() int { return rng.Intn(33) }),
 		"random-400":  build(400, func() int { return rng.Intn(33) }),
 		"no-default":  build(200, func() int { return 8 + rng.Intn(25) }),
+		// The lengths on either side of each level's chunk, where a
+		// multibit trie places a prefix in the wrong node.
+		"stride-edges": build(300, func() int { return strideEdges[rng.Intn(len(strideEdges))] }),
 	}
 	for name, tb := range tables {
 		var prefixes []routetest.Prefix
