@@ -89,8 +89,8 @@ func run() int {
 		httpAddr  = flag.String("http", "", "serve /status, /metrics, /trace, /debug/vars and /debug/pprof at this address (e.g. :8080)")
 		udpAddr   = flag.String("udp", "", "receive frames as UDP datagrams on this address instead of the built-in generator")
 		batch     = flag.Int("batch", 16, "frames moved per queue operation on the receive, VRI and relay paths (1 = per-frame)")
-		flowSh    = flag.Int("flow-shards", 0, "flow-affinity table shards per VR; > 0 replaces the per-VR balancer lock with flow-sharded dispatch (0 = classic locked path)")
-		flowCap   = flag.Int("flow-table", 1024, "total pinned-flow capacity per VR across shards; rounded up per shard to a power of two of at least one probe window, so the effective capacity (logged at startup) can exceed this")
+		flowSh    = flag.Int("flow-shards", 0, "> 0 turns on flow-affinity dispatch: each VR pins every flow to a VRI in a monitor-owned flow table instead of consulting -balancer (0 = classic balancer path)")
+		flowCap   = flag.Int("flow-table", 1024, "pinned-flow capacity per VR, in table slots; rounded up to a power of two of at least one probe window, so the effective capacity (logged at startup) can exceed this")
 		flowAdmit = flag.Int("flow-admit", 0, "load-aware admission depth: > 0 with -flow-shards sheds new flows (counted drop) when every VRI's input queue is at least this deep; established flows are never shed (0 = admit everything)")
 		maxRepl   = flag.Int("max-replicas", 0, "intra-VR replication ceiling: > 1 with -flow-shards lets each VR run up to this many flow-partitioned replica VRIs, split and folded elastically by queue depth (0/1 = one VRI per core-allocation policy)")
 		liveMig   = flag.Duration("live-migrate", 0, "> 0: every interval, live-migrate the VRI with the deepest backlog to a fresh core through the migration engine (pause bounded by one scheduling quantum; pairs naturally with -flow-shards so the flow partition follows)")
@@ -209,9 +209,9 @@ func run() int {
 			return 1
 		}
 	}
-	// Surface the flow table's effective geometry: NewTable rounds shard count
-	// and per-shard capacity up to powers of two (at least one probe window per
-	// shard), so the table an operator gets can be bigger than -flow-table.
+	// Surface the flow table's effective capacity: NewTable rounds it up to a
+	// power of two (at least one probe window), so the table an operator gets
+	// can be bigger than -flow-table.
 	if *flowSh > 0 {
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "balancer" {
@@ -220,8 +220,8 @@ func run() int {
 		})
 		if vrs := lvrm.VRs(); len(vrs) > 0 {
 			if tbl := vrs[0].FlowTable(); tbl != nil {
-				fmt.Printf("flow table (per VR): shards=%d shard_cap=%d effective_cap=%d (requested %d) admit_depth=%d\n",
-					tbl.Shards(), tbl.ShardCap(), tbl.Shards()*tbl.ShardCap(), *flowCap, *flowAdmit)
+				fmt.Printf("flow table (per VR): one slab of 8-byte pins, slots=%d effective_cap=%d (requested %d) admit_depth=%d\n",
+					tbl.Slots(), tbl.Cap(), *flowCap, *flowAdmit)
 			}
 		}
 	}

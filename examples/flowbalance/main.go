@@ -31,7 +31,9 @@ const (
 )
 
 func run(label string, mkBalancer func() balance.Balancer) {
-	adapter := netio.NewChanAdapter(8192)
+	// TX holds every frame of the run: the reader below may be descheduled
+	// while the monitor relays, and a shallower channel would tail-drop.
+	adapter := netio.NewChanAdapter(nFrames)
 	monitor, err := core.New(core.Config{Adapter: adapter, Clock: core.WallClock})
 	if err != nil {
 		log.Fatal(err)
@@ -75,7 +77,8 @@ func run(label string, mkBalancer func() balance.Balancer) {
 		case <-adapter.TX:
 			got++
 		case <-deadline:
-			log.Fatalf("%s: stalled at %d/%d", label, got, nFrames)
+			log.Fatalf("%s: stalled at %d/%d (in_drops=%d, tx_dropped=%d)",
+				label, got, nFrames, monitor.Ledger().InDrops, adapter.IOStats().TxDropped)
 		}
 	}
 

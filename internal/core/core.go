@@ -46,16 +46,17 @@ type Config struct {
 	// values amortize the queue release/acquire pair and the scheduler
 	// round-trip per frame.
 	RecvBatch, VRIBatch, RelayBatch int
-	// FlowShards enables flow-aware sharded dispatch when > 0: each VR gets
-	// a flow-affinity table with this many shards (rounded up to a power of
-	// two), and dispatch pins flows to VRIs through it instead of asking the
-	// VR's balancer per frame. Zero (the default) keeps the seed balancer
-	// dispatch path exactly.
+	// FlowShards enables flow-aware dispatch when > 0: each VR gets a
+	// flow-affinity table, owned by the monitor, and dispatch pins flows to
+	// VRIs through it instead of asking the VR's balancer per frame. The
+	// table is one slab, so past the switch the value only divides
+	// FlowTableCap for flow.NewTable. Zero (the default) keeps the seed
+	// balancer dispatch path exactly.
 	FlowShards int
-	// FlowTableCap bounds the total pinned flows per VR across all shards
-	// (default 1024; effective capacity is rounded up — see flow.NewTable).
-	// Shards start small and resize incrementally toward the bound; at the
-	// bound, new flows run unpinned rather than evicting established ones.
+	// FlowTableCap bounds the pinned flows per VR, in table slots (default
+	// 1024; effective capacity is rounded up — see flow.NewTable). The slab
+	// starts small and resizes incrementally toward the bound; at the bound,
+	// new flows run unpinned rather than evicting established ones.
 	FlowTableCap int
 	// FlowAdmitDepth, when > 0 with flow dispatch enabled, is the load-aware
 	// admission threshold: a frame of a *new* (unpinned) flow is shed —
@@ -306,8 +307,8 @@ func (l *LVRM) AddVR(cfg VRConfig) (*VR, error) {
 	v.srcMask = ^uint32(0) << (32 - uint(cfg.SrcBits))
 	v.srcNet = uint32(cfg.SrcPrefix) & v.srcMask
 	if l.cfg.FlowShards > 0 {
-		// Per-shard capacity divides the VR-wide budget; NewTable raises it
-		// to at least one probe window.
+		// NewTable multiplies the two back into one slab's capacity and
+		// raises it to at least one probe window.
 		v.flows = flow.NewTable(l.cfg.FlowShards, l.cfg.FlowTableCap/l.cfg.FlowShards)
 		v.admitDepth = l.cfg.FlowAdmitDepth
 	}

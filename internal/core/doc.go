@@ -24,7 +24,7 @@
 // header parse per frame, then one run per VR. A run has two shapes. The
 // classic path asks the VR's balancer for a VRI, once per frame. The
 // flow-aware path (FlowShards > 0) hashes each frame's 5-tuple onto a
-// sharded affinity table (internal/flow) so a flow sticks to one VRI —
+// monitor-owned affinity table (internal/flow) so a flow sticks to one VRI —
 // per-flow ordering across VRI spawns, destroys and migrations. Either way the
 // monitor is the only producer onto every VRI's incoming rings.
 //

@@ -229,18 +229,21 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 	// Flow-affinity table outcomes and occupancy. Registered unconditionally
 	// but emitting only for VRs with flow dispatch enabled, so the families
 	// exist whether or not -flow-shards is set.
-	flowStat := func(name, help string, val func(flow.Stats) int64) {
-		reg.Collect(name, help, obs.TypeCounter, func(emit func(obs.Sample)) {
+	flowSeries := func(name, help string, typ obs.Type, val func(*flow.Table) float64) {
+		reg.Collect(name, help, typ, func(emit func(obs.Sample)) {
 			for _, v := range l.vrList() {
 				if v.flows == nil {
 					continue
 				}
 				emit(obs.Sample{
 					Labels: []obs.Label{obs.L("vr", v.cfg.Name)},
-					Value:  float64(val(v.flows.Stats())),
+					Value:  val(v.flows),
 				})
 			}
 		})
+	}
+	flowStat := func(name, help string, val func(flow.Stats) int64) {
+		flowSeries(name, help, obs.TypeCounter, func(t *flow.Table) float64 { return float64(val(t.Stats())) })
 	}
 	flowStat("lvrm_flow_hits_total", "Dispatches resolved by a live flow-table pin.",
 		func(s flow.Stats) int64 { return s.Hits })
@@ -252,41 +255,18 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 		func(s flow.Stats) int64 { return s.Rebalances })
 	flowStat("lvrm_flow_refusals_total", "Dispatches where pick declined a VRI (load-aware admission); nothing was installed.",
 		func(s flow.Stats) int64 { return s.Refusals })
-	flowStat("lvrm_flow_overflows_total", "New flows turned away unpinned by a shard at capacity (established pins kept).",
+	flowStat("lvrm_flow_overflows_total", "New flows turned away unpinned by a table at capacity (established pins kept).",
 		func(s flow.Stats) int64 { return s.Overflows })
 	flowStat("lvrm_flow_evictions_total", "Pins lost to a probe-window collision during slab migration (expected ~0).",
 		func(s flow.Stats) int64 { return s.Evictions })
 	flowStat("lvrm_flow_unpinned_total", "Pins deleted: teardown sweep with no survivor, or stale pin whose repick refused.",
 		func(s flow.Stats) int64 { return s.Unpinned })
-	flowStat("lvrm_flow_resizes_total", "Shard slab doublings (incremental resize events).",
+	flowStat("lvrm_flow_resizes_total", "Slab doublings (incremental resize events).",
 		func(s flow.Stats) int64 { return s.Resizes })
-	perShard := func(name, help string, typ obs.Type, val func(t *flow.Table, i int) float64) {
-		reg.Collect(name, help, typ, func(emit func(obs.Sample)) {
-			for _, v := range l.vrList() {
-				if v.flows == nil {
-					continue
-				}
-				for i := 0; i < v.flows.Shards(); i++ {
-					emit(obs.Sample{
-						Labels: []obs.Label{
-							obs.L("vr", v.cfg.Name),
-							obs.L("shard", strconv.Itoa(i)),
-						},
-						Value: val(v.flows, i),
-					})
-				}
-			}
-		})
-	}
-	perShard("lvrm_flow_shard_occupancy",
-		"Pinned flows per affinity-table shard.", obs.TypeGauge,
-		func(t *flow.Table, i int) float64 { return float64(t.ShardOccupancy(i)) })
-	perShard("lvrm_flow_shard_slots",
-		"Allocated slab slots per shard (grows by doubling toward the shard cap).", obs.TypeGauge,
-		func(t *flow.Table, i int) float64 { return float64(t.ShardSlots(i)) })
-	perShard("lvrm_flow_shard_evictions_total",
-		"Migration probe-collision evictions per shard.", obs.TypeCounter,
-		func(t *flow.Table, i int) float64 { return float64(t.ShardEvictions(i)) })
+	flowSeries("lvrm_flow_pinned", "Flows pinned in the affinity table.", obs.TypeGauge,
+		func(t *flow.Table) float64 { return float64(t.Len()) })
+	flowSeries("lvrm_flow_slots", "Allocated affinity-table slots (the slab doubles toward its capacity).", obs.TypeGauge,
+		func(t *flow.Table) float64 { return float64(t.Slots()) })
 
 	// Per-VRI series: VRIs spawn and die with core allocation, so these are
 	// collectors too — no register/unregister churn in the allocation pass.

@@ -167,7 +167,7 @@ func (l *LVRM) migratePartition(v *VR, m migration) MigrationReport {
 	survivors := v.vriList()
 
 	// 1. Flip pins. The pin is the ownership transfer: dispatch consults it
-	// under the shard lock, so from here on every new frame of a moved flow
+	// on this same goroutine, so from here on every new frame of a moved flow
 	// lands on the destination's ring — behind the residue staged in step 2.
 	if v.flows != nil {
 		rep.Pins = int64(v.flows.Transfer(m.src.ID, func(key uint64) int {

@@ -124,7 +124,7 @@ func (l *LVRM) Status() Status {
 			// dispatchFlow pins to the least-loaded VRI and never consults
 			// VRConfig.Balancer.
 			vs.Balancer = "flow-affinity"
-			// One table sweep serves every VRI's partition size.
+			// The published per-VRI pin counts: no slab sweep.
 			partitions = v.flows.PartitionSizes()
 		}
 		for _, a := range v.VRIs() {

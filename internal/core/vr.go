@@ -72,7 +72,7 @@ type VR struct {
 	// arrival estimates the VR's traffic load for core allocation.
 	arrival *estimate.ArrivalRate
 
-	// flows, when non-nil, replaces the per-frame balancer with the sharded
+	// flows, when non-nil, replaces the per-frame balancer with the
 	// flow-affinity table (Config.FlowShards > 0): dispatch hashes the frame
 	// to a flow key, pins the flow to a VRI, and enqueues there. Nil keeps
 	// the seed balancer path exactly.
@@ -207,7 +207,7 @@ func (v *VR) match(m *packet.Meta, f *packet.Frame) bool {
 // classified to this VR — to the VR's VRIs and returns how many were
 // accepted; the rest are released under inDrops or admitShed. arrivals is the
 // number of frames to report to the VR's arrival estimator (see
-// burstArrivals). With flow dispatch enabled the run goes through the sharded
+// burstArrivals). With flow dispatch enabled the run goes through the
 // affinity table; otherwise it takes the classic balancer path.
 func (v *VR) dispatch(frames []*packet.Frame, scratch []parsed, now int64, arrivals int) int {
 	// The paper's traffic load is the *arrival* rate of incoming frames for
@@ -336,17 +336,17 @@ var flowNotes = func() (notes [flow.Overflow + 1]string) {
 
 // dispatchFlow is the flow-affinity dispatch path, one run at a time: each
 // frame's flow key — taken from its already-parsed headers — is resolved
-// against the sharded affinity table and the frame is enqueued to the pinned
-// VRI. The run is treated as a vector, flow.MaxBurst keys at a time: the
-// table resolves the chunk's clean hits in one pass (AssignHits: one lock per
-// distinct shard, overlapped probes), and consecutive frames bound for one
+// against the affinity table and the frame is enqueued to the pinned VRI.
+// The run is treated as a vector, flow.MaxBurst keys at a time: the table
+// resolves the chunk's leading clean hits in one pass (AssignHits,
+// overlapped probes), and consecutive frames bound for one
 // VRI are published together (handRun). A key that is not a clean hit is
 // resolved by Assign at its place in frame order, after everything before it
 // has been published, so keep and pick read exactly the queues and the owed
 // counts they would have read had the frames come one at a time; a run of one
 // frame is that sequence and nothing else. Spawn, destroy and the migration
-// engine's Transfer run on the dispatching goroutine too, so a pin made in
-// the current epoch always names a VRI of vris.
+// engine's Transfer run on the dispatching goroutine too, so a pin that is
+// not stale always names a VRI of vris.
 func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (accepted int) {
 	vris := v.vriList()
 	if len(vris) == 0 {
@@ -413,7 +413,7 @@ func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (
 		for i, f := range chunk {
 			keys[i] = flow.KeyOfMeta(scratch[base+i].meta, f)
 		}
-		ids[0] = -1 // a chunk of one is Assign's: one shard lock, no vector pass
+		ids[0] = -1 // a chunk of one is Assign's: no vector pass
 		if len(chunk) > 1 {
 			v.flows.AssignHits(keys[:len(chunk)], ids[:len(chunk)])
 		}

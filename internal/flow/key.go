@@ -13,8 +13,8 @@ import (
 // leading bytes and the length: deterministic per wire pattern, so repeated
 // identical frames still pin to one VRI, but with no transport semantics.
 //
-// The zero key is reserved as the empty-slot sentinel in the shard tables;
-// KeyOf never returns it.
+// KeyOf never returns the zero key. The Table keeps a key's upper 48 bits
+// only, so the hash must spread flows over those.
 func KeyOf(f *packet.Frame) uint64 { return KeyOfMeta(packet.ParseMeta(f), f) }
 
 // KeyOfMeta is KeyOf for a frame whose headers the caller has already parsed

@@ -34,22 +34,25 @@ func movePartition(tb *Table, src, dst int, shouldMove func(key uint64) bool) in
 
 func TestTransferRoutesPerKey(t *testing.T) {
 	tb := NewTable(4, 256)
-	// Keys 1..30 pinned to VRI 1, 101..110 to VRI 2.
+	// Tags 1..30 pinned to VRI 1, 101..110 to VRI 2.
 	for k := uint64(1); k <= 30; k++ {
-		tb.Assign(k, 1, keepAlways, pickConst(1))
+		tb.Assign(tagKey(k), 1, keepAlways, pickConst(1))
 	}
 	for k := uint64(101); k <= 110; k++ {
-		tb.Assign(k, 1, keepAlways, pickConst(2))
+		tb.Assign(tagKey(k), 1, keepAlways, pickConst(2))
 	}
 
 	// Route src=1 flows three ways: multiples of 3 stay, multiples of 3 plus
 	// one re-pin to VRI 7, the rest unpin. VRI 2's partition must be
 	// untouched — dst must never even be consulted for it.
 	changed := tb.Transfer(1, func(key uint64) int {
-		if key > 100 {
-			t.Errorf("dst consulted for key %d, which is pinned to VRI 2", key)
+		if key&0xffff != 0 {
+			t.Errorf("dst got key %#x, want its low 16 bits zero", key)
 		}
-		switch key % 3 {
+		if key>>16 > 100 {
+			t.Errorf("dst consulted for tag %d, which is pinned to VRI 2", key>>16)
+		}
+		switch (key >> 16) % 3 {
 		case 0:
 			return 1
 		case 1:
@@ -60,7 +63,7 @@ func TestTransferRoutesPerKey(t *testing.T) {
 	})
 	kept, repinned, deleted := 0, 0, 0
 	for k := uint64(1); k <= 30; k++ {
-		pin, ok := tb.PinOf(k)
+		pin, ok := tb.PinOf(tagKey(k))
 		switch k % 3 {
 		case 0:
 			if !ok || pin != 1 {
@@ -83,7 +86,7 @@ func TestTransferRoutesPerKey(t *testing.T) {
 		t.Fatalf("Transfer = %d, want repinned+deleted = %d", changed, repinned+deleted)
 	}
 	for k := uint64(101); k <= 110; k++ {
-		if pin, ok := tb.PinOf(k); !ok || pin != 2 {
+		if pin, ok := tb.PinOf(tagKey(k)); !ok || pin != 2 {
 			t.Fatalf("VRI 2's key %d = %d,%v, want untouched", k, pin, ok)
 		}
 	}
@@ -117,7 +120,7 @@ func TestTransferRepinSurvivesEpochBump(t *testing.T) {
 func TestPartitionSizes(t *testing.T) {
 	tb := NewTable(4, 256)
 	for k := uint64(1); k <= 9; k++ {
-		tb.Assign(k, 1, keepAlways, pickConst(int(k%3))) // 3 each on VRIs 0,1,2
+		tb.Assign(tagKey(k), 1, keepAlways, pickConst(int(k%3))) // 3 each on VRIs 0,1,2
 	}
 	sizes := tb.PartitionSizes()
 	for vri := 0; vri < 3; vri++ {
@@ -140,8 +143,8 @@ func TestPartitionSizes(t *testing.T) {
 }
 
 // mix64 is SplitMix64's finalizer: bench keys must look like KeyOf output
-// (well-spread hashes), not sequential integers, or every key in a shard
-// would probe the same slab window.
+// (well-spread hashes), not sequential integers, which would share one tag
+// and so one pin.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

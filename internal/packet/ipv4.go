@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Errors returned by the parsers.
@@ -23,18 +24,43 @@ type IPv4Header struct {
 	Src, Dst IP
 }
 
-// Checksum computes the RFC 1071 internet checksum over b.
+// Checksum computes the RFC 1071 internet checksum over b. It adds b as
+// big-endian 64-bit words with end-around carry and folds the total to 16
+// bits: a one's-complement sum of 16-bit words is the same sum taken 64 bits
+// at a time, as 2^16 ≡ 1 modulo 2^16-1 and 2^16-1 divides 2^64-1.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var sum, c uint64
+	for ; len(b) >= 32; b = b[32:] {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), c)
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for ; len(b) >= 8; b = b[8:] {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b), c)
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+	// The tail, up to 7 bytes, as one word: each 16-bit piece keeps its
+	// position in a 16-bit word, which is all the sum depends on.
+	var tail uint64
+	if len(b) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(b)) << 16
+		b = b[4:]
 	}
+	if len(b) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8 << 16
+	}
+	sum, c = bits.Add64(sum, tail, c)
+	sum, c = bits.Add64(sum, c, 0)
+	sum += c
+	// Fold 64 → 32 → 16 bits, each with end-around carry.
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
 	return ^uint16(sum)
 }
 
