@@ -220,8 +220,8 @@ func run() int {
 		})
 		if vrs := lvrm.VRs(); len(vrs) > 0 {
 			if tbl := vrs[0].FlowTable(); tbl != nil {
-				fmt.Printf("flow table (per VR): one slab of 8-byte pins, slots=%d effective_cap=%d (requested %d) admit_depth=%d\n",
-					tbl.Slots(), tbl.Cap(), *flowCap, *flowAdmit)
+				fmt.Printf("flow table (per VR): one slab of 8-byte pins, effective_cap=%d (requested %d) admit_depth=%d\n",
+					tbl.Cap(), *flowCap, *flowAdmit)
 			}
 		}
 	}

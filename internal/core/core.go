@@ -55,8 +55,8 @@ type Config struct {
 	FlowShards int
 	// FlowTableCap bounds the pinned flows per VR, in table slots (default
 	// 1024; effective capacity is rounded up — see flow.NewTable). The slab
-	// starts small and resizes incrementally toward the bound; at the bound,
-	// new flows run unpinned rather than evicting established ones.
+	// is allocated at that capacity, 8 bytes a slot; a new flow whose probe
+	// window is full runs unpinned rather than evicting an established one.
 	FlowTableCap int
 	// FlowAdmitDepth, when > 0 with flow dispatch enabled, is the load-aware
 	// admission threshold: a frame of a *new* (unpinned) flow is shed —

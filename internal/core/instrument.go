@@ -257,16 +257,12 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 		func(s flow.Stats) int64 { return s.Refusals })
 	flowStat("lvrm_flow_overflows_total", "New flows turned away unpinned by a table at capacity (established pins kept).",
 		func(s flow.Stats) int64 { return s.Overflows })
-	flowStat("lvrm_flow_evictions_total", "Pins lost to a probe-window collision during slab migration (expected ~0).",
+	flowStat("lvrm_flow_evictions_total", "Pins dropped other than by a delete: always 0, as the slab is allocated at its capacity.",
 		func(s flow.Stats) int64 { return s.Evictions })
 	flowStat("lvrm_flow_unpinned_total", "Pins deleted: teardown sweep with no survivor, or stale pin whose repick refused.",
 		func(s flow.Stats) int64 { return s.Unpinned })
-	flowStat("lvrm_flow_resizes_total", "Slab doublings (incremental resize events).",
-		func(s flow.Stats) int64 { return s.Resizes })
 	flowSeries("lvrm_flow_pinned", "Flows pinned in the affinity table.", obs.TypeGauge,
 		func(t *flow.Table) float64 { return float64(t.Len()) })
-	flowSeries("lvrm_flow_slots", "Allocated affinity-table slots (the slab doubles toward its capacity).", obs.TypeGauge,
-		func(t *flow.Table) float64 { return float64(t.Slots()) })
 
 	// Per-VRI series: VRIs spawn and die with core allocation, so these are
 	// collectors too — no register/unregister churn in the allocation pass.

@@ -12,11 +12,11 @@
 // Transfer — and only that goroutine calls the methods that read or write
 // pins (Assign, AssignHits, Transfer, PinOf, BumpEpoch). Nothing on that path
 // takes a lock. Readers on other goroutines (status and metrics scrapes) call
-// Stats, Len, PartitionSizes, Slots and Cap, which read only values the
-// writer publishes atomically: the outcome counters, the per-owner pin
-// counts, the slab size. They never touch the slab. The per-owner counts are
-// published under a sequence count, so Len and PartitionSizes report counts
-// the table actually held, never half of a Transfer.
+// Stats, Len, PartitionSizes and Cap, which read only values the writer
+// publishes atomically — the outcome counters, the per-owner pin counts — or
+// never changes, the slab's size. They never touch the slab. The per-owner
+// counts are published under a sequence count, so Len and PartitionSizes
+// report counts the table actually held, never half of a Transfer.
 //
 // Storage model: one flat slab of 8-byte pins (no pointers, one allocation),
 // probed linearly over a bounded window from the key's home slot. A pin packs
@@ -24,12 +24,11 @@
 // slot indexes a small table of VRI IDs and their pin counts. Two keys that
 // differ only in their low 16 bits share a pin, and so a VRI: a tag collision
 // merges two flows' affinity but never splits or reorders either flow. The
-// slab starts small and doubles at ¾ load up to the configured capacity,
-// with the old slab carried into the new one incrementally — a bounded
-// number of slots per table operation — so no single frame ever pays a
-// full-table rehash. At capacity, a new key whose probe window is full is the
-// one turned away (Outcome Overflow): it is dispatched without a pin and
-// counted, preserving affinity for everything already established.
+// slab is allocated at the table's capacity when the table is made, so a
+// table costs its full size from the start and no frame ever waits on a
+// resize. A new key whose probe window is full is the one turned away
+// (Outcome Overflow): it is dispatched without a pin and counted, preserving
+// affinity for everything already established.
 //
 // VRI lifecycle is handled with a stale bit, not synchronization: spawning or
 // destroying a VRI sets every pin's stale bit in one pass (BumpEpoch). A stale
@@ -41,23 +40,14 @@ package flow
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 )
 
 // probeWindow is how many slots from the home slot a pin may sit. It bounds
-// both lookup cost and the clustering the slab tolerates before growing:
-// 32 pins of 8 bytes, four cache lines.
+// both lookup cost and the clustering the slab tolerates before a new flow
+// overflows: 32 pins of 8 bytes, four cache lines.
 const probeWindow = 32
-
-// initialSlots is the slab size a table starts with; it doubles on demand up
-// to the table's capacity. Kept small so a table configured for millions of
-// flows costs almost nothing until the flows actually arrive.
-const initialSlots = 64
-
-// migrateStep is how many old-slab slots one table operation carries across
-// during an incremental resize: a migration of n slots is spread over n/64
-// operations, and no operation does more than 64 slots of it.
-const migrateStep = 64
 
 // A pin is one uint64, 0 for an empty slot:
 //
@@ -125,26 +115,15 @@ func (o Outcome) String() string {
 	}
 }
 
-// slab is one open-addressing table: a power-of-two pin array probed
-// linearly over probeWindow slots from the key's home.
-type slab struct {
-	pins []uint64
-	mask uint64
-}
-
-func newSlab(slots int) slab {
-	return slab{pins: make([]uint64, slots), mask: uint64(slots - 1)}
-}
-
-// find returns the index of the pin tagged tag, or -1. The live slab keeps
-// every pin's run from its home slot unbroken (inserts take the first empty
-// slot, deletes shift the rest of the run back), so the probe stops at the
-// first empty slot.
-func (b *slab) find(tag uint64) int {
-	home := homeOf(tag, b.mask)
+// find returns the index of the pin tagged tag, or -1. The slab keeps every
+// pin's run from its home slot unbroken (inserts take the first empty slot,
+// deletes shift the rest of the run back), so the probe stops at the first
+// empty slot.
+func (t *Table) find(tag uint64) int {
+	home := homeOf(tag, t.mask)
 	for d := uint64(0); d < probeWindow; d++ {
-		i := (home + d) & b.mask
-		p := b.pins[i]
+		i := (home + d) & t.mask
+		p := t.pins[i]
 		if p == 0 {
 			return -1
 		}
@@ -155,28 +134,14 @@ func (b *slab) find(tag uint64) int {
 	return -1
 }
 
-// scan is find for the slab being carried out of during a resize, where the
-// carried and deleted slots leave holes in the runs: it probes the whole
-// window.
-func (b *slab) scan(tag uint64) int {
-	home := homeOf(tag, b.mask)
-	for d := uint64(0); d < probeWindow; d++ {
-		i := (home + d) & b.mask
-		if p := b.pins[i]; p != 0 && p&tagMask == tag {
-			return int(i)
-		}
-	}
-	return -1
-}
-
 // place writes pin into the first empty slot of its probe window, reporting
 // whether there was one.
-func (b *slab) place(pin uint64) bool {
-	home := homeOf(pin, b.mask)
+func (t *Table) place(pin uint64) bool {
+	home := homeOf(pin, t.mask)
 	for d := uint64(0); d < probeWindow; d++ {
-		i := (home + d) & b.mask
-		if b.pins[i] == 0 {
-			b.pins[i] = pin
+		i := (home + d) & t.mask
+		if t.pins[i] == 0 {
+			t.pins[i] = pin
 			return true
 		}
 	}
@@ -186,19 +151,19 @@ func (b *slab) place(pin uint64) bool {
 // remove deletes the pin at i and shifts the rest of its run back, each pin
 // to the earliest emptied slot that does not precede its home, so that find
 // still reaches every pin without crossing an empty slot.
-func (b *slab) remove(i uint64) {
+func (t *Table) remove(i uint64) {
 	for {
-		b.pins[i] = 0
+		t.pins[i] = 0
 		j := i
 		for {
-			j = (j + 1) & b.mask
-			p := b.pins[j]
+			j = (j + 1) & t.mask
+			p := t.pins[j]
 			if p == 0 {
 				return
 			}
 			// p may fill the hole at i if i lies between p's home and j.
-			if (j-homeOf(p, b.mask))&b.mask >= (j-i)&b.mask {
-				b.pins[i] = p
+			if (j-homeOf(p, t.mask))&t.mask >= (j-i)&t.mask {
+				t.pins[i] = p
 				i = j
 				break
 			}
@@ -220,21 +185,21 @@ type Stats struct {
 	Refreshes  int64
 	Rebalances int64 // stale pins actually re-installed on a new VRI
 	Refusals   int64 // pick declined; nothing was installed
-	Overflows  int64 // new flows turned away by a table at capacity
-	Evictions  int64 // pins lost to a full probe window during a resize (≈0 in practice)
-	Unpinned   int64 // pins deleted (teardown sweep, or stale pin with refused repick)
-	Resizes    int64 // slab doublings
+	Overflows  int64 // new flows turned away by a full probe window
+	// Evictions is always 0: a pin leaves the slab only by a delete. The
+	// field stays while the flash-crowd baseline reports it.
+	Evictions int64
+	Unpinned  int64 // pins deleted (teardown sweep, or stale pin with refused repick)
 }
 
 // Table is the flow-affinity map. The pin methods (Assign, AssignHits,
 // Transfer, PinOf, BumpEpoch) must all be called from one goroutine; Stats,
-// Len, PartitionSizes, Slots and Cap are safe from any goroutine.
+// Len, PartitionSizes and Cap are safe from any goroutine.
 type Table struct {
-	cur        slab // live slab; inserts land here
-	old        slab // pre-resize slab being carried out of; pins == nil when idle
-	migratePos int  // next old slot to carry across
-	n          int  // pins across cur and old
-	maxSlots   int  // cur never grows past this
+	// pins is the slab, a power-of-two open-addressing array probed
+	// linearly over probeWindow slots from each key's home.
+	pins []uint64
+	mask uint64
 
 	// owners[s] is owner slot s (owners[0] is never used). pub mirrors each
 	// slot for the readers as vri<<32 | pins, and is replaced, never resized,
@@ -242,7 +207,6 @@ type Table struct {
 	owners []owner
 	pub    atomic.Pointer[[]atomic.Uint64]
 	seq    atomic.Uint64 // odd while the writer updates pub; see snapshot
-	slots  atomic.Int64  // len(cur.pins), for the readers
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -250,41 +214,25 @@ type Table struct {
 	rebalances atomic.Int64
 	refusals   atomic.Int64
 	overflows  atomic.Int64
-	evictions  atomic.Int64
 	unpinned   atomic.Int64
-	resizes    atomic.Int64
 }
 
 // NewTable builds a table whose capacity is shards × shardCap slots, rounded
 // up to a power of two of at least one probe window, in one slab: the two
 // factors survive from the sharded table this one replaced, and callers that
 // care about the effective capacity (lvrmd's startup line) should report
-// Cap() rather than their input. The slab starts at initialSlots and grows
-// toward the capacity on demand.
+// Cap() rather than their input. The slab is allocated at that capacity
+// here, 8 bytes a slot.
 func NewTable(shards, shardCap int) *Table {
 	capSlots := ceilPow2(max(shards, 1)*max(shardCap, 1), probeWindow)
 	t := &Table{
-		cur:      newSlab(min(initialSlots, capSlots)),
-		maxSlots: capSlots,
-		owners:   make([]owner, 8),
+		pins:   make([]uint64, capSlots),
+		mask:   uint64(capSlots - 1),
+		owners: make([]owner, 8),
 	}
 	pub := make([]atomic.Uint64, len(t.owners))
 	t.pub.Store(&pub)
-	t.slots.Store(int64(len(t.cur.pins)))
 	return t
-}
-
-// locate returns the slab holding tag's pin and its index there, or nil.
-func (t *Table) locate(tag uint64) (*slab, int) {
-	if i := t.cur.find(tag); i >= 0 {
-		return &t.cur, i
-	}
-	if t.old.pins != nil {
-		if i := t.old.scan(tag); i >= 0 {
-			return &t.old, i
-		}
-	}
-	return nil, -1
 }
 
 // Assign resolves key to a VRI ID, consulting and updating the affinity
@@ -302,14 +250,13 @@ func (t *Table) locate(tag uint64) (*slab, int) {
 //     admission hook: nothing is installed, any stale pin is deleted, and
 //     Assign returns the negative value with Outcome Refused.
 //
-// A miss whose pick succeeds is pinned unless the table is at capacity with
-// the key's window full, in which case the pick is returned unpinned
-// (Outcome Overflow) — established flows are never evicted to admit new ones.
+// A miss whose pick succeeds is pinned unless the key's window is full, in
+// which case the pick is returned unpinned (Outcome Overflow) — established
+// flows are never evicted to admit new ones.
 func (t *Table) Assign(key uint64, _ int64, keep func(vri int) bool, pick func() int) (int, Outcome) {
-	t.advanceMigration(migrateStep)
 	tag := key & tagMask
-	b, i := t.locate(tag)
-	if b == nil {
+	i := t.find(tag)
+	if i < 0 {
 		// Miss: choose a VRI and install the pin.
 		vri := pick()
 		if vri < 0 {
@@ -323,7 +270,7 @@ func (t *Table) Assign(key uint64, _ int64, keep func(vri int) bool, pick func()
 		t.misses.Add(1)
 		return vri, Miss
 	}
-	p := b.pins[i]
+	p := t.pins[i]
 	vri := int(t.owners[p&ownerMask].vri)
 	if p&staleBit == 0 {
 		t.hits.Add(1)
@@ -331,7 +278,7 @@ func (t *Table) Assign(key uint64, _ int64, keep func(vri int) bool, pick func()
 	}
 	// Stale pin: the VRI set changed since this flow was pinned.
 	if keep(vri) {
-		b.pins[i] = p &^ staleBit
+		t.pins[i] = p &^ staleBit
 		t.refreshes.Add(1)
 		return vri, Refreshed
 	}
@@ -340,12 +287,12 @@ func (t *Table) Assign(key uint64, _ int64, keep func(vri int) bool, pick func()
 		// The pin names a VRI the caller released and pick refused a
 		// replacement: delete it, rather than re-run keep and pick for every
 		// later frame of the flow against a possibly destroyed VRI.
-		t.delete(b, i)
+		t.delete(i)
 		t.unpinned.Add(1)
 		t.refusals.Add(1)
 		return next, Refused
 	}
-	if !t.repin(b, i, next) {
+	if !t.repin(i, next) {
 		t.unpinned.Add(1)
 		t.overflows.Add(1)
 		return next, Overflow
@@ -364,9 +311,7 @@ const MaxBurst = 16
 // of the burst at -1, for the caller to resolve with Assign in burst order.
 // It returns, and counts in Stats.Hits, the number of clean hits. The pass
 // plus the caller's Assign calls leave the table exactly as per-key Assign
-// calls in burst order would: a clean hit changes nothing but its step of an
-// incremental migration, and every Assign finds the migration exactly as many
-// steps along as it would have been.
+// calls in burst order would, as a clean hit changes nothing.
 //
 // A first pass loads every key's home slot — independent loads, so a burst
 // whose pins are all out of cache waits for the slowest of its misses, not
@@ -375,31 +320,25 @@ const MaxBurst = 16
 func (t *Table) AssignHits(keys []uint64, ids []int32) (hits int) {
 	var first [MaxBurst]uint64
 	for i, k := range keys {
-		first[i] = t.cur.pins[homeOf(k, t.cur.mask)]
+		first[i] = t.pins[homeOf(k, t.mask)]
 		ids[i] = -1
 	}
 	for i, k := range keys {
 		tag := k & tagMask
 		p := first[i]
 		if p == 0 || p&tagMask != tag {
-			// Not in its home slot (or carried there since the first pass,
-			// which locate then sees). A clean hit moves no pin, and the
-			// migration steps only fill empty slots, so a pin the first pass
-			// saw is still there as it was.
-			b, j := t.locate(tag)
-			if b == nil {
+			// Not in its home slot: probe the rest of its run.
+			j := t.find(tag)
+			if j < 0 {
 				break
 			}
-			p = b.pins[j]
+			p = t.pins[j]
 		}
 		if p&staleBit != 0 {
 			break
 		}
 		ids[i] = t.owners[p&ownerMask].vri
 		hits++
-		// The step Assign takes before its probe; after it here, as the step
-		// may be the one that carries the pin out of the old slab.
-		t.advanceMigration(migrateStep)
 	}
 	if hits > 0 {
 		t.hits.Add(int64(hits))
@@ -407,49 +346,34 @@ func (t *Table) AssignHits(keys []uint64, ids []int32) (hits int) {
 	return hits
 }
 
-// insert pins tag to vri in the live slab, growing it as needed. It reports
-// false only when the table is at maxSlots with the key's probe window full
-// (or, in a table whose 32 766 owner slots all hold pins, when vri has none).
+// insert pins tag to vri. It reports false when the key's probe window is
+// full (or, in a table whose 32 766 owner slots all hold pins, when vri has
+// none).
 func (t *Table) insert(tag uint64, vri int) bool {
-	// Grow ahead of the load-factor wall (¾ of the live slab) so windows
-	// rarely fill in the first place. Mid-migration the table is already
-	// growing, and cur is at most half-loaded by construction.
-	if t.old.pins == nil && t.n*4 >= len(t.cur.pins)*3 {
-		t.grow()
-	}
 	s := t.slotFor(vri)
-	if s == 0 {
+	if s == 0 || !t.place(tag|uint64(s)) {
 		return false
 	}
-	for !t.cur.place(tag | uint64(s)) {
-		// Window full. Finish any migration in flight (it cannot help — it
-		// only adds pins to cur — but grow needs old empty), then double.
-		t.advanceMigration(len(t.old.pins))
-		if !t.grow() {
-			return false
-		}
-	}
-	t.n++
 	t.count(s, 1)
 	return true
 }
 
-// repin moves the pin at b.pins[i] to vri and makes it fresh. Should vri need
-// an owner slot and none be free, the pin is deleted instead and repin
-// reports false.
-func (t *Table) repin(b *slab, i int, vri int) bool {
-	p := b.pins[i]
+// repin moves the pin at i to vri and makes it fresh. Should vri need an
+// owner slot and none be free, the pin is deleted instead and repin reports
+// false.
+func (t *Table) repin(i int, vri int) bool {
+	p := t.pins[i]
 	from := int(p & ownerMask)
 	if t.owners[from].vri == int32(vri) {
-		b.pins[i] = p &^ staleBit
+		t.pins[i] = p &^ staleBit
 		return true
 	}
 	s := t.slotFor(vri)
 	if s == 0 {
-		t.delete(b, i)
+		t.delete(i)
 		return false
 	}
-	b.pins[i] = p&tagMask | uint64(s)
+	t.pins[i] = p&tagMask | uint64(s)
 	t.owners[from].pins--
 	t.owners[s].pins++
 	pub := t.beginPublish()
@@ -459,61 +383,11 @@ func (t *Table) repin(b *slab, i int, vri int) bool {
 	return true
 }
 
-// delete removes the pin at b.pins[i]: shifting its run back in the live
-// slab, leaving a hole in the one being carried out of.
-func (t *Table) delete(b *slab, i int) {
-	s := int(b.pins[i] & ownerMask)
-	if b == &t.cur {
-		b.remove(uint64(i))
-	} else {
-		b.pins[i] = 0
-	}
-	t.n--
+// delete removes the pin at i, shifting its run back.
+func (t *Table) delete(i int) {
+	s := int(t.pins[i] & ownerMask)
+	t.remove(uint64(i))
 	t.count(s, -1)
-}
-
-// grow starts an incremental resize to a slab twice the current size,
-// reporting false at maxSlots or while a migration is still in flight.
-func (t *Table) grow() bool {
-	size := len(t.cur.pins)
-	if size >= t.maxSlots || t.old.pins != nil {
-		return false
-	}
-	t.old = t.cur
-	t.cur = newSlab(size * 2)
-	t.migratePos = 0
-	t.slots.Store(int64(size * 2))
-	t.resizes.Add(1)
-	return true
-}
-
-// advanceMigration carries up to step old-slab slots into the live slab. A
-// carried slot is emptied, so the old slab never holds a pin twice and a pin
-// deleted there is never carried. A pin whose probe window in the (larger,
-// at most half-loaded) new slab is somehow full is dropped and counted as an
-// eviction — vanishingly rare, but accounted rather than silently leaked.
-func (t *Table) advanceMigration(step int) {
-	if t.old.pins == nil {
-		return
-	}
-	end := min(t.migratePos+step, len(t.old.pins))
-	for i := t.migratePos; i < end; i++ {
-		p := t.old.pins[i]
-		if p == 0 {
-			continue
-		}
-		t.old.pins[i] = 0
-		if !t.cur.place(p) {
-			t.n--
-			t.count(int(p&ownerMask), -1)
-			t.evictions.Add(1)
-		}
-	}
-	t.migratePos = end
-	if end == len(t.old.pins) {
-		t.old = slab{}
-		t.migratePos = 0
-	}
 }
 
 // slotFor returns vri's owner slot, giving it a free one if it has none, or 0
@@ -618,45 +492,35 @@ func (t *Table) Transfer(src int, dst func(key uint64) int) int {
 	}
 	// The sweep counts in t.owners and publishes once, at the end.
 	var moved, deleted int
-	for _, b := range []*slab{&t.cur, &t.old} {
-		for i, p := range b.pins {
-			if p == 0 || int(p&ownerMask) != from {
-				continue
-			}
-			next := dst(p & tagMask)
-			if next == src {
-				continue
-			}
-			t.owners[from].pins--
-			if next >= 0 {
-				if s := t.slotFor(next); s != 0 {
-					b.pins[i] = p&tagMask | uint64(s)
-					t.owners[s].pins++
-					moved++
-					continue
-				}
-			}
-			// A delete in the live slab shifts later pins back, which this
-			// sweep would then visit twice or not at all: mark the pin, and
-			// remove the marked pins in a second pass.
-			b.pins[i] = p&tagMask | doomed
-			t.n--
-			deleted++
+	for i, p := range t.pins {
+		if p == 0 || int(p&ownerMask) != from {
+			continue
 		}
+		next := dst(p & tagMask)
+		if next == src {
+			continue
+		}
+		t.owners[from].pins--
+		if next >= 0 {
+			if s := t.slotFor(next); s != 0 {
+				t.pins[i] = p&tagMask | uint64(s)
+				t.owners[s].pins++
+				moved++
+				continue
+			}
+		}
+		// A delete shifts later pins back, which this sweep would then visit
+		// twice or not at all: mark the pin, and remove the marked pins in a
+		// second pass.
+		t.pins[i] = p&tagMask | doomed
+		deleted++
 	}
-	if deleted > 0 {
-		for i := range t.old.pins {
-			if t.old.pins[i]&ownerMask == doomed {
-				t.old.pins[i] = 0
-			}
+	for i := 0; deleted > 0 && i < len(t.pins); {
+		if t.pins[i]&ownerMask == doomed {
+			t.remove(uint64(i)) // may shift another marked pin into i
+			continue
 		}
-		for i := 0; i < len(t.cur.pins); {
-			if t.cur.pins[i]&ownerMask == doomed {
-				t.cur.remove(uint64(i)) // may shift another marked pin into i
-				continue
-			}
-			i++
-		}
+		i++
 	}
 	pub := t.beginPublish()
 	for s := range t.owners {
@@ -673,11 +537,11 @@ func (t *Table) Transfer(src int, dst func(key uint64) int) int {
 // route transplanted queue residue: after Transfer re-pins a slice of flows,
 // each drained frame follows its flow's pin to the owning replica.
 func (t *Table) PinOf(key uint64) (vri int, ok bool) {
-	b, i := t.locate(key & tagMask)
-	if b == nil {
+	i := t.find(key & tagMask)
+	if i < 0 {
 		return 0, false
 	}
-	return int(t.owners[b.pins[i]&ownerMask].vri), true
+	return int(t.owners[t.pins[i]&ownerMask].vri), true
 }
 
 // PartitionSizes counts the pinned flows each VRI currently owns. It reads
@@ -698,13 +562,14 @@ func (t *Table) PartitionSizes() map[int]int {
 
 // BumpEpoch marks every pin in the table stale. Called when a VRI is spawned
 // or destroyed: existing flows re-validate lazily on their next frame. The
-// pass is O(slots), over the live slab and the one being carried out of.
+// pass is O(slots), and skipped while no owner slot holds a pin.
 func (t *Table) BumpEpoch() {
-	for _, b := range []*slab{&t.cur, &t.old} {
-		for i, p := range b.pins {
-			// (p | -p) >> 63 is 1 for any pin and 0 for an empty slot.
-			b.pins[i] = p | (p|-p)>>63<<15
-		}
+	if !slices.ContainsFunc(t.owners, func(o owner) bool { return o.pins > 0 }) {
+		return
+	}
+	for i, p := range t.pins {
+		// (p | -p) >> 63 is 1 for any pin and 0 for an empty slot.
+		t.pins[i] = p | (p|-p)>>63<<15
 	}
 }
 
@@ -717,21 +582,15 @@ func (t *Table) Stats() Stats {
 		Rebalances: t.rebalances.Load(),
 		Refusals:   t.refusals.Load(),
 		Overflows:  t.overflows.Load(),
-		Evictions:  t.evictions.Load(),
 		Unpinned:   t.unpinned.Load(),
-		Resizes:    t.resizes.Load(),
 	}
 }
 
-// Cap returns the effective capacity in slots — the size the slab can grow
-// to, after NewTable's power-of-two and probe-window rounding. It can exceed
-// the capacity passed to NewTable; operators sizing a deployment should trust
+// Cap returns the effective capacity in slots — the slab's size, after
+// NewTable's power-of-two and probe-window rounding. It can exceed the
+// capacity passed to NewTable; operators sizing a deployment should trust
 // this accessor over their own arithmetic.
-func (t *Table) Cap() int { return t.maxSlots }
-
-// Slots returns how many slots the live slab currently has, between
-// initialSlots and Cap as the table grows.
-func (t *Table) Slots() int { return int(t.slots.Load()) }
+func (t *Table) Cap() int { return len(t.pins) }
 
 // Len returns the number of pinned flows, summed over the published owner
 // counts.

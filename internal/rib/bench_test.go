@@ -120,3 +120,25 @@ func BenchmarkGenLookupBatch(b *testing.B) {
 		lookupSink += out[0].OutIf
 	}
 }
+
+// BenchmarkRIBLoad is the initial load of the wall-clock benchmark's
+// flow-fib table (routetest.EdgeFIB, ~12 500 prefixes) through one ApplyAll
+// at MaxBatch 64: one generation, whose every node is made by the one batch
+// that publishes it. B/op is the garbage a load leaves beside the trie.
+func BenchmarkRIBLoad(b *testing.B) {
+	var evs []Event
+	for i, p := range routetest.EdgeFIB(rand.New(rand.NewSource(1))) {
+		evs = append(evs, Event{Prefix: p.IP, Bits: uint8(p.Bits), OutIf: uint16(i % 7), NextHop: packet.IP(i), Src: SrcStatic})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := New(Options{MaxBatch: 64})
+		if err := r.ApplyAll(evs); err != nil {
+			b.Fatal(err)
+		}
+		if r.FIB().Generation() != 1 {
+			b.Fatalf("load published %d generations, want 1", r.FIB().Generation())
+		}
+	}
+}

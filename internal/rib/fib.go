@@ -42,10 +42,9 @@ func (g *Gen) Len() int { return g.trie.Len() }
 // allocation-free and never blocks: the snapshot is immutable.
 func (g *Gen) Lookup(dst packet.IP) (Route, bool) { return g.trie.Lookup(dst) }
 
-// LookupBatch resolves a vector of destinations against this one snapshot in
-// an interleaved walk (see route.Trie.LookupBatch): out[i] is the route for
-// dsts[i], nil when there is none. The routes are the snapshot's own and
-// immutable like it.
+// LookupBatch resolves a vector of destinations against this one snapshot
+// (see route.Trie.LookupBatch): out[i] is the route for dsts[i], nil when
+// there is none. The routes are the snapshot's own and immutable like it.
 func (g *Gen) LookupBatch(dsts []packet.IP, out []*Route) { g.trie.LookupBatch(dsts, out) }
 
 // Routes returns all routes in the snapshot in trie (prefix) order.

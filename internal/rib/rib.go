@@ -6,15 +6,18 @@
 //
 // The split mirrors a production router:
 //
-//   - The RIB side is mutex-guarded and unhurried: feeds call Apply from any
-//     goroutine; candidates accumulate per (prefix, source); dirty prefixes
-//     batch until Publish (or an automatic flush at MaxBatch pending).
+//   - The RIB side is mutex-guarded and unhurried: feeds call Apply (one
+//     event) or ApplyAll (a batch, under one lock) from any goroutine;
+//     candidates accumulate per (prefix, source); dirty prefixes batch until
+//     Publish, or until the end of an Apply or ApplyAll call that leaves
+//     MaxBatch or more pending.
 //   - The FIB side is a route.Trie — the repository's one multibit trie
 //     (six address bits per level), immutable by construction. Publish
-//     derives the next trie from the current one (only the nodes on the
-//     path to each modified prefix are copied, all untouched subtrees are
-//     shared) and installs the new generation with a single atomic pointer
-//     swap.
+//     derives the next trie from the current one through one route.Batch:
+//     every untouched subtree is shared, and a node on the path to a
+//     modified prefix is copied once per generation however many of the
+//     generation's changes pass through it. The new generation is installed
+//     with a single atomic pointer swap.
 //
 // Readers pin a generation once per scheduling quantum (see core's
 // StepBatch) and do every lookup in that batch against the pinned
@@ -39,7 +42,9 @@ type Options struct {
 	// clock when nil.
 	Clock func() int64
 	// MaxBatch auto-publishes when this many prefixes have unpublished
-	// changes. 0 means publish only on explicit Publish calls.
+	// changes, checked once at the end of each Apply or ApplyAll call: an
+	// ApplyAll of any size publishes at most one generation. 0 means publish
+	// only on explicit Publish calls.
 	MaxBatch int
 }
 
@@ -106,15 +111,46 @@ func keyParts(k uint64) (packet.IP, uint8) { return packet.IP(k >> 8), uint8(k) 
 // path is re-resolved immediately, but the FIB only changes on Publish (or
 // the MaxBatch auto-flush). Invalid events are counted and rejected.
 func (r *RIB) Apply(e Event) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	err := r.applyLocked(e, r.clock())
+	r.flushLocked()
+	return err
+}
+
+// ApplyAll applies a batch of events under one lock, returning the first
+// error (remaining events are still applied). The events enter the RIB
+// together, at one clock reading, and MaxBatch is checked once, at the end,
+// so the whole batch publishes as at most one generation.
+func (r *RIB) ApplyAll(evs []Event) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// An initial load sizes the maps once instead of through every doubling.
+	if len(r.prefixes) == 0 {
+		r.prefixes = make(map[uint64]*prefixState, len(evs))
+	}
+	if len(r.dirty) == 0 {
+		r.dirty = make(map[uint64]int64, len(evs))
+	}
+	now := r.clock()
+	var first error
+	for _, e := range evs {
+		if err := r.applyLocked(e, now); err != nil && first == nil {
+			first = err
+		}
+	}
+	r.flushLocked()
+	return first
+}
+
+// applyLocked ingests one event that entered the RIB at clock reading now.
+func (r *RIB) applyLocked(e Event, now int64) error {
 	if e.Bits > 32 {
 		r.rejected.Add(1)
 		return fmt.Errorf("rib: invalid prefix length %d", e.Bits)
 	}
 	p := route.Mask(e.Prefix, e.Bits)
 	k := key(p, e.Bits)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
 
 	ps := r.prefixes[k]
 	if e.Withdraw {
@@ -140,25 +176,16 @@ func (r *RIB) Apply(e Event) error {
 			delete(r.prefixes, k)
 		}
 	} else if _, ok := r.dirty[k]; !ok {
-		r.dirty[k] = r.clock()
-	}
-
-	if r.maxBatch > 0 && len(r.dirty) >= r.maxBatch {
-		r.publishLocked()
+		r.dirty[k] = now
 	}
 	return nil
 }
 
-// ApplyAll applies a batch of events, returning the first error (remaining
-// events are still applied).
-func (r *RIB) ApplyAll(evs []Event) error {
-	var first error
-	for _, e := range evs {
-		if err := r.Apply(e); err != nil && first == nil {
-			first = err
-		}
+// flushLocked publishes when MaxBatch or more prefixes are pending.
+func (r *RIB) flushLocked() {
+	if r.maxBatch > 0 && len(r.dirty) >= r.maxBatch {
+		r.publishLocked()
 	}
-	return first
 }
 
 // offer inserts or replaces this source's candidate.
@@ -232,13 +259,13 @@ func (r *RIB) publishLocked() int {
 		return 0
 	}
 	g := r.fib.Snapshot()
-	trie := g.trie
+	b := g.trie.Batch()
 	now := r.clock()
 	changed := 0
 	for k, since := range r.dirty {
-		p, b := keyParts(k)
+		p, bits := keyParts(k)
 		ps := r.prefixes[k]
-		want := ps.best(p, b)
+		want := ps.best(p, bits)
 		switch {
 		case want == nil && ps.pub == nil:
 			// flap canceled; nothing to do
@@ -246,9 +273,9 @@ func (r *RIB) publishLocked() int {
 			// flap canceled back to the published value
 		default:
 			if want == nil {
-				trie, _ = trie.Without(p, b)
+				b.Delete(p, bits)
 			} else {
-				trie = trie.With(p, b, want)
+				b.Set(p, bits, want)
 			}
 			ps.pub = want
 			changed++
@@ -257,12 +284,14 @@ func (r *RIB) publishLocked() int {
 		if ps.pub == nil && len(ps.cands) == 0 {
 			delete(r.prefixes, k)
 		}
-		delete(r.dirty, k)
 	}
+	// A fresh map, not a cleared one: a Go map keeps the buckets of its
+	// largest size, and one initial load would hold them for good.
+	r.dirty = make(map[uint64]int64)
 	if changed == 0 {
 		return 0
 	}
-	r.fib.cur.Store(&Gen{trie: trie, seq: g.seq + 1})
+	r.fib.cur.Store(&Gen{trie: b.Trie(), seq: g.seq + 1})
 	r.publishes.Add(1)
 	r.changes.Add(int64(changed))
 	return changed

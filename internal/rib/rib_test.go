@@ -1,6 +1,8 @@
 package rib
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,4 +194,115 @@ func TestHostBitsMasked(t *testing.T) {
 	if !ok || rt.Prefix != packet.MustParseIP("10.2.0.0") {
 		t.Fatalf("host bits not masked: %+v ok=%v", rt, ok)
 	}
+}
+
+// TestApplyAllPublishesOnce: a load far past MaxBatch through ApplyAll is
+// one generation, where as many Apply calls would have published one per
+// MaxBatch prefixes.
+func TestApplyAllPublishesOnce(t *testing.T) {
+	r := New(Options{MaxBatch: 64})
+	evs := loadEvents(1000)
+	if err := r.ApplyAll(evs); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.Generation != 1 || st.Publishes != 1 || st.Pending != 0 || st.Routes != len(evs) {
+		t.Fatalf("after one ApplyAll of %d routes: %+v, want generation 1 holding them all", len(evs), st)
+	}
+	for _, e := range evs {
+		if rt, ok := r.FIB().Snapshot().Lookup(e.Prefix); !ok || rt.Bits < e.Bits {
+			t.Fatalf("Lookup(%v) = %+v, %v: less specific than %v/%d", e.Prefix, rt, ok, e.Prefix, e.Bits)
+		}
+	}
+}
+
+// TestPinnedGenerationSurvivesPublish: a generation pinned before a Publish
+// that changes, withdraws and adds routes throughout the nodes it holds
+// answers, route for route, as it did before.
+func TestPinnedGenerationSurvivesPublish(t *testing.T) {
+	r := New(Options{})
+	evs := loadEvents(2000)
+	if err := r.ApplyAll(evs); err != nil {
+		t.Fatal(err)
+	}
+	r.Publish()
+	pinned := r.FIB().Snapshot()
+	before := pinned.Routes()
+
+	var next []Event
+	for i, e := range evs {
+		switch i % 3 {
+		case 0:
+			e.OutIf++
+		case 1:
+			e.Withdraw = true
+		case 2:
+			e.Bits = 28
+		}
+		next = append(next, e)
+	}
+	if err := r.ApplyAll(next); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Publish(); n != len(next) {
+		t.Fatalf("Publish changed %d routes, want %d", n, len(next))
+	}
+	if after := pinned.Routes(); !slices.Equal(after, before) {
+		t.Fatalf("pinned generation changed: %d routes, had %d", len(after), len(before))
+	}
+	for _, rt := range before {
+		if got, ok := pinned.Lookup(rt.Prefix); !ok || got != rt {
+			t.Fatalf("pinned Lookup(%v) = %+v, %v, want %+v", rt.Prefix, got, ok, rt)
+		}
+	}
+	if cur := r.FIB().Snapshot(); cur.Generation() != pinned.Generation()+1 || cur.Len() == pinned.Len() {
+		t.Fatalf("generation %d holds %d routes, pinned %d holds %d", cur.Generation(), cur.Len(), pinned.Generation(), pinned.Len())
+	}
+}
+
+// TestOffsettingBatchPublishesNothing: a batch of events that ends where it
+// started — an add and its withdraw, a published route withdrawn and
+// re-announced unchanged, a route moved and moved back — leaves nothing
+// pending and publishes no generation.
+func TestOffsettingBatchPublishesNothing(t *testing.T) {
+	r := New(Options{MaxBatch: 2})
+	if err := r.ApplyAll([]Event{add("10.2.0.0", 16, 1, SrcStatic, 1), add("10.9.0.0", 16, 2, SrcStatic, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	g := r.FIB().Snapshot()
+	err := r.ApplyAll([]Event{
+		add("10.2.3.0", 24, 7, SrcBGP, 20),
+		add("10.4.0.0", 16, 7, SrcBGP, 20),
+		withdraw("10.2.0.0", 16, SrcStatic),
+		add("10.9.0.0", 16, 5, SrcStatic, 1),
+		withdraw("10.2.3.0", 24, SrcBGP),
+		add("10.2.0.0", 16, 1, SrcStatic, 1),
+		withdraw("10.4.0.0", 16, SrcBGP),
+		add("10.9.0.0", 16, 2, SrcStatic, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Pending != 0 || st.Publishes != 1 {
+		t.Fatalf("offsetting batch: %+v, want nothing pending and no second publish", st)
+	}
+	if n := r.Publish(); n != 0 || r.FIB().Snapshot() != g {
+		t.Fatalf("offsetting batch published %d changes", n)
+	}
+}
+
+// loadEvents returns n distinct /24 adds spread over the address space, all
+// from one source.
+func loadEvents(n int) []Event {
+	rng := rand.New(rand.NewSource(5))
+	seen := map[packet.IP]bool{}
+	var evs []Event
+	for len(evs) < n {
+		p := route.Mask(packet.IP(rng.Uint32()), 24)
+		if !seen[p] {
+			seen[p] = true
+			evs = append(evs, Event{Prefix: p, Bits: 24, OutIf: uint16(len(evs) % 8), Src: SrcBGP, Distance: 20})
+		}
+	}
+	return evs
 }

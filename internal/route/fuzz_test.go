@@ -73,16 +73,21 @@ func FuzzParseMapFile(f *testing.F) {
 	})
 }
 
-// FuzzTrieOps decodes its input into a stream of With, Without, Lookup and
-// LookupBatch operations on one trie and checks every answer against the
-// linear-scan oracle. An operation is six bytes: an opcode, an address and a
-// prefix length; opcodes with bit 2 set take the address relative to the
-// last one, so that prefixes nest and branch. Halfway through the stream the
-// trie and the oracle are frozen, and at the end the frozen trie must still
-// answer as the frozen oracle; both tries must be minimal and walk in order.
+// FuzzTrieOps decodes its input into a stream of Set, Delete, Lookup and
+// LookupBatch operations through batches on one trie and checks every answer
+// against the linear-scan oracle, mid-batch included. An operation is six
+// bytes: an opcode, an address and a prefix length. Opcodes with bit 2 set
+// take the address relative to the last one, so that prefixes nest and
+// branch; opcodes with bit 3 set first take the trie the batch has built so
+// far and hold it beside a clone of the oracle, as the stream's halfway
+// point also does, and the batch goes on from there. At the end every held trie must
+// still answer as its oracle — the persistence that in-place writes to a
+// batch's own nodes could break — and every trie must be minimal and walk
+// in order.
 func FuzzTrieOps(f *testing.F) {
-	// op encodes one operation: 0 With, 1 Without, 2 Lookup, 3 LookupBatch,
-	// plus 4 for an address relative to the last.
+	// op encodes one operation: 0 Set, 1 Delete, 2 Lookup, 3 LookupBatch,
+	// plus 4 for an address relative to the last, plus 8 to end the batch
+	// first.
 	op := func(code byte, addr string, bits byte) []byte {
 		return append(binary.BigEndian.AppendUint32([]byte{code}, uint32(packet.MustParseIP(addr))), bits)
 	}
@@ -94,16 +99,25 @@ func FuzzTrieOps(f *testing.F) {
 		op(2, "10.0.0.2", 0)))
 	f.Add(slices.Concat(op(0, "255.255.255.255", 32), op(4, "0.0.0.1", 31), op(4, "0.0.1.0", 23),
 		op(6, "0.0.0.3", 0), op(1, "255.255.255.255", 32), op(7, "0.0.0.0", 0)))
+	f.Add(slices.Concat(op(0, "10.0.0.0", 8), op(0, "10.2.0.0", 16), op(8, "10.2.3.0", 24),
+		op(1, "10.2.0.0", 16), op(0, "10.2.0.0", 18), op(9, "10.0.0.0", 8), op(4, "0.0.64.0", 18),
+		op(11, "10.2.3.4", 0), op(1, "10.2.3.0", 24), op(2, "10.2.3.4", 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxOps = 256
 		ops := min(len(data)/6, maxOps)
+		type held struct {
+			tr   Trie[int]
+			want routetest.Oracle[int]
+		}
 		var (
-			tr, held       Trie[int]
-			want, heldWant = routetest.Oracle[int]{}, routetest.Oracle[int]{}
-			prefixOf       = map[int]routetest.Prefix{} // value -> the prefix it was added under
-			probes         []packet.IP
-			last           uint32
+			b        = new(Trie[int]).Batch()
+			want     = routetest.Oracle[int]{}
+			snaps    []held
+			prefixOf = map[int]routetest.Prefix{} // value -> the prefix it was added under
+			probes   []packet.IP
+			last     uint32
 		)
+		hold := func() { snaps = append(snaps, held{b.Trie(), maps.Clone(want)}) }
 		check := func(what string, tr Trie[int], want routetest.Oracle[int], dst packet.IP) {
 			w, ok := want.Lookup(dst)
 			if got, gok := tr.Lookup(dst); gok != ok || got != w {
@@ -111,37 +125,36 @@ func FuzzTrieOps(f *testing.F) {
 			}
 		}
 		for step := 0; step < ops; step++ {
-			if step == ops/2 {
-				held, heldWant = tr, maps.Clone(want)
+			op, raw, bits := data[6*step], binary.BigEndian.Uint32(data[6*step+1:]), data[6*step+5]%33
+			if step == ops/2 || op&8 != 0 {
+				hold()
 			}
-			op, raw, b := data[6*step], binary.BigEndian.Uint32(data[6*step+1:]), data[6*step+5]%33
 			d := raw
 			if op&4 != 0 {
-				d = last ^ raw>>(op>>3)
+				d = last ^ raw>>(op>>4)
 			}
 			last = d
-			p := routetest.Prefix{IP: Mask(packet.IP(d), b), Bits: int(b)}
+			p := routetest.Prefix{IP: Mask(packet.IP(d), bits), Bits: int(bits)}
 			switch op & 3 {
 			case 0:
 				v := step
-				tr = tr.With(p.IP, b, &v)
+				b.Set(p.IP, bits, &v)
 				want[p], prefixOf[v] = v, p
 			case 1:
 				_, live := want[p]
-				next, ok := tr.Without(p.IP, b)
-				if ok != live || (!ok && next != tr) {
-					t.Fatalf("step %d: Without(%v/%d) = %v, oracle holds it: %v", step, p.IP, b, ok, live)
+				before := b.t
+				if ok := b.Delete(p.IP, bits); ok != live || (!ok && b.t != before) {
+					t.Fatalf("step %d: Delete(%v/%d) = %v, oracle holds it: %v", step, p.IP, bits, ok, live)
 				}
-				tr = next
 				delete(want, p)
 			case 2:
 				probes = append(probes, packet.IP(d))
-				check(fmt.Sprintf("step %d", step), tr, want, packet.IP(d))
+				check(fmt.Sprintf("step %d", step), b.t, want, packet.IP(d))
 			case 3:
 				probes = append(probes, packet.IP(d))
-				dsts := probes[max(0, len(probes)-lanes-1):]
+				dsts := probes[max(0, len(probes)-17):]
 				out := make([]*int, len(dsts))
-				tr.LookupBatch(dsts, out)
+				b.t.LookupBatch(dsts, out)
 				for i, dst := range dsts {
 					w, ok := want.Lookup(dst)
 					if (out[i] != nil) != ok || (ok && *out[i] != w) {
@@ -149,14 +162,13 @@ func FuzzTrieOps(f *testing.F) {
 					}
 				}
 			}
-			if tr.Len() != len(want) {
-				t.Fatalf("step %d: Len %d, oracle %d", step, tr.Len(), len(want))
+			if b.t.Len() != len(want) {
+				t.Fatalf("step %d: Len %d, oracle %d", step, b.t.Len(), len(want))
 			}
 		}
-		for name, c := range map[string]struct {
-			tr   Trie[int]
-			want routetest.Oracle[int]
-		}{"final": {tr, want}, "frozen": {held, heldWant}} {
+		hold()
+		for i, c := range snaps {
+			name := fmt.Sprintf("held trie %d of %d", i+1, len(snaps))
 			checkMinimal(t, c.tr)
 			for _, dst := range probes {
 				check(name, c.tr, c.want, dst)

@@ -73,7 +73,7 @@ func (t *Table) Lookup(dst packet.IP) (Entry, error) {
 	return e, nil
 }
 
-// LookupBatch resolves a vector of destinations in one interleaved walk (see
+// LookupBatch resolves a vector of destinations against the table (see
 // Trie.LookupBatch): out[i] is the route for dsts[i], nil when there is none.
 // The entries are the table's own; callers must not write through them.
 func (t *Table) LookupBatch(dsts []packet.IP, out []*Entry) { t.trie.LookupBatch(dsts, out) }

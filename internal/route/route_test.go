@@ -433,23 +433,23 @@ func BenchmarkTableLookupTwoRoutes(b *testing.B) {
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
-		out := make([]*Entry, lanes)
+		out := make([]*Entry, 16)
 		b.ReportAllocs()
-		for i := 0; i < b.N; i += lanes {
+		for i := 0; i < b.N; i += len(out) {
 			at := i & (len(dsts) - 1)
-			tbl.LookupBatch(dsts[at:at+lanes], out)
+			tbl.LookupBatch(dsts[at:at+len(out)], out)
 			lookupSink += out[0].OutIf
 		}
 	})
 }
 
-// BenchmarkTableInsert measures (re)build cost. The trie is persistent, so
-// an insert allocates the entry, at most two new nodes and a copy of every
-// node on the path down to it with the slice it changes (~7 allocations at
-// this depth, where writing nodes in place took ~3). Accepted: every static table a command,
-// example, scenario or workload builds has a handful of routes, and in
-// exchange Clone — once per VRI spawn — is a struct copy instead of N
-// inserts. An in-place builder would be the second trie again.
+// BenchmarkTableInsert measures (re)build cost. Each insert is a batch of
+// one on a persistent trie, so it allocates the entry, at most two new nodes
+// and a copy of every node on the path down to it with its slices (~7
+// allocations at this depth, where writing nodes in place took ~3).
+// Accepted: every static table a command, example, scenario or workload
+// builds has a handful of routes, and in exchange Clone — once per VRI
+// spawn — is a struct copy instead of N inserts.
 func BenchmarkTableInsert(b *testing.B) {
 	prefixes := make([]packet.IP, 1024)
 	for i := range prefixes {

@@ -3,6 +3,7 @@ package route
 import (
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"lvrm/internal/packet"
 )
@@ -17,11 +18,12 @@ import (
 // or two prefixes' paths part: a chain of nodes that would hold no prefix
 // and one child is skipped, its child keeping the address bits above it.
 //
-// A Trie is an immutable value: With and Without return a new Trie that
-// shares every untouched subtree with the receiver and copy only the nodes
-// on the path from the root down to the change, so a Trie held by a reader
-// (a pinned FIB generation, a cloned Table) keeps answering as it did, with
-// no locks, whatever is derived from it later. The zero value is an empty
+// A Trie is an immutable value: a Batch derives a new Trie from it that
+// shares every untouched subtree with the receiver and copies only the nodes
+// on the paths from the root down to its changes, each node at most once, so
+// a Trie held by a reader (a pinned FIB generation, a cloned Table) keeps
+// answering as it did, with no locks, whatever is derived from it later.
+// With and Without are batches of one change. The zero value is an empty
 // trie.
 //
 // Table (static routes, one private handle per VRI) and rib.Gen (one
@@ -45,11 +47,12 @@ const (
 // bit, in bit order. Every node holds a prefix or two children, so a child
 // may start more than one level below its parent. The default route is the
 // Trie's own, not the root's, so that a table of a few routes under it
-// starts at the node that holds them. Nodes are never written after they are
-// linked into a Trie.
+// starts at the node that holds them. A node is written only by the batch
+// that made it, and never once that batch has returned a Trie.
 type node[V any] struct {
 	addr  uint32 // masked to depth bits
 	depth uint8
+	own   uint64 // the batch that made the node, which may write it in place
 	pfx   uint64
 	kids  uint64
 	vals  []*V
@@ -121,6 +124,26 @@ func (n *node[V]) next(c uint) *node[V] {
 // Lookup returns the value of the longest prefix covering dst. It is
 // allocation-free and never blocks.
 func (t Trie[V]) Lookup(dst packet.IP) (V, bool) {
+	if best := t.longestFor(dst); best != nil {
+		return *best, true
+	}
+	var zero V
+	return zero, false
+}
+
+// LookupBatch is Lookup for a vector of destinations: out[i] becomes the
+// value of the longest prefix covering dsts[i] — the trie's own copy, not to
+// be written through — or nil when none does. out must be at least as long
+// as dsts.
+func (t Trie[V]) LookupBatch(dsts []packet.IP, out []*V) {
+	for i, dst := range dsts {
+		out[i] = t.longestFor(dst)
+	}
+}
+
+// longestFor returns the value of the longest prefix covering dst, nil when
+// none does.
+func (t Trie[V]) longestFor(dst packet.IP) *V {
 	d, best := uint32(dst), t.def
 	// depth is where n starts when its parent is on the level above. Only a
 	// node below a skipped chain starts deeper; only its address bits above
@@ -138,101 +161,103 @@ func (t Trie[V]) Lookup(dst packet.IP) (V, bool) {
 		}
 		n = n.next(c)
 	}
-	if best == nil {
-		var zero V
-		return zero, false
-	}
-	return *best, true
-}
-
-// lanes is how many lookups LookupBatch walks side by side.
-const lanes = 16
-
-// LookupBatch is Lookup for a vector of destinations: out[i] becomes the
-// value of the longest prefix covering dsts[i] — the trie's own copy, not to
-// be written through — or nil when none does. out must be at least as long
-// as dsts.
-//
-// The walk is level-synchronous: up to lanes lookups advance one node per
-// round, and a lookup that has ended gives up its lane. One lookup is a chain
-// of dependent node loads, each a likely cache miss in a table of any size;
-// side by side, a round's loads are independent of each other, so the lanes
-// wait for their misses together instead of in turn.
-func (t Trie[V]) LookupBatch(dsts []packet.IP, out []*V) {
-	for base := 0; base < len(dsts); base += lanes {
-		var (
-			at  [lanes]*node[V] // the node each live lane visits next
-			idx [lanes]int      // the destination each live lane serves
-		)
-		live := 0
-		for i := base; i < len(dsts) && i < base+lanes; i++ {
-			out[i] = t.def
-			if t.root != nil {
-				at[live], idx[live] = t.root, i
-				live++
-			}
-		}
-		for depth := uint8(0); live > 0; depth += stride {
-			kept := 0
-			for l := 0; l < live; l++ {
-				n, i := at[l], idx[l]
-				d, nd := uint32(dsts[i]), depth
-				if n.depth != depth {
-					if !n.covers(d) {
-						continue
-					}
-					nd = n.depth
-				}
-				c := chunk(d, nd)
-				if m := n.pfx & covering[c]; m != 0 {
-					out[i] = n.longest(m)
-				}
-				if n = n.next(c); n != nil {
-					at[kept], idx[kept] = n, i
-					kept++
-				}
-			}
-			live = kept
-		}
-	}
+	return best
 }
 
 // With returns a trie equal to t with prefix/bits mapped to *v (added or
 // replaced). The trie keeps v and never writes through it; neither may the
 // caller. bits must be 0..32.
 func (t Trie[V]) With(prefix packet.IP, bits uint8, v *V) Trie[V] {
-	if bits == 0 {
-		if t.def == nil {
-			t.n++
-		}
-		t.def = v
-		return t
-	}
-	root, added := insert(t.root, uint32(Mask(prefix, bits)), bits, v)
-	if added {
-		t.n++
-	}
-	t.root = root
-	return t
+	b := Batch[V]{t: t}
+	b.Set(prefix, bits, v)
+	return b.Trie()
 }
 
 // Without returns a trie equal to t with exactly prefix/bits removed,
 // reporting whether it was present (when not, the result is t itself).
 func (t Trie[V]) Without(prefix packet.IP, bits uint8) (Trie[V], bool) {
+	b := Batch[V]{t: t}
+	ok := b.Delete(prefix, bits)
+	return b.Trie(), ok
+}
+
+// Batch derives one trie from another through any number of changes. It
+// copies a node of its base at most once, before its first write, and
+// writes in place the nodes it made or copied, so a change costs the nodes
+// on its path only where no earlier change of the batch has copied them
+// already. A Batch is used from one goroutine and must not be copied.
+type Batch[V any] struct {
+	t  Trie[V]
+	id uint64 // stamps the nodes this batch may write; 0 until it writes one
+}
+
+// batches hands each batch that writes a node its own ID; 0 is never one.
+var batches atomic.Uint64
+
+// Batch starts a batch of changes to t. t itself is never written.
+func (t Trie[V]) Batch() *Batch[V] { return &Batch[V]{t: t} }
+
+// Trie returns the trie the changes so far have built. It ends the batch's
+// ownership of the nodes it made, so the returned trie is immutable like any
+// other; later changes through b copy what they write.
+func (b *Batch[V]) Trie() Trie[V] {
+	b.id = 0
+	return b.t
+}
+
+// Set maps prefix/bits to *v (added or replaced). The trie keeps v and
+// never writes through it; neither may the caller. bits must be 0..32.
+func (b *Batch[V]) Set(prefix packet.IP, bits uint8, v *V) {
 	if bits == 0 {
-		if t.def == nil {
-			return t, false
+		if b.t.def == nil {
+			b.t.n++
 		}
-		t.def = nil
-		t.n--
-		return t, true
+		b.t.def = v
+		return
 	}
-	root, ok := remove(t.root, uint32(Mask(prefix, bits)), bits)
+	root, added := b.insert(b.t.root, uint32(Mask(prefix, bits)), bits, v)
+	if added {
+		b.t.n++
+	}
+	b.t.root = root
+}
+
+// Delete removes exactly prefix/bits, reporting whether it was present.
+func (b *Batch[V]) Delete(prefix packet.IP, bits uint8) bool {
+	if bits == 0 {
+		if b.t.def == nil {
+			return false
+		}
+		b.t.def = nil
+		b.t.n--
+		return true
+	}
+	root, ok := b.remove(b.t.root, uint32(Mask(prefix, bits)), bits)
 	if ok {
-		t.root = root
-		t.n--
+		b.t.root = root
+		b.t.n--
 	}
-	return t, ok
+	return ok
+}
+
+// made returns n stamped as this batch's own.
+func (b *Batch[V]) made(n *node[V]) *node[V] {
+	if b.id == 0 {
+		b.id = batches.Add(1)
+	}
+	n.own = b.id
+	return n
+}
+
+// writable returns n when the batch owns it, and otherwise a copy it owns,
+// with copies of n's slices so that it may write those in place too.
+func (b *Batch[V]) writable(n *node[V]) *node[V] {
+	if b.id != 0 && n.own == b.id {
+		return n
+	}
+	c := *n
+	c.vals, c.child = slices.Clone(n.vals), slices.Clone(n.child)
+	return b.made(&c)
 }
 
 // Walk calls fn for every value in pre-order: a prefix before the prefixes
@@ -263,96 +288,102 @@ func walk[V any](n *node[V], fn func(V)) {
 	}
 }
 
-// insert returns the root of a trie equal to n with p/b -> v added or
-// replaced, and whether it was an addition. p must be masked to b bits, and
-// b must be 1..32. It copies the nodes on the path down to p/b and
-// allocates at most two more: a node for p/b and, when p/b's path leaves
+// insert returns the root of a trie equal to n with p/pl -> v added or
+// replaced, and whether it was an addition. p must be masked to pl bits, and
+// pl must be 1..32. It makes writable the nodes on the path down to p/pl and
+// allocates at most two more: a node for p/pl and, when p/pl's path leaves
 // n's, one where they part.
-func insert[V any](n *node[V], p uint32, b uint8, v *V) (*node[V], bool) {
-	depth, pos := place(p, b)
+func (b *Batch[V]) insert(n *node[V], p uint32, pl uint8, v *V) (*node[V], bool) {
+	depth, pos := place(p, pl)
 	if n == nil {
-		return &node[V]{addr: uint32(Mask(packet.IP(p), depth)), depth: depth, pfx: 1 << pos, vals: []*V{v}}, true
+		return b.made(&node[V]{addr: uint32(Mask(packet.IP(p), depth)), depth: depth, pfx: 1 << pos, vals: []*V{v}}), true
 	}
 	if n.depth > depth || !n.covers(p) {
-		// p/b ends above n or off its path: a node at the deepest level both
-		// paths reach takes n as its child, then p/b.
-		at := min(commonPrefixLen(n.addr, p, min(n.depth, b)), depth) / stride * stride
-		return insert(&node[V]{addr: uint32(Mask(packet.IP(p), at)), depth: at, kids: 1 << chunk(n.addr, at), child: []*node[V]{n}}, p, b, v)
+		// p/pl ends above n or off its path: a node at the deepest level both
+		// paths reach takes n as its child, then p/pl.
+		at := min(commonPrefixLen(n.addr, p, min(n.depth, pl)), depth) / stride * stride
+		return b.insert(b.made(&node[V]{addr: uint32(Mask(packet.IP(p), at)), depth: at, kids: 1 << chunk(n.addr, at), child: []*node[V]{n}}), p, pl, v)
 	}
-	c := *n
+	n = b.writable(n)
 	if n.depth == depth {
 		i := below(n.pfx, pos)
 		if n.pfx&(1<<pos) != 0 {
-			c.vals = replaced(n.vals, i, v)
-			return &c, false
+			n.vals[i] = v
+			return n, false
 		}
-		c.pfx |= 1 << pos
-		c.vals = slices.Concat(n.vals[:i], []*V{v}, n.vals[i:])
-		return &c, true
+		n.pfx |= 1 << pos
+		n.vals = inserted(n.vals, i, v)
+		return n, true
 	}
 	k := chunk(p, n.depth)
 	i := below(n.kids, k)
 	if n.kids&(1<<k) == 0 {
-		leaf, _ := insert(nil, p, b, v)
-		c.kids |= 1 << k
-		c.child = slices.Concat(n.child[:i], []*node[V]{leaf}, n.child[i:])
-		return &c, true
+		leaf, _ := b.insert(nil, p, pl, v)
+		n.kids |= 1 << k
+		n.child = inserted(n.child, i, leaf)
+		return n, true
 	}
-	nc, added := insert(n.child[i], p, b, v)
-	c.child = replaced(n.child, i, nc)
-	return &c, added
+	var added bool
+	n.child[i], added = b.insert(n.child[i], p, pl, v)
+	return n, added
 }
 
 // remove returns the root of a trie equal to n with the value at exactly
-// p/b deleted, reporting whether it existed; b must be 1..32. A node left
-// with no prefix is removed when it has no child and replaced by its child
-// when it has one, so the trie stays minimal.
-func remove[V any](n *node[V], p uint32, b uint8) (*node[V], bool) {
-	depth, pos := place(p, b)
+// p/pl deleted, reporting whether it existed; pl must be 1..32. It makes
+// nothing writable when p/pl is absent. A node left with no prefix is removed
+// when it has no child and replaced by its child when it has one, so the
+// trie stays minimal.
+func (b *Batch[V]) remove(n *node[V], p uint32, pl uint8) (*node[V], bool) {
+	depth, pos := place(p, pl)
 	if n == nil || n.depth > depth || !n.covers(p) {
-		return n, false // p/b is not at or under this node
+		return n, false // p/pl is not at or under this node
 	}
-	pfx, kids, vals, child := n.pfx, n.kids, n.vals, n.child
 	if n.depth == depth {
-		if pfx&(1<<pos) == 0 {
+		if n.pfx&(1<<pos) == 0 {
 			return n, false
 		}
-		i := below(pfx, pos)
-		pfx &^= 1 << pos
-		vals = slices.Concat(vals[:i], vals[i+1:])
+		i := below(n.pfx, pos)
+		n = b.writable(n)
+		n.pfx &^= 1 << pos
+		n.vals = slices.Delete(n.vals, i, i+1)
 	} else {
 		k := chunk(p, n.depth)
-		if kids&(1<<k) == 0 {
+		if n.kids&(1<<k) == 0 {
 			return n, false
 		}
-		i := below(kids, k)
-		nc, ok := remove(child[i], p, b)
-		switch {
-		case !ok:
+		i := below(n.kids, k)
+		nc, ok := b.remove(n.child[i], p, pl)
+		if !ok {
 			return n, false
-		case nc != nil:
-			child = replaced(child, i, nc)
-		default:
-			kids &^= 1 << k
-			child = slices.Concat(child[:i], child[i+1:])
+		}
+		n = b.writable(n)
+		if nc != nil {
+			n.child[i] = nc
+		} else {
+			n.kids &^= 1 << k
+			n.child = slices.Delete(n.child, i, i+1)
 		}
 	}
-	if pfx == 0 {
-		switch bits.OnesCount64(kids) {
+	if n.pfx == 0 {
+		switch bits.OnesCount64(n.kids) {
 		case 0:
 			return nil, true
 		case 1:
-			return child[0], true
+			return n.child[0], true
 		}
 	}
-	return &node[V]{addr: n.addr, depth: n.depth, pfx: pfx, kids: kids, vals: vals, child: child}, true
+	return n, true
 }
 
-// replaced returns a copy of s with s[i] replaced by x.
-func replaced[T any](s []T, i int, x T) []T {
-	s = slices.Clone(s)
-	s[i] = x
-	return s
+// inserted returns s with x inserted at i: in place when s has room, which
+// only a slice of a writable node is given, and otherwise in a new array no
+// larger than the result needs, so a published node holds no spare
+// capacity beyond its allocation's size class.
+func inserted[T any](s []T, i int, x T) []T {
+	if len(s) < cap(s) {
+		return slices.Insert(s, i, x)
+	}
+	return slices.Concat(s[:i], []T{x}, s[i:])
 }
 
 // commonPrefixLen returns how many leading bits a and b share, capped at max.

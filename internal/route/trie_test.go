@@ -50,6 +50,53 @@ func TestTrieSpineSharing(t *testing.T) {
 	}
 }
 
+// TestBatchCopiesEachNodeOnce: a batch copies a node of its base at most
+// once, however many of its changes pass through it. The 63 prefixes that
+// end in one last-but-one-level node of a 12 500-route trie are replaced
+// for the allocations of one replacement — the copy of their path — and 64
+// /24s added under one /18 cost well under what 64 Withs do, which copy the
+// shared path once each.
+func TestBatchCopiesEachNodeOnce(t *testing.T) {
+	tr, _ := edgeTrie()
+	var full []routetest.Prefix // every prefix of the depth-24 node of 10.2.3.0
+	for l := 0; l < stride; l++ {
+		for c := 0; c < 1<<l; c++ {
+			full = append(full, routetest.Prefix{IP: ip("10.2.3.0") | packet.IP(c<<(8-l)), Bits: 24 + l})
+		}
+	}
+	var adds []routetest.Prefix
+	for c := 0; c < 64; c++ {
+		adds = append(adds, routetest.Prefix{IP: ip("10.2.0.0") | packet.IP(c<<8), Bits: 24})
+	}
+	v := new(int)
+	for _, p := range full {
+		tr = tr.With(p.IP, uint8(p.Bits), v)
+	}
+	batch := func(ps []routetest.Prefix) float64 {
+		return testing.AllocsPerRun(20, func() {
+			b := Batch[int]{t: tr}
+			for _, p := range ps {
+				b.Set(p.IP, uint8(p.Bits), v)
+			}
+			b.Trie()
+		})
+	}
+	withs := func(ps []routetest.Prefix) float64 {
+		return testing.AllocsPerRun(20, func() {
+			t2 := tr
+			for _, p := range ps {
+				t2 = t2.With(p.IP, uint8(p.Bits), v)
+			}
+		})
+	}
+	if one, all := withs(full[:1]), batch(full); all != one {
+		t.Errorf("replacing the %d prefixes of one node in one batch: %v allocations, one replacement %v", len(full), all, one)
+	}
+	if all, each := batch(adds), withs(adds); 3*all > each {
+		t.Errorf("adding %d /24s in one batch: %v allocations, one With each %v", len(adds), all, each)
+	}
+}
+
 // findNode returns the node prefix/bits ends in, nil when the trie does not
 // hold it.
 func findNode[V any](n *node[V], prefix packet.IP, bits uint8) *node[V] {
@@ -187,9 +234,8 @@ var strideEdges = []int{0, 5, 6, 7, 11, 12, 17, 18, 23, 24, 29, 30, 31, 32}
 // the value Lookup gives it and the linear-scan oracle gives it — on the
 // empty trie, a lone default route, host routes only, random tables of
 // nested prefixes and prefixes at the lengths next to a level boundary, for
-// vectors shorter than, equal to and longer than the lane count (a vector of
-// 17 leaves a one-lane second pass, 64 four full ones), with destinations
-// that are mostly covered by some prefix and by prefixes of every depth.
+// vectors of 0 to 64 destinations that are mostly covered by some prefix and
+// by prefixes of every depth.
 func TestLookupBatchAgainstLookupAndOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type table struct {
@@ -299,12 +345,12 @@ func BenchmarkTrieLookup(b *testing.B) {
 // VRI quantum's worth; ns/op is per destination, as in BenchmarkTrieLookup.
 func BenchmarkTrieLookupBatch(b *testing.B) {
 	tr, dsts := edgeTrie()
-	out := make([]*int, lanes)
+	out := make([]*int, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += lanes {
+	for i := 0; i < b.N; i += len(out) {
 		at := i & (len(dsts) - 1)
-		tr.LookupBatch(dsts[at:at+lanes], out)
+		tr.LookupBatch(dsts[at:at+len(out)], out)
 		lookupSink += *out[0]
 	}
 }

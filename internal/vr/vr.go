@@ -195,8 +195,8 @@ func (b *Basic) Process(f *packet.Frame) (time.Duration, error) {
 // ProcessBatch implements BatchEngine: Process for every frame of a quantum,
 // with the route lookups of the quantum done together. Every frame is
 // validated first (admit), the destinations of those that need a route are
-// resolved in one interleaved walk of one table — the generation pinned for
-// the quantum, or the static table — and then each is rewritten (forward) or
+// resolved in one LookupBatch call against one table — the generation pinned
+// for the quantum, or the static table — and then each is rewritten (forward) or
 // dropped. Frames, counters and summed cost come out as from per-frame
 // Process calls: a lookup has no side effect, so moving it changes nothing,
 // and the one step that has — an ARP frame teaching the cache that forward's
