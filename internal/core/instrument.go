@@ -32,8 +32,9 @@ type instruments struct {
 	migPause      *obs.Histogram
 
 	// Live runtime loop health.
-	monitorPolls *obs.Counter
-	monitorIdle  *obs.Counter
+	monitorPolls  *obs.Counter
+	monitorIdle   *obs.Counter
+	monitorYields *obs.Counter
 
 	reg *obs.Registry // retained for per-VR registration in initVRObs
 }
@@ -65,7 +66,9 @@ func (l *LVRM) initObs(reg *obs.Registry, tracer *obs.Tracer) {
 	l.ins.monitorPolls = reg.Counter("lvrm_monitor_polls_total",
 		"Monitor loop iterations in the live runtime.")
 	l.ins.monitorIdle = reg.Counter("lvrm_monitor_idle_total",
-		"Monitor loop iterations that found no work and backed off.")
+		"Monitor loop iterations that found no work.")
+	l.ins.monitorYields = reg.Counter("lvrm_monitor_yields_total",
+		"Idle monitor loop iterations that gave up the P: a yield or a park.")
 
 	// LVRM-level counters already exist as atomics on the Stats path; expose
 	// them with collectors instead of double-counting on the hot path.
