@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,15 +38,27 @@ func colIndex(t *testing.T, res *Result, name string) int {
 	return -1
 }
 
+// run returns experiment id's result at quick, simulating it on the first
+// call only.
 func run(t *testing.T, id string) *Result {
 	t.Helper()
+	if res, ok := results[id]; ok {
+		return res
+	}
 	res, err := Run(id, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Table())
+	results[id] = res
 	return res
 }
+
+// results holds every result run has returned, by experiment ID, so that
+// TestFiguresMatchManifest hashes what the shape tests checked instead of
+// simulating each experiment a second time. The tests of this package do not
+// run in parallel, so it needs no lock.
+var results = map[string]*Result{}
 
 // slow skips a shape test that takes seconds of virtual-time simulation when
 // the run asked for the short tier (go test -short ./...: the inner loop; CI
@@ -592,4 +608,44 @@ func TestDeterministicReplay(t *testing.T) {
 	// experiments, but the OS-default placement row is stochastic.
 	_ = c
 	_ = d
+}
+
+// TestFiguresMatchManifest: every experiment's CSV at Config{Seed: 1}, as
+// `lvrmbench -run all -seed 1 -csv` writes it, hashes to its line in
+// bench/figures.sha256, and the manifest names no other file. The results
+// the shape tests above ran are reused; only the experiments none of them ran
+// are simulated here.
+func TestFiguresMatchManifest(t *testing.T) {
+	slow(t)
+	manifest, err := os.ReadFile("../../bench/figures.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(manifest)), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("manifest line %q is not \"<sha256>  <file>\"", line)
+		}
+		want[name] = sum
+	}
+	for _, s := range All() {
+		res := run(t, s.ID)
+		var csv bytes.Buffer
+		if err := res.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		name := res.FileStem() + ".csv"
+		sum, ok := want[name]
+		switch got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes())); {
+		case !ok:
+			t.Errorf("%s: not in the manifest", name)
+		case got != sum:
+			t.Errorf("%s: sha256 %s, manifest %s", name, got, sum)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("%s: in the manifest, but no experiment writes it", name)
+	}
 }

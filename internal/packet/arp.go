@@ -16,9 +16,6 @@ const (
 	ARPReply   uint16 = 2
 )
 
-// arpPayloadLen is the length of an Ethernet/IPv4 ARP body.
-const arpPayloadLen = 28
-
 // ARPMessage is a parsed Ethernet/IPv4 ARP body.
 type ARPMessage struct {
 	Op        uint16
@@ -31,10 +28,24 @@ type ARPMessage struct {
 // ErrNotARP is returned when a frame does not carry Ethernet/IPv4 ARP.
 var ErrNotARP = errors.New("packet: not an Ethernet/IPv4 ARP message")
 
+// ARPFrameLen is the length of an Ethernet frame carrying an ARP message:
+// the Ethernet header and the 28-byte Ethernet/IPv4 ARP body.
+const ARPFrameLen = EthHeaderLen + 28
+
 // BuildARP constructs an Ethernet frame carrying the ARP message. Requests
 // are broadcast; replies are unicast to the target's MAC.
 func BuildARP(m ARPMessage) *Frame {
-	buf := make([]byte, EthHeaderLen+arpPayloadLen)
+	buf := make([]byte, ARPFrameLen)
+	BuildARPInto(m, buf)
+	return &Frame{Buf: buf, Out: -1}
+}
+
+// BuildARPInto writes the frame BuildARP builds into buf[:ARPFrameLen]. It
+// writes every one of those bytes, so buf may be dirty: recycled from a pool,
+// or the request being answered in place. buf must be at least ARPFrameLen
+// long.
+func BuildARPInto(m ARPMessage, buf []byte) {
+	buf = buf[:ARPFrameLen]
 	dst := m.TargetMAC
 	if m.Op == ARPRequest {
 		dst = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
@@ -51,13 +62,12 @@ func BuildARP(m ARPMessage) *Frame {
 	binary.BigEndian.PutUint32(p[14:18], uint32(m.SenderIP))
 	copy(p[18:24], m.TargetMAC[:])
 	binary.BigEndian.PutUint32(p[24:28], uint32(m.TargetIP))
-	return &Frame{Buf: buf, Out: -1}
 }
 
 // ParseARP decodes an ARP frame.
 func ParseARP(f *Frame) (ARPMessage, error) {
 	var m ARPMessage
-	if f.EtherType() != EtherTypeARP || len(f.Buf) < EthHeaderLen+arpPayloadLen {
+	if f.EtherType() != EtherTypeARP || len(f.Buf) < ARPFrameLen {
 		return m, ErrNotARP
 	}
 	p := f.Buf[EthHeaderLen:]

@@ -63,7 +63,8 @@ type ARPConfig struct {
 // HandleARP interprets an ARP frame for the VRI: it learns the sender's
 // binding and, when the frame is a request for one of the VRI's own
 // addresses, rewrites the frame in place into the reply (the standard
-// in-situ ARP turnaround) and sets f.Out to the arrival interface. It
+// in-situ ARP turnaround; the reply is written into the request's own
+// buffer, so a pooled frame keeps it) and sets f.Out to the arrival interface. It
 // reports whether the frame is now a reply to send. Non-ARP frames return
 // ErrNotARP.
 func HandleARP(cfg ARPConfig, f *packet.Frame) (bool, error) {
@@ -84,14 +85,14 @@ func HandleARP(cfg ARPConfig, f *packet.Frame) (bool, error) {
 		f.Out = Drop
 		return false, nil
 	}
-	reply := packet.BuildARP(packet.ARPMessage{
+	f.Buf = f.Buf[:packet.ARPFrameLen]
+	packet.BuildARPInto(packet.ARPMessage{
 		Op:        packet.ARPReply,
 		SenderMAC: ownMAC,
 		SenderIP:  ownIP,
 		TargetMAC: m.SenderMAC,
 		TargetIP:  m.SenderIP,
-	})
-	f.Buf = reply.Buf
+	}, f.Buf)
 	f.Out = f.In
 	return true, nil
 }

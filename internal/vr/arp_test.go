@@ -1,10 +1,12 @@
 package vr
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"lvrm/internal/packet"
+	"lvrm/internal/packet/pool"
 )
 
 var (
@@ -149,6 +151,39 @@ func TestBasicEngineAnswersARP(t *testing.T) {
 	req2 := packet.BuildARP(packet.ARPMessage{Op: packet.ARPRequest, TargetIP: gwIP})
 	if _, err := b2.Process(req2); !errors.Is(err, ErrNotIPv4) {
 		t.Errorf("ARP without config: %v", err)
+	}
+}
+
+// TestARPReplyInPlace: an ARP request for the engine's own address, in a
+// pooled buffer padded to the Ethernet minimum as a NIC delivers it, is
+// answered in that buffer — the frame keeps its capacity, Process allocates
+// nothing, and the bytes are BuildARP's reply.
+func TestARPReplyInPlace(t *testing.T) {
+	cfg := arpCfg()
+	b := NewBasic(BasicConfig{Routes: testRoutes(t), ARP: &cfg, NextHopMAC: cfg.Table.Resolver()})
+	req := packet.BuildARP(packet.ARPMessage{Op: packet.ARPRequest, SenderMAC: hostMAC, SenderIP: hostIP, TargetIP: gwIP}).Buf
+	want := packet.BuildARP(packet.ARPMessage{Op: packet.ARPReply, SenderMAC: gwMAC, SenderIP: gwIP, TargetMAC: hostMAC, TargetIP: hostIP}).Buf
+	f := pool.New().Get(60)
+	defer f.Release()
+	pooled := f.Buf
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		f.Buf = pooled
+		clear(f.Buf[copy(f.Buf, req):])
+		f.In, f.Out = 0, Drop
+		_, err = b.Process(f)
+	})
+	if err != nil || f.Out != 0 {
+		t.Fatalf("Process = %v, Out %d", err, f.Out)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per reply", allocs)
+	}
+	if cap(f.Buf) != cap(pooled) || &f.Buf[0] != &pooled[0] {
+		t.Errorf("reply in a buffer of capacity %d, not the pooled request's (%d)", cap(f.Buf), cap(pooled))
+	}
+	if !bytes.Equal(f.Buf, want) {
+		t.Errorf("reply % x\n  BuildARP % x", f.Buf, want)
 	}
 }
 

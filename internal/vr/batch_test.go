@@ -2,6 +2,7 @@ package vr
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,6 +13,34 @@ import (
 	"lvrm/internal/route/routetest"
 )
 
+// kind is what mixedQuantum made a frame to be, and so what Process must make
+// of it.
+type kind int
+
+const (
+	kForward      kind = iota // live IPv4: routed, or dropped for no route
+	kTTL0                     // IPv4 arriving with TTL 0
+	kTTL1                     // IPv4 arriving with TTL 1
+	kBadSum                   // IPv4 whose header no longer matches its checksum
+	kRunt                     // shorter than an Ethernet header
+	kIPv6                     // a non-IP EtherType
+	kARPForUs                 // ARP request for the engine's own address
+	kARPForOther              // ARP request for someone else's
+	kARPReply                 // ARP reply
+	kARPTruncated             // ARP with its body cut short
+)
+
+// mixFrame is one frame of mixedQuantum with what it was made to be: ip is
+// the destination of an IPv4 frame and the sender of an ARP one.
+type mixFrame struct {
+	f    *packet.Frame
+	kind kind
+	ip   packet.IP
+}
+
+// hostMACOf is the MAC the hosts of mixedQuantum have and announce in ARP.
+func hostMACOf(ip packet.IP) packet.MAC { return packet.MAC{2, 0, 0, 1, byte(ip >> 8), byte(ip)} }
+
 // mixedQuantum builds the seeded frame mix of TestProcessBatchMatchesProcess:
 // every way the forwarder can finish a frame, in random order — forwards to
 // directly connected hosts, through a next hop and through the default route,
@@ -20,11 +49,10 @@ import (
 // address, for a foreign one, and replies — from the very hosts the data
 // frames around them are headed for, so that what the cache has learned by
 // the time a frame is rewritten shows in its destination MAC.
-func mixedQuantum(t *testing.T, seed int64, n int) []*packet.Frame {
+func mixedQuantum(t *testing.T, seed int64, n int) []mixFrame {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	host := func() packet.IP { return packet.IPv4(10, 1, 0, byte(1+rng.Intn(6))) }
-	mac := func(ip packet.IP) packet.MAC { return packet.MAC{2, 0, 0, 1, byte(ip >> 8), byte(ip)} }
 	udp := func(dst packet.IP, ttl uint8) *packet.Frame {
 		f, err := packet.BuildUDP(packet.UDPBuildOpts{
 			SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
@@ -42,47 +70,69 @@ func mixedQuantum(t *testing.T, seed int64, n int) []*packet.Frame {
 		}
 		return f
 	}
-	frames := make([]*packet.Frame, n)
+	frames := make([]mixFrame, n)
 	for i := range frames {
-		var f *packet.Frame
+		var m mixFrame
 		switch r := rng.Intn(100); {
 		case r < 25:
-			f = udp(host(), 64) // directly connected: resolved by destination
+			m.ip = host() // directly connected: resolved by destination
 		case r < 40:
-			f = udp(packet.IPv4(10, 2, byte(rng.Intn(4)), 7), 64)
+			m.ip = packet.IPv4(10, 2, byte(rng.Intn(4)), 7)
 		case r < 50:
-			f = udp(packet.IPv4(192, 0, 2, byte(rng.Intn(200))), 64) // default route, or none
+			m.ip = packet.IPv4(192, 0, 2, byte(rng.Intn(200))) // default route, or none
 		case r < 56:
-			f = udp(packet.IPv4(172, 16, 0, 1), 64) // covered by nothing but a default
+			m.ip = packet.IPv4(172, 16, 0, 1) // covered by nothing but a default
 		case r < 61:
-			f = udp(host(), 0)
+			m.kind, m.ip = kTTL0, host()
+			m.f = udp(m.ip, 0)
 		case r < 66:
-			f = udp(host(), 1)
+			m.kind, m.ip = kTTL1, host()
+			m.f = udp(m.ip, 1)
 		case r < 71:
-			f = udp(host(), 64)
-			f.Buf[packet.EthHeaderLen+12] ^= 0x10 // source address no longer matches the checksum
+			m.kind, m.ip = kBadSum, host()
+			m.f = udp(m.ip, 64)
+			m.f.Buf[packet.EthHeaderLen+12] ^= 0x10 // source address no longer matches the checksum
 		case r < 75:
-			f = &packet.Frame{Buf: make([]byte, rng.Intn(packet.EthHeaderLen)), Out: -1}
+			m.kind, m.f = kRunt, &packet.Frame{Buf: make([]byte, rng.Intn(packet.EthHeaderLen)), Out: -1}
 		case r < 79:
-			f = udp(host(), 64)
-			f.Buf[12], f.Buf[13] = 0x86, 0xdd // IPv6 EtherType
+			m.kind, m.ip = kIPv6, host()
+			m.f = udp(m.ip, 64)
+			m.f.Buf[12], m.f.Buf[13] = 0x86, 0xdd
 		case r < 87: // who-has the gateway, from a host data frames go to
-			h := host()
-			f = packet.BuildARP(packet.ARPMessage{Op: packet.ARPRequest, SenderMAC: mac(h), SenderIP: h, TargetIP: gwIP})
+			m.kind, m.ip = kARPForUs, host()
+			m.f = packet.BuildARP(packet.ARPMessage{Op: packet.ARPRequest, SenderMAC: hostMACOf(m.ip), SenderIP: m.ip, TargetIP: gwIP})
 		case r < 92:
-			h := host()
-			f = packet.BuildARP(packet.ARPMessage{Op: packet.ARPRequest, SenderMAC: mac(h), SenderIP: h, TargetIP: host()})
+			m.kind, m.ip = kARPForOther, host()
+			m.f = packet.BuildARP(packet.ARPMessage{Op: packet.ARPRequest, SenderMAC: hostMACOf(m.ip), SenderIP: m.ip, TargetIP: host()})
 		case r < 97:
-			h := host()
-			f = packet.BuildARP(packet.ARPMessage{Op: packet.ARPReply, SenderMAC: mac(h), SenderIP: h, TargetMAC: gwMAC, TargetIP: gwIP})
+			m.kind, m.ip = kARPReply, host()
+			m.f = packet.BuildARP(packet.ARPMessage{Op: packet.ARPReply, SenderMAC: hostMACOf(m.ip), SenderIP: m.ip, TargetMAC: gwMAC, TargetIP: gwIP})
 		default:
-			f = packet.BuildARP(packet.ARPMessage{Op: packet.ARPRequest, TargetIP: gwIP})
-			f.Buf = f.Buf[:packet.EthHeaderLen+4] // truncated ARP body
+			m.kind = kARPTruncated
+			m.f = packet.BuildARP(packet.ARPMessage{Op: packet.ARPRequest, TargetIP: gwIP})
+			m.f.Buf = m.f.Buf[:packet.EthHeaderLen+4]
 		}
-		f.In = 0
-		frames[i] = f
+		if m.kind == kForward {
+			m.f = udp(m.ip, 64)
+		}
+		m.f.In = 0
+		frames[i] = m
 	}
 	return frames
+}
+
+// hop is a route's answer: the output interface and the next hop, 0 for a
+// directly connected destination.
+type hop struct {
+	outIf   int
+	nextHop packet.IP
+}
+
+// staticHops is testRoutes as the linear-scan oracle holds it.
+var staticHops = routetest.Oracle[hop]{
+	{IP: packet.IPv4(10, 2, 0, 0), Bits: 16}: {1, 0},
+	{IP: packet.IPv4(10, 1, 0, 0), Bits: 16}: {0, 0},
+	{IP: 0, Bits: 0}:                         {0, packet.IPv4(10, 1, 0, 254)},
 }
 
 // batchCase is one engine configuration of TestProcessBatchMatchesProcess,
@@ -92,6 +142,9 @@ type batchCase struct {
 	// build returns the engine and, for the FIB-backed cases, a function
 	// that publishes a route change between two quanta.
 	build func(t *testing.T) (b *Basic, arp *ARPTable, publish func())
+	// before and after are the routes the engines must answer by before and
+	// after publish; nil routes nothing.
+	before, after routetest.Oracle[hop]
 }
 
 func fibOf(t *testing.T) *rib.RIB {
@@ -111,44 +164,111 @@ func fibOf(t *testing.T) *rib.RIB {
 }
 
 var batchCases = []batchCase{
-	{"static+arp", func(t *testing.T) (*Basic, *ARPTable, func()) {
+	{name: "static+arp", before: staticHops, after: staticHops, build: func(t *testing.T) (*Basic, *ARPTable, func()) {
 		cfg := arpCfg()
 		return NewBasic(BasicConfig{
 			Routes: testRoutes(t), ARP: &cfg, NextHopMAC: cfg.Table.Resolver(),
 			IfMAC: map[int]packet.MAC{0: gwMAC, 1: {2, 0, 0, 0, 1, 1}}, PerByteCost: 0.25, DummyLoad: time.Microsecond,
 		}), cfg.Table, nil
 	}},
-	{"static", func(t *testing.T) (*Basic, *ARPTable, func()) {
+	{name: "static", before: staticHops, after: staticHops, build: func(t *testing.T) (*Basic, *ARPTable, func()) {
 		return NewBasic(BasicConfig{Routes: testRoutes(t), PerByteCost: 1.5}), nil, nil
 	}},
-	{"fib+arp", func(t *testing.T) (*Basic, *ARPTable, func()) {
-		cfg := arpCfg()
-		r := fibOf(t)
-		publish := func() {
-			// The /24 goes, a default arrives: answers change for frames the
-			// next quantum carries, and only for those.
-			for _, ev := range []rib.Event{
-				{Withdraw: true, Prefix: packet.IPv4(10, 2, 1, 0), Bits: 24, Src: rib.SrcStatic},
-				{Prefix: 0, Bits: 0, OutIf: 3, NextHop: packet.IPv4(10, 1, 0, 4), Src: rib.SrcStatic, Distance: 1},
-			} {
-				if err := r.Apply(ev); err != nil {
-					t.Fatal(err)
+	{name: "fib+arp",
+		before: routetest.Oracle[hop]{
+			{IP: packet.IPv4(10, 1, 0, 0), Bits: 16}: {0, 0},
+			{IP: packet.IPv4(10, 2, 0, 0), Bits: 16}: {1, packet.IPv4(10, 1, 0, 3)},
+			{IP: packet.IPv4(10, 2, 1, 0), Bits: 24}: {2, 0},
+		},
+		after: routetest.Oracle[hop]{
+			{IP: packet.IPv4(10, 1, 0, 0), Bits: 16}: {0, 0},
+			{IP: packet.IPv4(10, 2, 0, 0), Bits: 16}: {1, packet.IPv4(10, 1, 0, 3)},
+			{IP: 0, Bits: 0}:                         {3, packet.IPv4(10, 1, 0, 4)},
+		},
+		build: func(t *testing.T) (*Basic, *ARPTable, func()) {
+			cfg := arpCfg()
+			r := fibOf(t)
+			publish := func() {
+				// The /24 goes, a default arrives: answers change for frames
+				// the next quantum carries, and only for those.
+				for _, ev := range []rib.Event{
+					{Withdraw: true, Prefix: packet.IPv4(10, 2, 1, 0), Bits: 24, Src: rib.SrcStatic},
+					{Prefix: 0, Bits: 0, OutIf: 3, NextHop: packet.IPv4(10, 1, 0, 4), Src: rib.SrcStatic, Distance: 1},
+				} {
+					if err := r.Apply(ev); err != nil {
+						t.Fatal(err)
+					}
 				}
+				r.Publish()
 			}
-			r.Publish()
-		}
-		// Routes is set too and must lose to the FIB in both paths.
-		return NewBasic(BasicConfig{FIB: r.FIB(), Routes: testRoutes(t), ARP: &cfg, NextHopMAC: cfg.Table.Resolver()}), cfg.Table, publish
-	}},
-	{"no-table", func(t *testing.T) (*Basic, *ARPTable, func()) {
+			// Routes is set too and must lose to the FIB in both paths.
+			return NewBasic(BasicConfig{FIB: r.FIB(), Routes: testRoutes(t), ARP: &cfg, NextHopMAC: cfg.Table.Resolver()}), cfg.Table, publish
+		}},
+	{name: "no-table", build: func(t *testing.T) (*Basic, *ARPTable, func()) {
 		return NewBasic(BasicConfig{}), nil, nil
 	}},
+}
+
+// expect is what Process must make of m, given the bindings learned so far
+// (which it updates as the engine's cache must) and the routes in force:
+// the output interface, the bytes and the error.
+func expect(t *testing.T, b *Basic, m mixFrame, learned map[packet.IP]packet.MAC, routes routetest.Oracle[hop]) (int, []byte, error) {
+	t.Helper()
+	buf := bytes.Clone(m.f.Buf)
+	arp := b.cfg.ARP != nil
+	switch m.kind {
+	case kRunt, kBadSum:
+		return Drop, buf, ErrBadFrame
+	case kIPv6:
+		return Drop, buf, ErrNotIPv4
+	case kARPTruncated:
+		if arp {
+			return Drop, buf, ErrBadFrame
+		}
+		return Drop, buf, ErrNotIPv4
+	case kARPForUs, kARPForOther, kARPReply:
+		if !arp {
+			return Drop, buf, ErrNotIPv4
+		}
+		learned[m.ip] = hostMACOf(m.ip)
+		if m.kind != kARPForUs {
+			return Drop, buf, nil
+		}
+		reply := packet.BuildARP(packet.ARPMessage{Op: packet.ARPReply, SenderMAC: gwMAC, SenderIP: gwIP, TargetMAC: hostMACOf(m.ip), TargetIP: m.ip})
+		return m.f.In, reply.Buf, nil
+	case kTTL0:
+		return Drop, buf, ErrTTLDead
+	}
+	// A live frame, or one arriving with TTL 1: the TTL is decremented
+	// before anything else is decided.
+	if _, err := packet.DecTTL(buf[packet.EthHeaderLen:]); err != nil {
+		t.Fatal(err)
+	}
+	if m.kind == kTTL1 {
+		return Drop, buf, ErrTTLDead
+	}
+	h, ok := routes.Lookup(m.ip)
+	if !ok {
+		return Drop, buf, ErrNoRoute
+	}
+	if mac, ok := b.cfg.IfMAC[h.outIf]; ok {
+		copy(buf[6:12], mac[:])
+	}
+	next := h.nextHop
+	if next == 0 {
+		next = m.ip
+	}
+	if mac, ok := learned[next]; ok && b.cfg.NextHopMAC != nil {
+		copy(buf[0:6], mac[:])
+	}
+	return h.outIf, buf, nil
 }
 
 // TestProcessBatchMatchesProcess is BatchEngine's contract for the basic
 // forwarder: a quantum handed to ProcessBatch leaves every frame — output
 // interface, every byte — the engine's counters, the ARP cache and the summed
-// cost exactly as per-frame Process calls leave them, for quanta of one,
+// cost exactly as per-frame Process calls leave them, and Process leaves
+// each frame as what it was made to be demands (expect), for quanta of one,
 // sixteen and the whole mix at once, routing by the static table, by a FIB
 // generation pinned per quantum with a publication between two quanta, by a
 // FIB never pinned, and by no table at all.
@@ -161,38 +281,48 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 					scalar, scalarARP, scalarPublish := c.build(t)
 					batch, batchARP, batchPublish := c.build(t)
 					want, got := mixedQuantum(t, 5, n), mixedQuantum(t, 5, n)
-					var wantCost, gotCost time.Duration
+					learned := map[packet.IP]packet.MAC{}
+					routes := c.before
+					var wantCost, gotCost, specCost time.Duration
 					for lo := 0; lo < n; lo += quantum {
 						hi := min(lo+quantum, n)
 						if lo >= n/2 && lo-quantum < n/2 && scalarPublish != nil {
 							scalarPublish()
 							batchPublish()
+							routes = c.after
 						}
 						if pin {
 							if a, b := scalar.PinRoutes(), batch.PinRoutes(); a != b {
 								t.Fatalf("pinned generations %d and %d", a, b)
 							}
 						}
-						for _, f := range want[lo:hi] {
-							cost, err := scalar.Process(f)
+						for i, m := range want[lo:hi] {
+							out, buf, werr := expect(t, scalar, m, learned, routes)
+							specCost += scalar.cfg.BaseCost + time.Duration(float64(len(m.f.Buf))*scalar.cfg.PerByteCost) + scalar.cfg.DummyLoad
+							cost, err := scalar.Process(m.f)
 							wantCost += cost
-							if (err != nil) && f.Out != Drop {
-								t.Fatalf("Process returned %v and left Out = %d", err, f.Out)
+							if m.f.Out != out || !bytes.Equal(m.f.Buf, buf) || !errors.Is(err, werr) {
+								t.Errorf("frame %d (kind %d): Process left Out %d, error %v, % x\n  want Out %d, error %v, % x", lo+i, m.kind, m.f.Out, err, m.f.Buf, out, werr, buf)
 							}
 						}
-						gotCost += batch.ProcessBatch(got[lo:hi])
+						frames := make([]*packet.Frame, 0, hi-lo)
+						for _, m := range got[lo:hi] {
+							frames = append(frames, m.f)
+						}
+						gotCost += batch.ProcessBatch(frames)
 					}
 					drops := 0
 					for i := range want {
-						if got[i].Out != want[i].Out || !bytes.Equal(got[i].Buf, want[i].Buf) {
-							t.Errorf("frame %d: ProcessBatch left Out %d, % x\n  Process leaves Out %d, % x", i, got[i].Out, got[i].Buf, want[i].Out, want[i].Buf)
+						w, g := want[i].f, got[i].f
+						if g.Out != w.Out || !bytes.Equal(g.Buf, w.Buf) {
+							t.Errorf("frame %d: ProcessBatch left Out %d, % x\n  Process leaves Out %d, % x", i, g.Out, g.Buf, w.Out, w.Buf)
 						}
-						if want[i].Out == Drop {
+						if w.Out == Drop {
 							drops++
 						}
 					}
-					if gotCost != wantCost {
-						t.Errorf("summed cost %v, per-frame Process %v", gotCost, wantCost)
+					if gotCost != wantCost || wantCost != specCost {
+						t.Errorf("summed cost %v, per-frame Process %v, want %v", gotCost, wantCost, specCost)
 					}
 					wf, wd := scalar.Stats()
 					if gf, gd := batch.Stats(); gf != wf || gd != wd {
@@ -205,8 +335,8 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 						t.Errorf("mix is lopsided: %d forwarded, %d dropped", wf, wd)
 					}
 					if scalarARP != nil {
-						if scalarARP.Len() == 0 || scalarARP.Len() != batchARP.Len() {
-							t.Errorf("ARP caches hold %d and %d bindings", scalarARP.Len(), batchARP.Len())
+						if scalarARP.Len() == 0 || scalarARP.Len() != len(learned) || scalarARP.Len() != batchARP.Len() {
+							t.Errorf("ARP caches hold %d and %d bindings, want %d", scalarARP.Len(), batchARP.Len(), len(learned))
 						}
 					}
 					if len(batch.pend)+len(batch.dsts) != 0 {
