@@ -3,7 +3,6 @@ package lvrm_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"lvrm/internal/balance"
 	"lvrm/internal/experiments"
@@ -157,11 +156,4 @@ func BenchmarkDataPathBalancers(b *testing.B) {
 			}
 		})
 	}
-	b.Run("flow-jsq", func(b *testing.B) {
-		bal := balance.NewFlowBased(balance.NewJSQ(), time.Minute, func() int64 { return 0 })
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bal.Pick(targets, f)
-		}
-	})
 }

@@ -82,14 +82,14 @@ func run() int {
 		nVRs      = flag.Int("vrs", 2, "number of hosted virtual routers")
 		rate      = flag.Float64("rate", 50000, "aggregate generated frame rate (fps)")
 		duration  = flag.Duration("duration", 10*time.Second, "how long to run (0 = until interrupt)")
-		balName   = flag.String("balancer", "jsq", "load balancer: jsq, rr, random")
+		balName   = flag.String("balancer", "jsq", "load balancer: jsq, rr, random; picks a VRI per frame, or with -flow-shards per new flow (left out there, the least-loaded VRI takes each new flow)")
 		polName   = flag.String("policy", "dynamic-fixed:20000", "core allocation policy: fixed:<n>, dynamic-fixed:<fps>, dynamic-service")
 		burn      = flag.Bool("burn", false, "busy-spin each frame's simulated cost (real CPU load)")
 		vrLoad    = flag.Duration("vr-load", 0, "artificial extra per-frame load added to every VR's engine (the paper's dummy load; 16us ~= one 60 Kfps VRI). With -burn it is spun for real, capping each VRI's service rate — the way to overload a VR and watch -max-replicas split it live")
 		httpAddr  = flag.String("http", "", "serve /status, /metrics, /trace, /debug/vars and /debug/pprof at this address (e.g. :8080)")
 		udpAddr   = flag.String("udp", "", "receive frames as UDP datagrams on this address instead of the built-in generator")
 		batch     = flag.Int("batch", 16, "frames moved per queue operation on the receive, VRI and relay paths (1 = per-frame)")
-		flowSh    = flag.Int("flow-shards", 0, "> 0 turns on flow-affinity dispatch: each VR pins every flow to a VRI in a monitor-owned flow table instead of consulting -balancer (0 = classic balancer path)")
+		flowSh    = flag.Int("flow-shards", 0, "> 0 turns on flow-affinity dispatch: each VR pins every flow in a monitor-owned flow table to the VRI picked for its first frame, by -balancer when given and the least-loaded VRI otherwise (0 = -balancer picks per frame)")
 		flowCap   = flag.Int("flow-table", 1024, "pinned-flow capacity per VR, in table slots; rounded up to a power of two of at least one probe window, so the effective capacity (logged at startup) can exceed this")
 		flowAdmit = flag.Int("flow-admit", 0, "load-aware admission depth: > 0 with -flow-shards sheds new flows (counted drop) when every VRI's input queue is at least this deep; established flows are never shed (0 = admit everything)")
 		maxRepl   = flag.Int("max-replicas", 0, "intra-VR replication ceiling: > 1 with -flow-shards lets each VR run up to this many flow-partitioned replica VRIs, split and folded elastically by queue depth (0/1 = one VRI per core-allocation policy)")
@@ -184,12 +184,18 @@ func run() int {
 		engineCfg = vr.BasicConfig{FIB: ribTable.FIB()}
 	}
 	engineCfg.DummyLoad = *vrLoad
+	// Under flow dispatch a VR without a balancer pins each new flow to the
+	// least-loaded VRI; -balancer given on the command line replaces that.
+	withBal := *flowSh == 0
+	flag.Visit(func(f *flag.Flag) { withBal = withBal || f.Name == "balancer" })
 	for i := 0; i < *nVRs; i++ {
 		prefix := packet.IPv4(10, 1, byte(i), 0)
-		bal, err := balance.NewByName(*balName, uint64(i+1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+		var bal balance.Balancer
+		if withBal {
+			if bal, err = balance.NewByName(*balName, uint64(i+1)); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				return 1
+			}
 		}
 		pol, err := alloc.NewByName(*polName)
 		if err != nil {
@@ -213,11 +219,6 @@ func run() int {
 	// power of two (at least one probe window), so the table an operator gets
 	// can be bigger than -flow-table.
 	if *flowSh > 0 {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "balancer" {
-				fmt.Printf("-balancer %s is not consulted: with -flow-shards, dispatch pins each flow to the least-loaded VRI (flow-affinity)\n", *balName)
-			}
-		})
 		if vrs := lvrm.VRs(); len(vrs) > 0 {
 			if tbl := vrs[0].FlowTable(); tbl != nil {
 				fmt.Printf("flow table (per VR): one slab of 8-byte pins, effective_cap=%d (requested %d) admit_depth=%d\n",

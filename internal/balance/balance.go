@@ -1,14 +1,14 @@
 // Package balance implements the load-balancing algorithms of Section 3.3
 // (Figure 3.3) that a VRI monitor uses to dispatch frames among the VRIs of
-// one VR: join-the-shortest-queue, round-robin, and random, each usable
-// frame-based (per-frame decision) or flow-based (all frames of a TCP/UDP
-// flow pinned to the VRI chosen for the flow's first frame, via a
-// connection-tracking hash table).
+// one VR: join-the-shortest-queue, round-robin, and random. Each is usable
+// frame-based (a decision per frame) or flow-based: under flow dispatch the
+// monitor's flow-affinity table (internal/flow) pins every frame of a TCP/UDP
+// flow to the VRI the balancer picked for the flow's first frame, so a
+// balancer never tracks connections itself.
 package balance
 
 import (
 	"fmt"
-	"time"
 
 	"lvrm/internal/packet"
 )
@@ -118,102 +118,3 @@ var (
 	_ Balancer = (*RoundRobin)(nil)
 	_ Balancer = (*Random)(nil)
 )
-
-// flowEntry pins a flow to a VRI ID, with the last-seen timestamp used for
-// idle eviction — the "current timestamp and add flag" bookkeeping in the
-// Balance routine of Figure 3.3.
-type flowEntry struct {
-	vriID    int
-	lastSeen int64
-}
-
-// FlowBased wraps an underlying balancer with connection tracking: the first
-// frame of each 5-tuple flow is dispatched by the inner scheme and later
-// frames follow it to the same VRI, preventing intra-flow reordering. A
-// non-IP or unparsable frame falls back to the inner scheme.
-type FlowBased struct {
-	inner Balancer
-	table map[uint64]*flowEntry
-	// IdleTimeout evicts flows not seen for this long (checked lazily on
-	// hit and via Expire). Zero keeps entries forever.
-	IdleTimeout time.Duration
-	// Clock supplies the current time in nanoseconds; the testbed wires it
-	// to virtual time, the live runtime to the wall clock.
-	Clock func() int64
-
-	hits, misses uint64
-}
-
-// NewFlowBased wraps inner with a connection-tracking table. clock supplies
-// time in nanoseconds (defaults to a constant 0, which disables idle
-// eviction semantics).
-func NewFlowBased(inner Balancer, idleTimeout time.Duration, clock func() int64) *FlowBased {
-	if clock == nil {
-		clock = func() int64 { return 0 }
-	}
-	return &FlowBased{
-		inner:       inner,
-		table:       make(map[uint64]*flowEntry),
-		IdleTimeout: idleTimeout,
-		Clock:       clock,
-	}
-}
-
-// Pick implements the flow-based Balance routine of Figure 3.3: look up the
-// flow entry, validate the pinned VRI, otherwise delegate to the inner
-// scheme and remember the decision.
-func (fb *FlowBased) Pick(targets []Target, f *packet.Frame) int {
-	ft, ok := packet.FlowOf(f)
-	if !ok {
-		return fb.inner.Pick(targets, f)
-	}
-	now := fb.Clock()
-	key := ft.Hash()
-	if e, found := fb.table[key]; found {
-		expired := fb.IdleTimeout > 0 && now-e.lastSeen >= int64(fb.IdleTimeout)
-		if !expired {
-			// The pinned VRI must still exist (it may have been killed by
-			// a core deallocation); otherwise fall through to re-pin.
-			for i, tgt := range targets {
-				if tgt.ID == e.vriID {
-					e.lastSeen = now
-					fb.hits++
-					return i
-				}
-			}
-		}
-		delete(fb.table, key)
-	}
-	fb.misses++
-	i := fb.inner.Pick(targets, f)
-	fb.table[key] = &flowEntry{vriID: targets[i].ID, lastSeen: now}
-	return i
-}
-
-// Name returns "flow-<inner>".
-func (fb *FlowBased) Name() string { return "flow-" + fb.inner.Name() }
-
-// Flows returns the number of tracked flows.
-func (fb *FlowBased) Flows() int { return len(fb.table) }
-
-// Stats returns the hit/miss counters of the connection-tracking table.
-func (fb *FlowBased) Stats() (hits, misses uint64) { return fb.hits, fb.misses }
-
-// Expire removes entries idle for at least IdleTimeout at time now and
-// returns the number evicted. The VRI monitor calls this periodically so the
-// table does not grow without bound under many short flows.
-func (fb *FlowBased) Expire(now int64) int {
-	if fb.IdleTimeout <= 0 {
-		return 0
-	}
-	n := 0
-	for k, e := range fb.table {
-		if now-e.lastSeen >= int64(fb.IdleTimeout) {
-			delete(fb.table, k)
-			n++
-		}
-	}
-	return n
-}
-
-var _ Balancer = (*FlowBased)(nil)

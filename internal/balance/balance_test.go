@@ -3,7 +3,6 @@ package balance
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"lvrm/internal/packet"
 )
@@ -128,133 +127,6 @@ func TestPickInRangeProperty(t *testing.T) {
 	}
 }
 
-func TestFlowBasedPinsFlow(t *testing.T) {
-	fb := NewFlowBased(NewRoundRobin(), 0, nil)
-	ts := fixedTargets(0, 0, 0)
-	fA, fB := udpFrame(t, 1000), udpFrame(t, 2000)
-	a1 := fb.Pick(ts, fA) // round robin -> 0
-	b1 := fb.Pick(ts, fB) // round robin -> 1
-	if a1 == b1 {
-		t.Fatalf("two flows pinned to same VRI: %d", a1)
-	}
-	// Later frames of each flow must follow the first.
-	for i := 0; i < 10; i++ {
-		if got := fb.Pick(ts, fA); got != a1 {
-			t.Fatalf("flow A moved: %d -> %d", a1, got)
-		}
-		if got := fb.Pick(ts, fB); got != b1 {
-			t.Fatalf("flow B moved: %d -> %d", b1, got)
-		}
-	}
-	if fb.Flows() != 2 {
-		t.Errorf("Flows = %d", fb.Flows())
-	}
-	hits, misses := fb.Stats()
-	if hits != 20 || misses != 2 {
-		t.Errorf("Stats = (%d,%d), want (20,2)", hits, misses)
-	}
-	if fb.Name() != "flow-rr" {
-		t.Errorf("Name = %q", fb.Name())
-	}
-}
-
-func TestFlowBasedRepinsWhenVRIGone(t *testing.T) {
-	fb := NewFlowBased(NewRoundRobin(), 0, nil)
-	ts := fixedTargets(0, 0, 0)
-	f := udpFrame(t, 1000)
-	first := fb.Pick(ts, f)
-	// Remove the pinned VRI from the target set (core deallocated).
-	var remaining []Target
-	for i, tgt := range ts {
-		if i != first {
-			remaining = append(remaining, tgt)
-		}
-	}
-	got := fb.Pick(remaining, f)
-	if got < 0 || got >= len(remaining) {
-		t.Fatalf("Pick out of range: %d", got)
-	}
-	// And the new pin must stick.
-	if again := fb.Pick(remaining, f); again != got {
-		t.Errorf("re-pin did not stick: %d -> %d", got, again)
-	}
-}
-
-func TestFlowBasedIdleEviction(t *testing.T) {
-	now := int64(0)
-	fb := NewFlowBased(NewRoundRobin(), time.Second, func() int64 { return now })
-	ts := fixedTargets(0, 0)
-	f := udpFrame(t, 1000)
-	first := fb.Pick(ts, f)
-	// Within the timeout the flow stays pinned.
-	now = int64(500 * time.Millisecond)
-	if got := fb.Pick(ts, f); got != first {
-		t.Fatalf("flow moved within timeout")
-	}
-	// After the timeout the entry is stale; the flow is re-dispatched
-	// (round-robin moves it to the other VRI).
-	now += int64(2 * time.Second)
-	got := fb.Pick(ts, f)
-	if got == first {
-		t.Errorf("stale entry reused")
-	}
-}
-
-func TestFlowBasedExpire(t *testing.T) {
-	now := int64(0)
-	fb := NewFlowBased(NewRoundRobin(), time.Second, func() int64 { return now })
-	ts := fixedTargets(0, 0)
-	for p := uint16(1); p <= 50; p++ {
-		fb.Pick(ts, udpFrame(t, p))
-	}
-	if fb.Flows() != 50 {
-		t.Fatalf("Flows = %d", fb.Flows())
-	}
-	now = int64(5 * time.Second)
-	if n := fb.Expire(now); n != 50 {
-		t.Errorf("Expire evicted %d", n)
-	}
-	if fb.Flows() != 0 {
-		t.Errorf("Flows = %d after Expire", fb.Flows())
-	}
-	// With no timeout, Expire is a no-op.
-	fb2 := NewFlowBased(NewRoundRobin(), 0, nil)
-	fb2.Pick(ts, udpFrame(t, 9))
-	if n := fb2.Expire(1 << 60); n != 0 {
-		t.Errorf("timeout-less Expire evicted %d", n)
-	}
-}
-
-func TestFlowBasedNonIPFallsThrough(t *testing.T) {
-	fb := NewFlowBased(NewRoundRobin(), 0, nil)
-	ts := fixedTargets(0, 0)
-	arp := &packet.Frame{Buf: make([]byte, packet.EthHeaderLen)}
-	arp.Buf[12], arp.Buf[13] = 0x08, 0x06
-	a := fb.Pick(ts, arp)
-	b := fb.Pick(ts, arp)
-	if a == b {
-		t.Error("non-IP frames appear to be flow-pinned")
-	}
-	if fb.Flows() != 0 {
-		t.Errorf("non-IP frame created a flow entry")
-	}
-}
-
-func TestFlowBasedDistributesFlows(t *testing.T) {
-	// Many flows through flow-based JSQ-with-zero-loads should spread.
-	fb := NewFlowBased(NewRoundRobin(), 0, nil)
-	ts := fixedTargets(0, 0, 0, 0, 0, 0)
-	counts := make([]int, 6)
-	for p := uint16(1); p <= 600; p++ {
-		counts[fb.Pick(ts, udpFrame(t, p))]++
-	}
-	for i, c := range counts {
-		if c != 100 {
-			t.Errorf("VRI %d got %d flows, want 100 (round-robin of first frames)", i, c)
-		}
-	}
-}
-
 func BenchmarkJSQPick6(b *testing.B) {
 	j := NewJSQ()
 	ts := fixedTargets(1, 2, 3, 4, 5, 6)
@@ -262,19 +134,5 @@ func BenchmarkJSQPick6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = j.Pick(ts, f)
-	}
-}
-
-func BenchmarkFlowBasedPick(b *testing.B) {
-	fb := NewFlowBased(NewJSQ(), 0, nil)
-	ts := fixedTargets(1, 2, 3, 4, 5, 6)
-	frames := make([]*packet.Frame, 64)
-	for i := range frames {
-		frames[i] = udpFrame(b, uint16(i+1))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = fb.Pick(ts, frames[i%len(frames)])
 	}
 }

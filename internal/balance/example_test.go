@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lvrm/internal/balance"
-	"lvrm/internal/packet"
 )
 
 // Join-the-shortest-queue picks the VRI whose load estimate is lowest.
@@ -19,29 +18,4 @@ func ExampleJSQ() {
 	fmt.Println("picked VRI", jsq.Pick(targets, nil))
 	// Output:
 	// picked VRI 1
-}
-
-// The flow-based wrapper pins every frame of a 5-tuple flow to the VRI that
-// served the flow's first frame, preventing intra-flow reordering.
-func ExampleFlowBased() {
-	targets := []balance.Target{
-		{ID: 0, Load: func() float64 { return 0 }},
-		{ID: 1, Load: func() float64 { return 0 }},
-	}
-	fb := balance.NewFlowBased(balance.NewRoundRobin(), 0, nil)
-	frameOf := func(port uint16) *packet.Frame {
-		f, _ := packet.BuildUDP(packet.UDPBuildOpts{
-			Src: packet.MustParseIP("10.1.0.1"), Dst: packet.MustParseIP("10.2.0.1"),
-			SrcPort: port, DstPort: 9, WireSize: packet.MinWireSize,
-		})
-		return f
-	}
-	a, b := frameOf(1000), frameOf(2000)
-	fmt.Println("flow A:", fb.Pick(targets, a), fb.Pick(targets, a), fb.Pick(targets, a))
-	fmt.Println("flow B:", fb.Pick(targets, b), fb.Pick(targets, b))
-	fmt.Println("tracked flows:", fb.Flows())
-	// Output:
-	// flow A: 0 0 0
-	// flow B: 1 1
-	// tracked flows: 2
 }

@@ -48,7 +48,8 @@ type Config struct {
 	RecvBatch, VRIBatch, RelayBatch int
 	// FlowShards enables flow-aware dispatch when > 0: each VR gets a
 	// flow-affinity table, owned by the monitor, and dispatch pins flows to
-	// VRIs through it instead of asking the VR's balancer per frame. The
+	// VRIs through it, asking the VR's balancer (least-loaded when it has
+	// none) only for each new or re-balanced flow rather than per frame. The
 	// table is one slab, so past the switch the value only divides
 	// FlowTableCap for flow.NewTable. Zero (the default) keeps the seed
 	// balancer dispatch path exactly.
@@ -291,7 +292,7 @@ func (l *LVRM) AddVR(cfg VRConfig) (*VR, error) {
 	if cfg.Classify == nil && (cfg.SrcBits < 0 || cfg.SrcBits > 32) {
 		return nil, fmt.Errorf("core: VR %s: SrcBits %d outside 0..32", cfg.Name, cfg.SrcBits)
 	}
-	if cfg.Balancer == nil {
+	if cfg.Balancer == nil && l.cfg.FlowShards == 0 {
 		cfg.Balancer = balance.NewJSQ()
 	}
 	if cfg.Policy == nil {

@@ -581,8 +581,9 @@ func TestStatusSnapshot(t *testing.T) {
 		t.Errorf("locked-path VR reports balancer %q, want jsq", st.VRs[0].Balancer)
 	}
 
-	// A flow-dispatched VR never consults its configured balancer, and a
-	// VRI's depth includes transplant residue staged ahead of its ring.
+	// A flow-dispatched VR without a balancer pins new flows to the
+	// least-loaded VRI, and a VRI's depth includes transplant residue staged
+	// ahead of its ring.
 	fl, fv := newReplicaLVRM(t, clock, 1, 2)
 	a := fv.VRIs()[0]
 	a.stagePre(flowFrame(t, 1))

@@ -25,8 +25,10 @@
 // classic path asks the VR's balancer for a VRI, once per frame. The
 // flow-aware path (FlowShards > 0) hashes each frame's 5-tuple onto a
 // monitor-owned affinity table (internal/flow) so a flow sticks to one VRI —
-// per-flow ordering across VRI spawns, destroys and migrations. Either way the
-// monitor is the only producer onto every VRI's incoming rings.
+// per-flow ordering across VRI spawns, destroys and migrations — and asks the
+// balancer only for a new or re-balanced flow: the paper's flow-based
+// balancing. Either way the monitor is the only producer onto every VRI's
+// incoming rings.
 //
 // Frame lifetime (internal/packet/pool) is pooled and refcounted: the
 // adapter leases buffers, Retain/Release move ownership through dispatch,

@@ -422,7 +422,7 @@ func (l *LVRM) initVRObs(v *VR) {
 	}
 	label := obs.L("vr", v.cfg.Name)
 	v.waitHist = l.ins.reg.Histogram("lvrm_dispatch_wait_nanoseconds",
-		"Dispatch-to-dequeue wait per data frame: time spent in the VRI input queue.",
+		"Wait per data frame from its burst's receive time to its dequeue at the VRI: the frames ahead of it in the burst plus its time in the VRI input queue.",
 		nil, label)
 	v.depthHWM = l.ins.reg.Gauge("lvrm_vr_queue_depth_high_water",
 		"Highest input-queue depth any of the VR's VRIs has reached.", label)

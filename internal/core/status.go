@@ -48,8 +48,9 @@ type VRStatus struct {
 	ServiceRate float64 `json:"service_fps_per_vri"`
 	Dispatched  int64   `json:"dispatched"`
 	InDrops     int64   `json:"in_drops"`
-	// Balancer names what picks a VRI for each frame: the configured
-	// balancer, or "flow-affinity" when flow dispatch bypasses it.
+	// Balancer names what picks a VRI: the configured balancer per frame,
+	// or under flow dispatch "flow-<scheme>" when that balancer picks each
+	// new flow's VRI and "flow-affinity" when the least-loaded VRI does.
 	Balancer string `json:"balancer"`
 	// QueueDepthHighWater is the deepest any VRI input queue has been since
 	// start (0 when observability is disabled).
@@ -112,7 +113,6 @@ func (l *LVRM) Status() Status {
 			ServiceRate:         v.ServiceRatePerVRI(),
 			Dispatched:          v.Dispatched(),
 			InDrops:             v.InDrops(),
-			Balancer:            v.Balancer().Name(),
 			QueueDepthHighWater: v.depthHWM.Value(),
 			DispatchWait:        summarize(v.waitHist),
 			Drain:               v.DrainStats(),
@@ -120,10 +120,15 @@ func (l *LVRM) Status() Status {
 			Retired:             v.Retired(),
 		}
 		var partitions map[int]int
-		if v.flows != nil {
-			// dispatchFlow pins to the least-loaded VRI and never consults
-			// VRConfig.Balancer.
+		switch b := v.Balancer(); {
+		case v.flows == nil:
+			vs.Balancer = b.Name()
+		case b != nil:
+			vs.Balancer = "flow-" + b.Name()
+		default:
 			vs.Balancer = "flow-affinity"
+		}
+		if v.flows != nil {
 			// The published per-VRI pin counts: no slab sweep.
 			partitions = v.flows.PartitionSizes()
 		}

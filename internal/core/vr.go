@@ -30,7 +30,10 @@ type VRConfig struct {
 	Engine vr.Factory
 	// Policy is the VR's core-allocation policy (nil = fixed at 1 core).
 	Policy alloc.Policy
-	// Balancer dispatches frames among the VR's VRIs (nil = JSQ).
+	// Balancer dispatches frames among the VR's VRIs. Under flow dispatch
+	// (Config.FlowShards > 0) it picks the VRI of each new or re-balanced
+	// flow only, when the VR has more than one, and nil keeps the
+	// least-loaded pick; otherwise it picks per frame, and nil means JSQ.
 	Balancer balance.Balancer
 	// InitialVRIs is the number of VRIs to spawn at start (minimum 1).
 	InitialVRIs int
@@ -62,20 +65,20 @@ type VR struct {
 	// once at AddVR so classification is one AND and one compare per VR.
 	srcNet, srcMask uint32
 
-	// targets is dispatchLocked's scratch slice, reused so the hot path does
-	// not allocate: the balance.Target list of the run. Only the monitor
-	// goroutine touches it, the same ownership rule as LVRM's recvBuf.
-	// Balancers must not retain targets past Pick (none of the shipped ones
-	// do).
+	// targets is balanceTargets' scratch slice, reused so the hot path does
+	// not allocate: the balance.Target list of a run or of a flow pick. Only
+	// the monitor goroutine touches it, the same ownership rule as LVRM's
+	// recvBuf. Balancers must not retain targets past Pick (none of the
+	// shipped ones do).
 	targets []balance.Target
 
 	// arrival estimates the VR's traffic load for core allocation.
 	arrival *estimate.ArrivalRate
 
-	// flows, when non-nil, replaces the per-frame balancer with the
-	// flow-affinity table (Config.FlowShards > 0): dispatch hashes the frame
-	// to a flow key, pins the flow to a VRI, and enqueues there. Nil keeps
-	// the seed balancer path exactly.
+	// flows, when non-nil, puts the flow-affinity table in front of the
+	// balancer (Config.FlowShards > 0): dispatch hashes the frame to a flow
+	// key, pins the flow to the VRI picked for its first frame, and enqueues
+	// there. Nil keeps the seed per-frame balancer path exactly.
 	flows *flow.Table
 	// admitDepth is Config.FlowAdmitDepth: > 0 sheds new flows when every
 	// VRI's input queue is at least this deep (see dispatchFlow).
@@ -168,7 +171,8 @@ func (v *VR) InDrops() int64 { return v.inDrops.Load() }
 // (Config.FlowAdmitDepth) instead of being queued behind a backlog.
 func (v *VR) AdmissionShed() int64 { return v.admitShed.Load() }
 
-// Balancer returns the VR's load balancer.
+// Balancer returns the VR's load balancer (nil for a flow VR configured
+// without one).
 func (v *VR) Balancer() balance.Balancer { return v.cfg.Balancer }
 
 // ServiceRatePerVRI averages the VRIs' service-rate estimates, feeding the
@@ -242,17 +246,11 @@ func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
 	if len(vris) == 0 {
 		return v.refuse(frames)
 	}
-	v.targets = v.targets[:0]
-	for _, a := range vris {
-		ring := a.Data.In.Len()
-		a.runDepth = int(a.preLen.Load()) + ring
-		a.runRoom = a.Data.In.Cap() - ring
-		v.targets = append(v.targets, balance.Target{ID: a.ID, Load: a.loadFn})
-	}
+	targets := v.balanceTargets(vris)
 	var cur *VRIAdapter
 	lo := 0
 	for g, f := range frames {
-		a := vris[v.cfg.Balancer.Pick(v.targets, f)]
+		a := vris[v.cfg.Balancer.Pick(targets, f)]
 		if a != cur {
 			accepted += v.flush(cur, frames[lo:g], now)
 			cur, lo = a, g
@@ -270,6 +268,21 @@ func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
 		}
 	}
 	return accepted + v.flush(cur, frames[lo:], now)
+}
+
+// balanceTargets rebuilds v.targets, the list the VR's balancer picks from,
+// one entry per VRI of vris in order, and reads each VRI's input queue once
+// into the run's local view: runDepth (PendingData, which JSQ's runLoad
+// folds into QueueEst) and runRoom.
+func (v *VR) balanceTargets(vris []*VRIAdapter) []balance.Target {
+	v.targets = v.targets[:0]
+	for _, a := range vris {
+		ring := a.Data.In.Len()
+		a.runDepth = int(a.preLen.Load()) + ring
+		a.runRoom = a.Data.In.Cap() - ring
+		v.targets = append(v.targets, balance.Target{ID: a.ID, Load: a.loadFn})
+	}
+	return v.targets
 }
 
 // flush publishes run, the frames staged for a (handRun), and returns how
@@ -369,20 +382,27 @@ func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (
 		}
 		return false
 	}
-	// pick chooses a VRI for an unpinned flow: least instantaneous queue
-	// depth, service rate breaking ties. Load-aware admission lives here:
-	// when even that least-loaded VRI is backed up past admitDepth, a
-	// brand-new flow is refused — shed below as a counted drop — while a flow
-	// that already held a pin (keep ran, so Assign is re-balancing it) is
-	// always placed, preserving the established traffic the backlog belongs
-	// to.
+	// pick chooses a VRI for an unpinned flow, miss being its frame: the
+	// VR's balancer when it has one and there is a choice to make (the
+	// paper's flow-based JSQ, RR or random), else the least instantaneous
+	// queue depth, service rate breaking ties. A lone VRI is no choice: it is
+	// taken without asking the balancer, so a single-VRI VR's misses stay as
+	// cheap as with no balancer. Load-aware admission lives here: when even
+	// the least-loaded VRI is backed up past admitDepth, a brand-new flow is
+	// refused — shed below as a counted drop — while a flow that already held
+	// a pin (keep ran, so Assign is re-balancing it) is always placed,
+	// preserving the established traffic the backlog belongs to.
+	var miss *packet.Frame
 	pick := func() int {
-		best := leastLoaded(vris)
-		if v.admitDepth > 0 && !established && best.PendingData() >= v.admitDepth {
+		if v.admitDepth > 0 && !established && leastLoaded(vris).PendingData() >= v.admitDepth {
 			return -1
 		}
-		chosen = best
-		return best.ID
+		if v.cfg.Balancer == nil || len(vris) == 1 {
+			chosen = leastLoaded(vris)
+		} else {
+			chosen = vris[v.cfg.Balancer.Pick(v.balanceTargets(vris), miss)]
+		}
+		return chosen.ID
 	}
 	// frames[lo:g] is the run staged for cur, the VRI the last frame went to,
 	// as the loop reaches frame g; depth is cur's queue depth, read when the
@@ -423,6 +443,7 @@ func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (
 			chosen, established = nil, false
 			if id < 0 {
 				flush(g)
+				miss = f
 				if id, oc = v.flows.Assign(keys[i], now, keep, pick); id < 0 {
 					// Admission refused the new flow: shed the frame before it joins
 					// a backlog no VRI can clear. The arrival estimator already saw
@@ -460,9 +481,9 @@ func snapshotByID(vris []*VRIAdapter, id int) (*VRIAdapter, bool) {
 }
 
 // leastLoaded picks the VRI with the shortest instantaneous input queue,
-// breaking ties toward the higher measured service rate. The flow miss path
-// uses it instead of the VR's balancer: a flow is placed once, on the queues
-// as they are, not per frame on the balancer's estimates.
+// breaking ties toward the higher measured service rate: a flow is placed
+// once, on the queues as they are. The flow miss path uses it when the VR has
+// no balancer or one VRI, and load-aware admission always does.
 func leastLoaded(vris []*VRIAdapter) *VRIAdapter {
 	best := vris[0]
 	bestDepth := best.PendingData()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"lvrm/internal/balance"
+	"lvrm/internal/core"
 	"lvrm/internal/metrics"
 	"lvrm/internal/netio"
 	"lvrm/internal/packet"
@@ -25,17 +26,16 @@ const simpleNativeKind = testbed.NativeLinux
 // balancerSchemes are the three implementations of Section 3.3.
 var balancerSchemes = []string{"jsq", "rr", "random"}
 
-// mkBalancer builds a fresh balancer, optionally wrapped in flow-based
-// connection tracking.
-func mkBalancer(scheme string, flowBased bool, seed uint64, clock func() int64) (balance.Balancer, error) {
-	b, err := balance.NewByName(scheme, seed)
-	if err != nil {
-		return nil, err
+// schemeBalancer returns a factory of fresh balancers of one scheme, one per
+// trial.
+func schemeBalancer(scheme string, seed uint64) func() balance.Balancer {
+	return func() balance.Balancer {
+		b, err := balance.NewByName(scheme, seed)
+		if err != nil {
+			panic(err)
+		}
+		return b
 	}
-	if flowBased {
-		return balance.NewFlowBased(b, 30*time.Second, clock), nil
-	}
-	return b, nil
 }
 
 // FlowTrackCost is the extra per-frame dispatch cost of flow-based
@@ -44,30 +44,22 @@ func mkBalancer(scheme string, flowBased bool, seed uint64, clock func() int64) 
 const FlowTrackCost = 150 * time.Nanosecond
 
 // buildBalancedLVRM assembles the Experiment 3c/4 LVRM: one VR, six fixed
-// VRIs, the requested balancing scheme.
+// VRIs, the requested balancing scheme. Flow-based balancing is the monitor's
+// flow table in front of the same scheme, which then picks only each flow's
+// first frame.
 func buildBalancedLVRM(cfg Config, scheme string, flowBased bool) (*rig, error) {
-	var r *rig
-	var err error
-	extra := time.Duration(0)
+	gw := testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: cfg.Seed}
 	if flowBased {
-		extra = FlowTrackCost
+		gw.Monitor = core.Config{FlowShards: 1, FlowTableCap: 4096}
+		gw.ExtraDispatchCost = FlowTrackCost
 	}
-	r, err = buildLVRMRig(lvrmOpts{
-		gw:         testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, ExtraDispatchCost: extra, Seed: cfg.Seed},
+	return buildLVRMRig(lvrmOpts{
+		gw:         gw,
 		vrKind:     vrBasic,
 		initial:    6,
 		queueLimit: ftpQueueLimit,
-		balancer: func() balance.Balancer {
-			// The clock closes over the rig's engine, which exists by the
-			// time any frame is balanced.
-			b, berr := mkBalancer(scheme, flowBased, cfg.Seed, func() int64 { return r.eng.Now() })
-			if berr != nil {
-				panic(berr)
-			}
-			return b
-		},
+		balancer:   schemeBalancer(scheme, cfg.Seed),
 	})
-	return r, err
 }
 
 // exp3a offers 360 Kfps (scaled) to one VR with six VRIs and the 1/60 ms
@@ -89,15 +81,9 @@ func exp3a(cfg Config) (*Result, error) {
 					vrKind: k,
 					// Jittered service makes static schemes drift so JSQ's
 					// load awareness can show (the paper's real-world noise).
-					dummy:   dummy,
-					initial: 6,
-					balancer: func() balance.Balancer {
-						b, err := balance.NewByName(scheme, cfg.Seed)
-						if err != nil {
-							panic(err)
-						}
-						return b
-					},
+					dummy:    dummy,
+					initial:  6,
+					balancer: schemeBalancer(scheme, cfg.Seed),
 				})
 			}
 			trial := jitteredUDPTrial(build, 84, cfg.TrialDuration(), cfg.Seed)
@@ -148,13 +134,7 @@ func exp3b(cfg Config) (*Result, error) {
 				gw:     testbed.LVRMGatewayConfig{Mechanism: netio.PFRing, Seed: cfg.Seed},
 				vrKind: k, dummy: dummy,
 				initial: 3, secondVR: true,
-				balancer: func() balance.Balancer {
-					b, err := balance.NewByName(scheme, cfg.Seed)
-					if err != nil {
-						panic(err)
-					}
-					return b
-				},
+				balancer: schemeBalancer(scheme, cfg.Seed),
 			})
 			if err != nil {
 				return nil, err

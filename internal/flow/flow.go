@@ -4,8 +4,9 @@
 // A flow is a 64-bit key (see KeyOf): the 5-tuple hash for decodable frames,
 // a bytes+length hash otherwise. The Table remembers which VRI each flow was
 // assigned to, so every frame of a flow lands on the same VRI queue and
-// per-flow ordering is preserved — the property the paper's flow-based
-// balancer provides with a single shared map.
+// per-flow ordering is preserved — the connection tracking of the paper's
+// flow-based balancing, whose balancer (core's VRConfig.Balancer) then picks
+// a VRI only for each new or re-balanced flow.
 //
 // Concurrency model: one goroutine owns the table — in LVRM, the monitor,
 // which dispatches, spawns and destroys VRIs and runs the migration engine's

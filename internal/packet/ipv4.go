@@ -233,8 +233,8 @@ type Meta struct {
 // ParseMeta parses the frame's Ethernet and IPv4 headers in one pass,
 // applying every check ParseIPv4 does (length, version, IHL, header checksum,
 // TotalLen) on top of the EtherType test. TCP and UDP frames also yield their
-// ports; ICMP and other protocols yield a port-less tuple so that a
-// flow-based balancer can still pin them consistently.
+// ports; ICMP and other protocols yield a port-less tuple so that
+// flow-based balancing can still pin them consistently.
 func ParseMeta(f *Frame) Meta {
 	var m Meta
 	b := f.Buf

@@ -131,8 +131,8 @@ func (ft FiveTuple) String() string {
 	return fmt.Sprintf("%d %s:%d->%s:%d", ft.Proto, ft.Src, ft.SrcPort, ft.Dst, ft.DstPort)
 }
 
-// Hash mixes the tuple into a 64-bit key (splitmix64 finalizer) suitable for
-// the connection-tracking hash table.
+// Hash mixes the tuple into a 64-bit key (splitmix64 finalizer): the flow
+// key of the flow-affinity table (flow.KeyOf).
 func (ft FiveTuple) Hash() uint64 {
 	x := uint64(ft.Src)<<32 | uint64(ft.Dst)
 	x ^= uint64(ft.SrcPort)<<48 | uint64(ft.DstPort)<<32 | uint64(ft.Proto)

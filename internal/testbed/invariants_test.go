@@ -84,7 +84,9 @@ func runSeededInterleaving(seed uint64) (summary string, err error) {
 	// vr1 is replicated (the monitor-wide MaxReplicas: 3) and forwards
 	// against the RIB's FIB; vr2 opts out of replication, grows and shrinks
 	// under dynamic-fixed, and forwards against per-VRI static tables that
-	// control-queue route updates edit. Both are flow-dispatched.
+	// control-queue route updates edit. Both are flow-dispatched. vr2's new
+	// and re-balanced flows are placed by the seed's balancer scheme, so the
+	// stale-pin re-balance after each grow runs through it.
 	r := rib.New(rib.Options{})
 	for _, ev := range []rib.Event{
 		{Prefix: ip("10.1.0.0"), Bits: 16, OutIf: 0},
@@ -100,6 +102,11 @@ func runSeededInterleaving(seed uint64) (summary string, err error) {
 		return "", err
 	}
 	dummy := time.Second / perVRI
+	scheme := []string{"jsq", "rr", "random"}[seed%3]
+	bal, err := balance.NewByName(scheme, seed)
+	if err != nil {
+		return "", err
+	}
 
 	var rig *Rig
 	rig, err = NewRig(RigOpts{
@@ -139,6 +146,7 @@ func runSeededInterleaving(seed uint64) (summary string, err error) {
 				Name: "dynamic-fixed", SrcPrefix: ip("10.1.1.0"), SrcBits: 24,
 				Engine:      vr.BasicFactory(vr.BasicConfig{Routes: static, DummyLoad: dummy}),
 				Policy:      alloc.NewDynamicFixed(perVRI),
+				Balancer:    bal,
 				MaxVRIs:     3,
 				MaxReplicas: 1,
 			},
@@ -251,8 +259,9 @@ func runSeededInterleaving(seed uint64) (summary string, err error) {
 		mig.Drains, mig.Splits, mig.Folds, mig.Moves = mig.Drains+m.Drains, mig.Splits+m.Splits, mig.Folds+m.Folds, mig.Moves+m.Moves
 		mig.FramesMoved += m.FramesMoved
 	}
-	summary = fmt.Sprintf("sent=%d delivered=%d lost=%d (in_drops=%d) | splits=%d folds=%d drains=%d moves=%d (%d by MoveVRI) frames_moved=%d | forced-pass events=%d route updates=%d fib changes=%d gen=%d",
-		sent, delivered, lost, led.InDrops, mig.Splits, mig.Folds, mig.Drains, mig.Moves, moves, mig.FramesMoved,
+	fs, _ := l.VRs()[1].FlowStats()
+	summary = fmt.Sprintf("balancer=%s (rebalances=%d) sent=%d delivered=%d lost=%d (in_drops=%d) | splits=%d folds=%d drains=%d moves=%d (%d by MoveVRI) frames_moved=%d | forced-pass events=%d route updates=%d fib changes=%d gen=%d",
+		scheme, fs.Rebalances, sent, delivered, lost, led.InDrops, mig.Splits, mig.Folds, mig.Drains, mig.Moves, moves, mig.FramesMoved,
 		passes, updates, publishes, r.FIB().Generation())
 
 	switch invErr := l.CheckInvariants(); {

@@ -66,7 +66,7 @@ type LVRMGatewayConfig struct {
 	// defaulting to 4096, which also sizes the capture ring — and hands the
 	// rest to core.New untouched. The testbed is single-threaded, so
 	// FlowShards exercises the flow table's semantics (affinity, epochs,
-	// eviction) under virtual time rather than its parallelism; combine with
+	// overflow) under virtual time rather than its parallelism; combine with
 	// ExtraDispatchCost to model the lookup's per-frame cost.
 	Monitor core.Config
 	// Mechanism selects the socket adapter cost model (RawSocket, PFRing,
@@ -75,8 +75,8 @@ type LVRMGatewayConfig struct {
 	// Affinity is the VRI placement mode (Experiment 2a).
 	Affinity AffinityMode
 	// ExtraDispatchCost adds per-frame monitor-core cost to the dispatch
-	// path, e.g. the flow-based balancer's connection tracking (hash
-	// table lookups plus the times() call the paper measures in
+	// path, e.g. flow-based balancing's connection tracking (the flow
+	// table's lookup plus the times() call the paper measures in
 	// Experiment 3c).
 	ExtraDispatchCost time.Duration
 	// Seed feeds the placement randomness of AffinityOSDefault.
