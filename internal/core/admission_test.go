@@ -1,9 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
+	"time"
 
+	"lvrm/internal/balance"
 	"lvrm/internal/netio"
+	"lvrm/internal/packet"
+	"lvrm/internal/packet/pool"
 )
 
 // newAdmitLVRM builds an LVRM with flow dispatch and load-aware admission
@@ -159,5 +164,59 @@ func BenchmarkPooledFlowDispatchHit(b *testing.B) {
 		if _, ok := a.Data.In.Dequeue(); !ok {
 			b.Fatal("dispatched frame not queued")
 		}
+	}
+}
+
+// BenchmarkPooledFlowDispatchBurst is the same path as a vector: 16-frame
+// bursts of pooled frames over a flow VR of two VRIs, fifteen frames of
+// pinned flows around one frame of a new flow, so that every burst takes
+// AssignHits' pass over the leading hits, a flush, a round-robin pick for the
+// new flow, and Assign for the frames after it. It must stay at 0 allocs/op
+// too (the CI pooled-path gate greps it).
+func BenchmarkPooledFlowDispatchBurst(b *testing.B) {
+	clock := &fakeClock{}
+	p := pool.New()
+	l, v := newBalancedFlowLVRM(b, clock, p, 2, 0, balance.NewRoundRobin())
+	proto := flowFrame(b, 0)
+	var (
+		frames  [16]*packet.Frame
+		scratch [16]parsed
+		fresh   = uint32(len(frames)) // the ports of the next new flow
+	)
+	burst := func() {
+		for i := range frames {
+			f := p.Copy(proto)
+			ports := uint32(i) // source port 0, destination port i: pinned
+			if i == len(frames)/2 {
+				ports = fresh
+				fresh++
+			}
+			binary.BigEndian.PutUint32(f.Buf[packet.EthHeaderLen+packet.IPv4HeaderLen:], ports)
+			frames[i] = f
+		}
+		clock.advance(time.Microsecond)
+		if got := l.dispatchBurst(frames[:], scratch[:], clock.now); got != len(frames) {
+			b.Fatalf("burst: %d of %d frames accepted", got, len(frames))
+		}
+		for _, a := range v.VRIs() {
+			for {
+				f, ok := a.Data.In.Dequeue()
+				if !ok {
+					break
+				}
+				f.Release()
+			}
+		}
+	}
+	burst() // pins the fifteen established flows
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst()
+	}
+	b.StopTimer()
+	// Past the table's capacity a new flow runs unpinned: an overflow.
+	if st, _ := v.FlowStats(); st.Misses+st.Overflows != int64(b.N)+16 {
+		b.Fatalf("stats = %+v, want one new flow per burst after the first", st)
 	}
 }

@@ -51,8 +51,8 @@ type Config struct {
 	// VRIs through it, asking the VR's balancer (least-loaded when it has
 	// none) only for each new or re-balanced flow rather than per frame. The
 	// table is one slab, so past the switch the value only divides
-	// FlowTableCap for flow.NewTable. Zero (the default) keeps the seed
-	// balancer dispatch path exactly.
+	// FlowTableCap for flow.NewTable. Zero (the default) runs the same
+	// dispatch loop without a table: the balancer picks per frame.
 	FlowShards int
 	// FlowTableCap bounds the pinned flows per VR, in table slots (default
 	// 1024; effective capacity is rounded up — see flow.NewTable). The slab

@@ -192,8 +192,8 @@ func TestRecvDispatchProcessRelay(t *testing.T) {
 	v, _ := l.AddVR(vrCfg(t, "vr1", "10.1.0.0", 16))
 
 	qa.Inject(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-	if !l.RecvAndDispatch() {
-		t.Fatal("RecvAndDispatch found no frame")
+	if l.RecvDispatchBatch(1) == 0 {
+		t.Fatal("RecvDispatchBatch found no frame")
 	}
 	if v.Dispatched() != 1 {
 		t.Errorf("Dispatched = %d", v.Dispatched())
@@ -226,7 +226,7 @@ func TestUnclassifiedCounted(t *testing.T) {
 	l := newTestLVRM(t, clock, qa)
 	l.AddVR(vrCfg(t, "vr1", "10.1.0.0", 16))
 	qa.Inject(frameFrom(t, "172.16.0.1", "10.2.0.1"))
-	l.RecvAndDispatch()
+	l.RecvDispatchBatch(1)
 	if st := l.Stats(); st.Unclassified != 1 {
 		t.Errorf("Unclassified = %d", st.Unclassified)
 	}
@@ -550,7 +550,7 @@ func TestFrameTimestampSetOnReceive(t *testing.T) {
 	l := newTestLVRM(t, clock, qa)
 	v, _ := l.AddVR(vrCfg(t, "vr1", "10.1.0.0", 16))
 	qa.Inject(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-	l.RecvAndDispatch()
+	l.RecvDispatchBatch(1)
 	f, ok := v.VRIs()[0].Data.In.Dequeue()
 	if !ok || f.Timestamp != 12345 {
 		t.Errorf("Timestamp = %d, want clock value 12345", f.Timestamp)
@@ -566,7 +566,7 @@ func TestStatusSnapshot(t *testing.T) {
 		Engine: testEngineFactory(t), InitialVRIs: 2,
 	})
 	qa.Inject(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-	l.RecvAndDispatch()
+	l.RecvDispatchBatch(1)
 	st := l.Status()
 	if len(st.VRs) != 1 || st.VRs[0].Name != "vr1" || st.VRs[0].Cores != 2 {
 		t.Fatalf("Status = %+v", st)

@@ -38,25 +38,7 @@ type parsed struct {
 	vr   *VR
 }
 
-// RecvAndDispatch polls the socket adapter for one frame and dispatches it
-// to the owning VR's chosen VRI. It returns whether a frame was received.
-// After dispatching, it runs the core allocation check, matching Figure
-// 3.2's "called upon receipt of a packet after 1s or more from previous
-// core allocation".
-func (l *LVRM) RecvAndDispatch() (received bool) {
-	f, ok := l.cfg.Adapter.Recv()
-	if !ok {
-		return false
-	}
-	now := l.cfg.Clock()
-	l.recvBuf[0] = f
-	l.dispatchBurst(l.recvBuf[:1], l.burstBuf[:1], now)
-	l.recvBuf[0] = nil
-	l.MaybeAllocate(now)
-	return true
-}
-
-// dispatchBurst is the one dispatch body: both ingest entries funnel a burst
+// dispatchBurst is the one dispatch body: RecvDispatchBatch funnels each burst
 // of frames received at time now through it. Fixed costs are paid per burst
 // (the caller's clock read, the received/unclassified counters), per VR run
 // (arrival estimate, target list) or per VRI run (the ring's

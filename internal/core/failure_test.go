@@ -81,7 +81,7 @@ func TestDispatchToFullQueueCountsDrop(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		clock.advance(10 * time.Microsecond)
 		adapter.Inject(frameFrom(t, "10.1.0.5", "10.2.0.1"))
-		l.RecvAndDispatch()
+		l.RecvDispatchBatch(1)
 	}
 	if v.Dispatched() != 2 {
 		t.Errorf("Dispatched = %d, want 2 (queue capacity)", v.Dispatched())

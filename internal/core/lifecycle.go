@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"lvrm/internal/flow"
 	"lvrm/internal/obs"
 	"lvrm/internal/packet"
 )
@@ -156,13 +157,23 @@ func (v *VR) Retired() RetiredStats {
 }
 
 // migrateFrame hands one drained frame to a survivor's ring, preferring the
-// least loaded instance and falling back to any queue with room. It returns
-// the survivor that took ownership, nil when none could.
-func migrateFrame(survivors []*VRIAdapter, f *packet.Frame) *VRIAdapter {
+// one its flow is pinned to — so the flow's later frames queue behind it —
+// then the least loaded instance, and falling back to any queue with room. It
+// returns the survivor that took ownership, nil when none could.
+func (v *VR) migrateFrame(survivors []*VRIAdapter, f *packet.Frame) *VRIAdapter {
 	if len(survivors) == 0 {
 		return nil
 	}
-	if s := leastLoaded(survivors); s.hand(f) {
+	var s *VRIAdapter
+	if v.flows != nil {
+		if pin, ok := v.flows.PinOf(flow.KeyOf(f)); ok {
+			s, _ = snapshotByID(survivors, pin)
+		}
+	}
+	if s == nil {
+		s = leastLoaded(survivors)
+	}
+	if s.hand(f) {
 		return s
 	}
 	for _, s := range survivors {

@@ -47,8 +47,9 @@ type MigrationKind int
 
 const (
 	// MigrateDrain is VRI teardown: the full partition re-pins to the
-	// surviving VRIs (or unpins when none remain) and the residue migrates
-	// to their rings.
+	// surviving VRIs, each flow picked as a new one would be (or unpinned
+	// when none remain), and the residue migrates to their rings, following
+	// the pins.
 	MigrateDrain MigrationKind = iota
 	// MigrateSplit is a replica split: half the source's partition re-pins
 	// to a freshly spawned replica, residue follows its flow's pin.
@@ -170,13 +171,16 @@ func (l *LVRM) migratePartition(v *VR, m migration) MigrationReport {
 	// on this same goroutine, so from here on every new frame of a moved flow
 	// lands on the destination's ring — behind the residue staged in step 2.
 	if v.flows != nil {
+		if m.kind == MigrateDrain {
+			v.balanceTargets(survivors)
+		}
 		rep.Pins = int64(v.flows.Transfer(m.src.ID, func(key uint64) int {
 			switch {
-			case m.kind == MigrateDrain: // the least-loaded survivor, or unpin
+			case m.kind == MigrateDrain: // picked like a new flow, or unpinned
 				if len(survivors) == 0 {
 					return -1
 				}
-				return leastLoaded(survivors).ID
+				return v.pickFlow(survivors, nil).ID
 			case m.kind == MigrateSplit && !m.shouldMove(key): // this flow stays
 				return m.src.ID
 			}
@@ -211,7 +215,7 @@ func (l *LVRM) migratePartition(v *VR, m migration) MigrationReport {
 		if m.kind == MigrateDrain {
 			// Nobody is paused: straight onto a survivor's ring (hand counts
 			// it), or to nobody when there is no survivor with room.
-			if to = migrateFrame(survivors, f); to == nil {
+			if to = v.migrateFrame(survivors, f); to == nil {
 				rep.Dropped++
 				f.Release()
 				continue

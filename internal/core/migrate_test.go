@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lvrm/internal/balance"
+	"lvrm/internal/flow"
 	"lvrm/internal/netio"
 	"lvrm/internal/obs"
 	"lvrm/internal/packet"
@@ -24,7 +25,7 @@ func TestMoveVRIRelocatesPartition(t *testing.T) {
 	l, v := newReplicaLVRM(t, clock, 1, 2)
 	const nFlows, perFlow = 8, 5
 
-	seq := dispatchFlows(t, l, nFlows, perFlow)
+	seq := pushFlows(t, l, nFlows, perFlow)
 	src := v.VRIs()[0]
 	srcCore := src.Core
 	freeBefore := l.Allocator().FreeCount()
@@ -125,7 +126,7 @@ func TestDrainRoutesThroughEngine(t *testing.T) {
 	clock := &fakeClock{}
 	l, v := newReplicaLVRM(t, clock, 2, 2)
 	const nFlows, perFlow = 8, 4
-	dispatchFlows(t, l, nFlows, perFlow)
+	pushFlows(t, l, nFlows, perFlow)
 
 	victim := v.VRIs()[0]
 	queued := victim.PendingData()
@@ -162,7 +163,7 @@ func TestStatusReportsMigrations(t *testing.T) {
 	clock := &fakeClock{}
 	l, v := newReplicaLVRM(t, clock, 1, 2)
 	const nFlows, perFlow = 8, 3
-	dispatchFlows(t, l, nFlows, perFlow)
+	pushFlows(t, l, nFlows, perFlow)
 	if _, err := l.MoveVRI(v.ID, v.VRIs()[0].ID, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -509,5 +510,87 @@ func TestTransitionBookkeeping(t *testing.T) {
 	}
 	if m := replicated.Migrations(); m.Splits != 1 || m.Folds != 1 || m.Moves != 1 || m.Drains != 0 {
 		t.Errorf("vr1 migration totals = %+v, want one split, fold and move", m)
+	}
+}
+
+// TestDrainRepinsThroughBalancer: a drain re-pins each flow of the retired
+// VRI the way a new flow is placed (pickFlow). Under round-robin the retired
+// VRI's 100 flows split evenly over the two survivors; with no balancer they
+// all go to the least-loaded survivor. Either way the drained frames sit
+// where their flows are pinned, in order, and the ledger balances.
+func TestDrainRepinsThroughBalancer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bal  balance.Balancer
+	}{{"rr", balance.NewRoundRobin()}, {"nil", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := &fakeClock{}
+			l, v := newBalancedFlowLVRM(t, clock, nil, 3, 0, tc.bal)
+			const nFlows = 300
+			seq := pushFlows(t, l, nFlows, 1)
+			before := v.FlowTable().PartitionSizes()
+			for _, a := range v.VRIs() {
+				if before[a.ID] != nFlows/3 {
+					t.Fatalf("partitions before the drain = %v, want %d flows each", before, nFlows/3)
+				}
+			}
+			victim, err := l.shrinkVR(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := v.FlowTable().PartitionSizes()
+			survivors := v.VRIs()
+			gained := make([]int, len(survivors))
+			for i, a := range survivors {
+				gained[i] = after[a.ID] - before[a.ID]
+			}
+			want := []int{50, 50}
+			if tc.bal == nil {
+				want = []int{nFlows / 3, 0}
+			}
+			if !reflect.DeepEqual(gained, want) || after[victim.ID] != 0 {
+				t.Fatalf("survivors gained %v flows (retired VRI keeps %d), want %v", gained, after[victim.ID], want)
+			}
+			// One more frame per flow: it lands behind its flow's drained
+			// frame.
+			for fl := 0; fl < nFlows; fl++ {
+				f := flowFrame(t, fl)
+				seq[f] = len(seq)
+				if !dispatchOne(l, f) {
+					t.Fatalf("flow %d: dispatch after the drain rejected", fl)
+				}
+			}
+			// Serve and relay one survivor at a time: what each sends is what
+			// sat on it, in queue order.
+			qa := l.Config().Adapter.(*netio.QueueAdapter)
+			last, sent := map[uint64]int{}, 0
+			for _, a := range survivors {
+				for a.hasWork() {
+					a.StepBatch(clock.now, 64, nil)
+				}
+				l.RelayFrom(a, 2*nFlows)
+				for {
+					f, ok := qa.Harvest()
+					if !ok {
+						break
+					}
+					key := flow.KeyOf(f)
+					if pin, _ := v.FlowTable().PinOf(key); pin != a.ID {
+						t.Fatalf("frame of flow %#x served by VRI %d, pinned to %d", key, a.ID, pin)
+					}
+					if prev, ok := last[key]; ok && seq[f] <= prev {
+						t.Fatalf("flow %#x reordered: seq %d after %d", key, seq[f], prev)
+					}
+					last[key] = seq[f]
+					sent++
+				}
+			}
+			if sent != len(seq) {
+				t.Fatalf("sent %d frames, dispatched %d", sent, len(seq))
+			}
+			if err := l.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

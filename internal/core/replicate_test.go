@@ -44,10 +44,10 @@ func newReplicaLVRM(t testing.TB, clock *fakeClock, nVRIs, maxReplicas int) (*LV
 	return l, v
 }
 
-// dispatchFlows pushes perFlow frames of each of nFlows flows through
+// pushFlows pushes perFlow frames of each of nFlows flows through
 // dispatchOne, interleaved (flow 0..n-1, then again), recording dispatch order
 // per frame. Returns the order map.
-func dispatchFlows(t testing.TB, l *LVRM, nFlows, perFlow int) map[*packet.Frame]int {
+func pushFlows(t testing.TB, l *LVRM, nFlows, perFlow int) map[*packet.Frame]int {
 	t.Helper()
 	seq := make(map[*packet.Frame]int)
 	order := 0
@@ -118,7 +118,7 @@ func TestSplitVRTransplantsPartition(t *testing.T) {
 	l, v := newReplicaLVRM(t, clock, 1, 2)
 	const nFlows, perFlow = 8, 5
 
-	seq := dispatchFlows(t, l, nFlows, perFlow)
+	seq := pushFlows(t, l, nFlows, perFlow)
 	src := v.VRIs()[0]
 	if got := src.PendingData(); got != nFlows*perFlow {
 		t.Fatalf("backlog = %d, want %d", got, nFlows*perFlow)
@@ -154,7 +154,7 @@ func TestFoldVRMergesResidue(t *testing.T) {
 	l, v := newReplicaLVRM(t, clock, 2, 2)
 	const nFlows, perFlow = 8, 5
 
-	seq := dispatchFlows(t, l, nFlows, perFlow)
+	seq := pushFlows(t, l, nFlows, perFlow)
 	for _, a := range v.VRIs() {
 		if a.PendingData() == 0 {
 			t.Fatalf("replica %d got no flows: fold test is vacuous", a.ID)
@@ -229,7 +229,7 @@ func TestReplicaPassSplitsAndFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dispatchFlows(t, l, 4, 4) // depth 16 >= SplitDepth 4
+	pushFlows(t, l, 4, 4) // depth 16 >= SplitDepth 4
 	clock.advance(time.Millisecond)
 	evs := l.Allocate(clock.now)
 	if len(evs) != 1 || !evs[0].Grow {

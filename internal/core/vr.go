@@ -31,8 +31,8 @@ type VRConfig struct {
 	// Policy is the VR's core-allocation policy (nil = fixed at 1 core).
 	Policy alloc.Policy
 	// Balancer dispatches frames among the VR's VRIs. Under flow dispatch
-	// (Config.FlowShards > 0) it picks the VRI of each new or re-balanced
-	// flow only, when the VR has more than one, and nil keeps the
+	// (Config.FlowShards > 0) it picks the VRI of each new, re-balanced or
+	// drained flow only, when the VR has more than one, and nil keeps the
 	// least-loaded pick; otherwise it picks per frame, and nil means JSQ.
 	Balancer balance.Balancer
 	// InitialVRIs is the number of VRIs to spawn at start (minimum 1).
@@ -71,6 +71,10 @@ type VR struct {
 	// recvBuf. Balancers must not retain targets past Pick (none of the
 	// shipped ones do).
 	targets []balance.Target
+	// keys and ids are assignHits' scratch, monitor-owned like targets: the
+	// flow keys of a chunk of the run and the VRIs of its clean hits.
+	keys [flow.MaxBurst]uint64
+	ids  [flow.MaxBurst]int32
 
 	// arrival estimates the VR's traffic load for core allocation.
 	arrival *estimate.ArrivalRate
@@ -78,10 +82,10 @@ type VR struct {
 	// flows, when non-nil, puts the flow-affinity table in front of the
 	// balancer (Config.FlowShards > 0): dispatch hashes the frame to a flow
 	// key, pins the flow to the VRI picked for its first frame, and enqueues
-	// there. Nil keeps the seed per-frame balancer path exactly.
+	// there. Nil means the balancer picks per frame; the loop is the same.
 	flows *flow.Table
 	// admitDepth is Config.FlowAdmitDepth: > 0 sheds new flows when every
-	// VRI's input queue is at least this deep (see dispatchFlow).
+	// VRI's input queue is at least this deep (see assign).
 	admitDepth int
 
 	// maxReplicas is the effective replica ceiling (VRConfig.MaxReplicas,
@@ -211,18 +215,100 @@ func (v *VR) match(m *packet.Meta, f *packet.Frame) bool {
 // classified to this VR — to the VR's VRIs and returns how many were
 // accepted; the rest are released under inDrops or admitShed. arrivals is the
 // number of frames to report to the VR's arrival estimator (see
-// burstArrivals). With flow dispatch enabled the run goes through the
-// affinity table; otherwise it takes the classic balancer path.
-func (v *VR) dispatch(frames []*packet.Frame, scratch []parsed, now int64, arrivals int) int {
+// burstArrivals).
+//
+// It is the one loop that places frames on VRI rings. Each VRI's queue depth
+// and free room are read once at the start of the run (balanceTargets) and
+// counted locally from there (runDepth, runRoom), so a pick sees the frames
+// placed before it in the same run without re-reading the ring cursor the
+// VRI's core keeps writing. Each frame's VRI comes from one of three places:
+// the balancer, per frame, on a VR without a flow table; a clean hit of the
+// table's vector pass (AssignHits, flow.MaxBurst keys at a time); or assign,
+// for a key that is not a clean hit, at its place in frame order after
+// everything before it has been published, so keep and pick read exactly the
+// queues and owed counts they would have read had the frames come one at a
+// time. Every frame is then staged the same way, and consecutive frames for
+// one VRI are published with a single EnqueueBatch: frames[lo:g] is the run
+// staged for cur as the loop reaches frame g — always a contiguous piece of
+// the burst, because a change of VRI, a full ring, an assign and a shed are
+// all preceded by a flush. Spawn, destroy and the migration engine's Transfer
+// run on the dispatching goroutine too, so a pin that is not stale always
+// names a VRI of vris.
+func (v *VR) dispatch(frames []*packet.Frame, scratch []parsed, now int64, arrivals int) (accepted int) {
 	// The paper's traffic load is the *arrival* rate of incoming frames for
 	// the VR, so estimate it before any queue-full drop — otherwise a
 	// saturated VR would under-report its load and never earn more cores.
 	// The estimator is internally locked.
 	v.arrival.ObserveN(now, arrivals)
-	if v.flows != nil {
-		return v.dispatchFlow(frames, scratch, now)
+	vris := v.vriList()
+	if len(vris) == 0 {
+		return v.refuse(frames)
 	}
-	return v.dispatchLocked(frames, now)
+	targets := v.balanceTargets(vris)
+	flows := v.flows
+	var cur *VRIAdapter
+	lo := 0
+	outcome := flow.Hit // the table's outcome for the last staged frame
+	for g, f := range frames {
+		var a *VRIAdapter
+		oc := flow.Hit
+		if flows == nil {
+			a = vris[v.cfg.Balancer.Pick(targets, f)]
+		} else {
+			i := g % flow.MaxBurst
+			if i == 0 {
+				v.assignHits(frames[g:], scratch[g:])
+			}
+			if id := v.ids[i]; id >= 0 {
+				a, _ = snapshotByID(vris, int(id))
+			} else {
+				accepted += v.flush(cur, frames[lo:g], now, outcome)
+				lo = g
+				if a, oc = v.assign(vris, v.keys[i], f, now); a == nil {
+					// Admission refused the new flow: shed the frame before it
+					// joins a backlog no VRI can clear. The arrival estimator
+					// already saw it, so the VR's offered load (and thus its
+					// claim to more cores) is intact.
+					v.admitShed.Add(1)
+					f.Release()
+					lo = g + 1
+					continue
+				}
+			}
+		}
+		if a != cur {
+			accepted += v.flush(cur, frames[lo:g], now, outcome)
+			cur, lo = a, g
+		}
+		outcome = oc
+		// Figure 3.4 "queue length": observe occupancy when forwarding.
+		a.QueueEst.Observe(a.runDepth)
+		a.runDepth++
+		if a.runRoom > 0 {
+			a.runRoom--
+		} else {
+			// The room read when the run began is used up: try now, so that
+			// the next pick sees the real outcome rather than a guess.
+			accepted += v.flush(a, frames[lo:g+1], now, outcome)
+			lo = g + 1
+		}
+	}
+	return accepted + v.flush(cur, frames[lo:], now, outcome)
+}
+
+// assignHits hashes the flow keys of the next flow.MaxBurst frames (or the
+// fewer that are left) into v.keys and resolves their leading clean hits in
+// one pass of the table (AssignHits); v.ids holds each hit's VRI and -1 for a
+// key dispatch must resolve with assign. A chunk of one skips the vector pass.
+func (v *VR) assignHits(frames []*packet.Frame, scratch []parsed) {
+	n := min(len(frames), flow.MaxBurst)
+	for i, f := range frames[:n] {
+		v.keys[i] = flow.KeyOfMeta(scratch[i].meta, f)
+	}
+	v.ids[0] = -1
+	if n > 1 {
+		v.flows.AssignHits(v.keys[:n], v.ids[:n])
+	}
 }
 
 // refuse drops a whole run because the VR has no VRI to take it.
@@ -230,44 +316,6 @@ func (v *VR) refuse(frames []*packet.Frame) int {
 	v.inDrops.Add(int64(len(frames)))
 	releaseAll(frames)
 	return 0
-}
-
-// dispatchLocked is the seed dispatch path (named for the per-VR lock it once
-// held), one run at a time: the balancer decides once per frame, in arrival
-// order. Each VRI's queue depth is read once at the start of the run and
-// counted locally from there (runDepth), so a pick sees the frames placed
-// before it in the same run without re-reading the ring cursor the VRI's core
-// keeps writing. Consecutive frames for one VRI are published with a single
-// EnqueueBatch: frames[lo:g] is the run staged for cur as the loop reaches
-// frame g — always a contiguous piece of the burst, because a change of VRI,
-// and a full ring, are both preceded by a flush.
-func (v *VR) dispatchLocked(frames []*packet.Frame, now int64) (accepted int) {
-	vris := v.vriList()
-	if len(vris) == 0 {
-		return v.refuse(frames)
-	}
-	targets := v.balanceTargets(vris)
-	var cur *VRIAdapter
-	lo := 0
-	for g, f := range frames {
-		a := vris[v.cfg.Balancer.Pick(targets, f)]
-		if a != cur {
-			accepted += v.flush(cur, frames[lo:g], now)
-			cur, lo = a, g
-		}
-		// Figure 3.4 "queue length": observe occupancy when forwarding.
-		a.QueueEst.Observe(a.runDepth)
-		a.runDepth++
-		if a.runRoom > 0 {
-			a.runRoom--
-		} else {
-			// The ring was full when the run began: try now, so that the
-			// next pick sees the real outcome rather than a guess.
-			accepted += v.flush(a, frames[lo:g+1], now)
-			lo = g + 1
-		}
-	}
-	return accepted + v.flush(cur, frames[lo:], now)
 }
 
 // balanceTargets rebuilds v.targets, the list the VR's balancer picks from,
@@ -285,17 +333,80 @@ func (v *VR) balanceTargets(vris []*VRIAdapter) []balance.Target {
 	return v.targets
 }
 
+// assign resolves key, the flow of f, through the affinity table and returns
+// the VRI to stage f for and the table's outcome; nil means load-aware
+// admission refused a new flow.
+func (v *VR) assign(vris []*VRIAdapter, key uint64, f *packet.Frame, now int64) (*VRIAdapter, flow.Outcome) {
+	var chosen *VRIAdapter
+	established := false
+	// keep decides what to do with a pin from before the last VRI spawn or
+	// destroy. Moving a flow whose frames are still on their way through the
+	// old VRI would let the new VRI overtake them, so affinity is kept while
+	// the pinned VRI is alive and owes frames (see VRIAdapter.owes); a
+	// settled (or dead) flow can move freely — its frames are all relayed
+	// (or already lost to teardown).
+	keep := func(id int) bool {
+		established = true
+		a, ok := snapshotByID(vris, id)
+		if !ok || a.owes() {
+			chosen = a // nil when !ok; Assign then consults pick
+			return ok
+		}
+		return false
+	}
+	// pick places an unpinned flow (pickFlow). Load-aware admission lives
+	// here: when even the least-loaded VRI is backed up past admitDepth, a
+	// brand-new flow is refused — shed by the caller as a counted drop —
+	// while a flow that already held a pin (keep ran, so Assign is
+	// re-balancing it) is always placed, preserving the established traffic
+	// the backlog belongs to.
+	pick := func() int {
+		if v.admitDepth > 0 && !established && leastLoaded(vris).PendingData() >= v.admitDepth {
+			return -1
+		}
+		chosen = v.pickFlow(vris, f)
+		return chosen.ID
+	}
+	id, oc := v.flows.Assign(key, now, keep, pick)
+	if id < 0 {
+		return nil, oc
+	}
+	if chosen == nil { // a hit: neither keep nor pick ran
+		chosen, _ = snapshotByID(vris, id)
+	}
+	return chosen, oc
+}
+
+// pickFlow picks the VRI of vris for a new or re-balanced flow, f being its
+// frame (nil for a pin a drain moves): the VR's balancer when it has one and
+// there is a choice to make (the paper's flow-based JSQ, RR or random), else
+// the least instantaneous queue depth. A lone VRI is no choice: it is taken
+// without asking the balancer, so a single-VRI VR's misses stay as cheap as
+// with no balancer. The balancer picks from v.targets, which the caller has
+// built from vris (balanceTargets).
+func (v *VR) pickFlow(vris []*VRIAdapter, f *packet.Frame) *VRIAdapter {
+	if v.cfg.Balancer == nil || len(vris) == 1 {
+		return leastLoaded(vris)
+	}
+	return vris[v.cfg.Balancer.Pick(v.targets, f)]
+}
+
 // flush publishes run, the frames staged for a (handRun), and returns how
-// many the ring accepted.
-func (v *VR) flush(a *VRIAdapter, run []*packet.Frame, now int64) int {
+// many the ring accepted; on a flow VR, oc is the table's outcome for the
+// run's last frame, which names a sampled trace event.
+func (v *VR) flush(a *VRIAdapter, run []*packet.Frame, now int64, oc flow.Outcome) int {
 	n := len(run)
 	if n == 0 {
 		return 0
 	}
 	ok := v.handRun(a, run)
 	a.runDepth -= n - ok
-	v.placed(a, ok, a.runDepth, now, obs.KindBalance,
-		"balancer pick; value = chosen VRI queue depth after enqueue")
+	if v.flows == nil {
+		v.placed(a, ok, a.runDepth, now, obs.KindBalance,
+			"balancer pick; value = chosen VRI queue depth after enqueue")
+	} else {
+		v.placed(a, ok, a.runDepth, now, obs.KindFlow, flowNotes[oc])
+	}
 	return ok
 }
 
@@ -347,129 +458,6 @@ var flowNotes = func() (notes [flow.Overflow + 1]string) {
 	return notes
 }()
 
-// dispatchFlow is the flow-affinity dispatch path, one run at a time: each
-// frame's flow key — taken from its already-parsed headers — is resolved
-// against the affinity table and the frame is enqueued to the pinned VRI.
-// The run is treated as a vector, flow.MaxBurst keys at a time: the table
-// resolves the chunk's leading clean hits in one pass (AssignHits,
-// overlapped probes), and consecutive frames bound for one
-// VRI are published together (handRun). A key that is not a clean hit is
-// resolved by Assign at its place in frame order, after everything before it
-// has been published, so keep and pick read exactly the queues and the owed
-// counts they would have read had the frames come one at a time; a run of one
-// frame is that sequence and nothing else. Spawn, destroy and the migration
-// engine's Transfer run on the dispatching goroutine too, so a pin that is
-// not stale always names a VRI of vris.
-func (v *VR) dispatchFlow(frames []*packet.Frame, scratch []parsed, now int64) (accepted int) {
-	vris := v.vriList()
-	if len(vris) == 0 {
-		return v.refuse(frames)
-	}
-	var chosen *VRIAdapter
-	established := false
-	// keep decides what to do with a pin from before the last VRI spawn or
-	// destroy. Moving a flow whose frames are still on their way through the
-	// old VRI would let the new VRI overtake them, so affinity is kept while
-	// the pinned VRI is alive and owes frames (see VRIAdapter.owes); a
-	// settled (or dead) flow can move freely — its frames are all relayed
-	// (or already lost to teardown).
-	keep := func(id int) bool {
-		established = true
-		a, ok := snapshotByID(vris, id)
-		if !ok || a.owes() {
-			chosen = a // nil when !ok; Assign then consults pick
-			return ok
-		}
-		return false
-	}
-	// pick chooses a VRI for an unpinned flow, miss being its frame: the
-	// VR's balancer when it has one and there is a choice to make (the
-	// paper's flow-based JSQ, RR or random), else the least instantaneous
-	// queue depth, service rate breaking ties. A lone VRI is no choice: it is
-	// taken without asking the balancer, so a single-VRI VR's misses stay as
-	// cheap as with no balancer. Load-aware admission lives here: when even
-	// the least-loaded VRI is backed up past admitDepth, a brand-new flow is
-	// refused — shed below as a counted drop — while a flow that already held
-	// a pin (keep ran, so Assign is re-balancing it) is always placed,
-	// preserving the established traffic the backlog belongs to.
-	var miss *packet.Frame
-	pick := func() int {
-		if v.admitDepth > 0 && !established && leastLoaded(vris).PendingData() >= v.admitDepth {
-			return -1
-		}
-		if v.cfg.Balancer == nil || len(vris) == 1 {
-			chosen = leastLoaded(vris)
-		} else {
-			chosen = vris[v.cfg.Balancer.Pick(v.balanceTargets(vris), miss)]
-		}
-		return chosen.ID
-	}
-	// frames[lo:g] is the run staged for cur, the VRI the last frame went to,
-	// as the loop reaches frame g; depth is cur's queue depth, read when the
-	// run reached it and counted locally since. A staged run is always a
-	// contiguous piece of frames, because a frame that is shed, or resolved by
-	// Assign, is preceded by a flush.
-	var cur *VRIAdapter
-	lo, depth := 0, 0
-	outcome := flow.Hit
-	flush := func(g int) {
-		if lo < g {
-			// Figure 3.4 "queue length": occupancy observed when forwarding,
-			// once per frame — in one estimator update for the run.
-			ok := v.handRun(cur, frames[lo:g])
-			cur.QueueEst.ObserveRun(depth, ok, g-lo)
-			depth += ok
-			accepted += ok
-			v.placed(cur, ok, depth, now, obs.KindFlow, flowNotes[outcome])
-		}
-		lo = g
-	}
-	var (
-		keys [flow.MaxBurst]uint64
-		ids  [flow.MaxBurst]int32
-	)
-	for base := 0; base < len(frames); base += flow.MaxBurst {
-		chunk := frames[base:min(base+flow.MaxBurst, len(frames))]
-		for i, f := range chunk {
-			keys[i] = flow.KeyOfMeta(scratch[base+i].meta, f)
-		}
-		ids[0] = -1 // a chunk of one is Assign's: no vector pass
-		if len(chunk) > 1 {
-			v.flows.AssignHits(keys[:len(chunk)], ids[:len(chunk)])
-		}
-		for i, f := range chunk {
-			g := base + i
-			id, oc := int(ids[i]), flow.Hit
-			chosen, established = nil, false
-			if id < 0 {
-				flush(g)
-				miss = f
-				if id, oc = v.flows.Assign(keys[i], now, keep, pick); id < 0 {
-					// Admission refused the new flow: shed the frame before it joins
-					// a backlog no VRI can clear. The arrival estimator already saw
-					// it, so the VR's offered load (and thus its claim to more cores)
-					// is intact.
-					v.admitShed.Add(1)
-					f.Release()
-					lo = g + 1
-					continue
-				}
-			}
-			a := chosen // set by keep or pick; nil for a clean hit
-			if a == nil {
-				a, _ = snapshotByID(vris, id)
-			}
-			if a != cur {
-				flush(g)
-				cur, depth = a, a.PendingData()
-			}
-			outcome = oc
-		}
-	}
-	flush(len(frames))
-	return accepted
-}
-
 // snapshotByID finds a VRI by ID in an immutable snapshot slice.
 func snapshotByID(vris []*VRIAdapter, id int) (*VRIAdapter, bool) {
 	for _, a := range vris {
@@ -482,8 +470,8 @@ func snapshotByID(vris []*VRIAdapter, id int) (*VRIAdapter, bool) {
 
 // leastLoaded picks the VRI with the shortest instantaneous input queue,
 // breaking ties toward the higher measured service rate: a flow is placed
-// once, on the queues as they are. The flow miss path uses it when the VR has
-// no balancer or one VRI, and load-aware admission always does.
+// once, on the queues as they are. pickFlow uses it when the VR has no
+// balancer or one VRI, and load-aware admission always does.
 func leastLoaded(vris []*VRIAdapter) *VRIAdapter {
 	best := vris[0]
 	bestDepth := best.PendingData()

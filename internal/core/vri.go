@@ -99,10 +99,10 @@ type VRIAdapter struct {
 	handed  atomic.Int64
 	settled atomic.Int64
 
-	// runDepth and runRoom are the balancer's view of the input queue for
-	// the dispatchLocked run in progress, or for one flow pick: depth and
-	// free slots, read once by balanceTargets and counted locally as a run's
-	// frames are placed. Monitor goroutine only, like the balancer state.
+	// runDepth and runRoom are dispatch's view of the input queue for the
+	// run in progress, or for a drain's picks: depth and free slots, read
+	// once by balanceTargets and counted locally as a run's frames are
+	// placed. Monitor goroutine only, like the balancer state.
 	runDepth, runRoom int
 
 	_ [cacheLine]byte
@@ -228,8 +228,8 @@ func (a *VRIAdapter) hasWork() bool {
 	return a.PendingData() > 0 || a.Control.In.Len() > 0
 }
 
-// runLoad returns the queue-length estimate used by JSQ during a
-// dispatchLocked run or a flow pick. Reading the load also folds the queue
+// runLoad returns the queue-length estimate JSQ reads when it picks, per
+// frame or per flow. Reading the load also folds the queue
 // occupancy (the run's local count, runDepth) into the EWMA — the VRI adapter
 // reports a fresh estimate whenever the VRI monitor balances (Figure 3.4) —
 // so a VRI whose queue has drained becomes attractive again even if it has

@@ -206,26 +206,6 @@ func (q *QueueLength) Observe(length int) {
 	}
 }
 
-// ObserveRun records, in one atomic update, what n Observe calls would have
-// for a run of n frames offered to a queue that was depth deep and took the
-// first accepted of them: depth, depth+1, … for those, and the depth it was
-// left at for each frame of the rejected tail.
-func (q *QueueLength) ObserveRun(depth, accepted, n int) {
-	if n <= 0 {
-		return
-	}
-	for {
-		old := q.word.Load()
-		e := q.ewma(old)
-		for i := 0; i < n; i++ {
-			e.Update(float64(depth + min(i, accepted)))
-		}
-		if q.word.CompareAndSwap(old, math.Float64bits(e.avg)) {
-			return
-		}
-	}
-}
-
 // Estimate returns the smoothed queue occupancy (0 before the first sample).
 func (q *QueueLength) Estimate() float64 {
 	e := q.ewma(q.word.Load())

@@ -185,48 +185,19 @@ func TestQueueLength(t *testing.T) {
 	}
 }
 
-// TestQueueLengthObserveRun: one ObserveRun is, to the last bit, the Observe
-// calls of a run placed frame by frame — a rising depth for the frames the
-// queue took, the depth it was left at for each it turned away.
-func TestQueueLengthObserveRun(t *testing.T) {
-	run, each := NewQueueLength(0), NewQueueLength(0)
-	for _, r := range []struct{ depth, accepted, n int }{
-		{0, 1, 1}, {3, 16, 16}, {60, 4, 16}, {64, 0, 5}, {2, 0, 0}, {7, 3, 3},
-	} {
-		run.ObserveRun(r.depth, r.accepted, r.n)
-		depth := r.depth
-		for i := 0; i < r.n; i++ {
-			each.Observe(depth)
-			if i < r.accepted {
-				depth++
-			}
-		}
-		if run.Estimate() != each.Estimate() {
-			t.Fatalf("after run %+v: ObserveRun gives %v, Observe per frame %v", r, run.Estimate(), each.Estimate())
-		}
-	}
-}
-
 // TestQueueLengthMatchesEWMA: the estimator's one atomic word is the bare
-// EWMA, to the bit, through a seeded mix of single observations, runs with
-// rejected tails and resets, at the default weight and at another.
+// EWMA, to the bit, through a seeded mix of observations and resets, at the
+// default weight and at another.
 func TestQueueLengthMatchesEWMA(t *testing.T) {
 	for _, weight := range []float64{0, 3} {
 		q, ref := NewQueueLength(weight), EWMA{Weight: weight}
 		rng := rand.New(rand.NewSource(11))
 		for step := 0; step < 20000; step++ {
 			switch op := rng.Intn(100); {
-			case op < 50:
+			case op < 98:
 				length := rng.Intn(1024)
 				q.Observe(length)
 				ref.Update(float64(length))
-			case op < 98:
-				depth, n := rng.Intn(1024), rng.Intn(17)
-				accepted := rng.Intn(n + 1) // n - accepted frames rejected
-				q.ObserveRun(depth, accepted, n)
-				for i := 0; i < n; i++ {
-					ref.Update(float64(depth + min(i, accepted)))
-				}
 			default:
 				q.Reset()
 				ref.Reset()
@@ -254,12 +225,7 @@ func TestQueueLengthConcurrent(t *testing.T) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 20000; i++ {
-				if i%2 == 0 {
-					q.Observe(lo + rng.Intn(hi-lo+1))
-				} else {
-					// A run that starts at most 8 below hi and may take all 8.
-					q.ObserveRun(lo+rng.Intn(hi-lo-7), rng.Intn(9), 8)
-				}
+				q.Observe(lo + rng.Intn(hi-lo+1))
 			}
 		}(int64(w))
 	}

@@ -23,8 +23,8 @@ type assigned struct {
 // tables fed the same stream make the same decisions.
 //
 // vector selects how a chunk is resolved: AssignHits for the clean hits and
-// then Assign for the flagged keys, in order — what dispatchFlow does — or
-// Assign for every key.
+// then Assign for the flagged keys, in order — what core's dispatch loop
+// does — or Assign for every key.
 func burstStream(tb *Table, seed int64, universe, total, every, chunk int, vector bool) []assigned {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]uint64, universe)

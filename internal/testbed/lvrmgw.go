@@ -189,7 +189,7 @@ func (g *LVRMGateway) Arrive(f *packet.Frame, in int) {
 		ioCost := g.costs.RecvCost(size)
 		total := ioCost + core.DispatchCost + core.QueueHopCost + g.cfg.ExtraDispatchCost
 		g.lvrmCore.ExecSplit(total, g.mixSplit(ioCost, total), func() {
-			if g.lvrm.RecvAndDispatch() {
+			if g.lvrm.RecvDispatchBatch(1) > 0 {
 				g.chargeNewAllocations()
 				g.kickAll()
 			}
